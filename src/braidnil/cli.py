@@ -25,6 +25,7 @@ from .core import (
     element_from_dict,
     element_to_dict,
     inv,
+    json_int,
     mul,
     order,
     power,
@@ -157,7 +158,10 @@ def _cmd_torsion(args) -> int:
         _print({"n": args.n, "spectrum": torsion.torsion_spectrum(args.n)})
         return 0
     if args.cycle_type:
-        parts = [int(x) for x in args.cycle_type.split(",") if x.strip()]
+        try:
+            parts = [int(x) for x in args.cycle_type.split(",") if x.strip()]
+        except ValueError as exc:
+            raise DomainError(f"bad cycle type: {exc}") from exc
         e = torsion.element_with_cycle_type(args.n, parts)
         _print({
             "n": args.n,
@@ -168,8 +172,8 @@ def _cmd_torsion(args) -> int:
         return 0
     try:
         data = json.loads(args.residues)
-        rows = [[int(x) for x in row] for row in data["residues"]]
-        if int(data.get("n", args.n)) != args.n:
+        rows = [[json_int(x) for x in row] for row in data["residues"]]
+        if json_int(data.get("n", args.n)) != args.n:
             raise DomainError("residue matrix strand count disagrees with --n")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"bad residue JSON: {exc}") from exc

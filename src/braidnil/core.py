@@ -31,7 +31,12 @@ Conventions, used consistently everywhere:
 
 All exponents are plain Python integers, so arithmetic is exact at any size.
 Every value here is immutable and every function is pure; the only cache is
-the one on the reduced-word lift, which is keyed by the permutation alone.
+the bounded one on the reduced-word lift, keyed by the permutation alone.
+
+The group law is one letter fold, `_fold`: collect folds a word's letters, and
+mul and inv fold a graded part through a section's letters.  The fold leaves
+the graded part in its starting strand frame and tracks where each strand
+lies, so a letter costs work on the pairs at its two strands only.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -216,8 +221,12 @@ def _norm_triple(t: Iterable[int], n: int) -> tuple[Triple, int]:
     t = tuple(t)
     if len(set(t)) != 3 or not all(1 <= x <= n for x in t):
         raise DomainError(f"invalid triple {t} for n={n}")
+    return _sort3(*t)
+
+
+def _sort3(a: int, b: int, c: int) -> tuple[Triple, int]:
+    """Sort three distinct integers, returning the sign of the sorting permutation."""
     sign = 1
-    a, b, c = t
     if a > b:
         a, b, sign = b, a, -sign
     if b > c:
@@ -463,7 +472,7 @@ def conj_triple_by_gen(triple: Triple, k: int, eps: int, n: int) -> SignedTriple
 # The reduced-word section
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _lex_reduced_word(image: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest reduced word for the permutation.
 
@@ -497,96 +506,81 @@ def tits_lift(perm: Permutation) -> BraidWord:
 # Collection: the group law on normal forms
 # ---------------------------------------------------------------------------
 
-def _letter_into_state(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
-                       k: int, eps: int) -> list[int]:
-    """Multiply the state (image, pure, comm) by s_k^eps on the right, in place.
+def _fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
+          letters: Sequence[Letter]) -> tuple[list[int], dict[Pair, int], dict[Triple, int]]:
+    """Multiply the state (image, pure, comm) on the right by the letters, in order.
 
-    Dict-valued parts are mutated; the new one-line image is returned.  The
-    letter first conjugates both graded parts through s_k^-eps (moving them to
-    the right of the new letter), then either is absorbed into the section or
-    deposits A[k,k+1]^eps at the head of the pure product, with the class-2
-    reordering corrections [X^a, Y^b] = a*b*[X, Y] in both steps.
+    A letter s_k^eps conjugates the graded parts through s_k^-eps, then is
+    absorbed into the section or deposits A[k,k+1]^eps at the head of the pure
+    product, with the class-2 corrections [X^a, Y^b] = a*b*[X, Y].
+
+    Frame invariant: pure and comm stay keyed by the strand labels they had
+    when the fold started, lab[x] is the starting label now at slot x and pos
+    its inverse; an entry stored under starting labels sits at their current
+    slots, with the sign of the sort.  So a letter only swaps lab[k], lab[k+1],
+    and each other slot x, with e_a, e_b the exponents on {lab[x], lab[k]} and
+    {lab[x], lab[k+1]}, adds e_a*e_b - (e_a if eps = +1 else e_b), plus
+    eps*(e_a - e_b) on a deposit when x < k, at the slot triple sort(x, k, k+1).
+    Only labels paired with lab[k] or lab[k+1] contribute, so a letter costs
+    their pure degree.  One signed relabel to the final frame ends the fold.
+    comm is consumed; the new image, pure and comm are returned.
     """
+    if not letters:
+        return image, pure, comm
     n = len(image)
-    # conjugate level-2 coordinates: a signed relabelling, same in both directions
-    if comm:
-        relabelled = {}
-        for t, c in comm.items():
-            t2, s = _triple_action(t, k)
-            relabelled[t2] = s * c
-        comm.clear()
-        comm.update(relabelled)
-    # conjugate level-1 coordinates through s_k^-eps, collecting corrections
-    if pure:
-        eps_conj = -eps
-        new_pure = {}
-        for (i, j), e in pure.items():
-            p2, corr = _pair_action(i, j, k, eps_conj)
-            new_pure[p2] = e
-            if corr is not None:
-                t, s = corr
-                c = comm.get(t, 0) + s * e
-                if c:
-                    comm[t] = c
-                else:
-                    comm.pop(t, None)
-        # restoring lex order swaps exactly the blocks (i,k)<->(i,k+1) and
-        # (k,x)<->(k+1,x); only same-index pairs meet a nonzero bracket, and
-        # both families contribute +1 on the shared triple
-        for i in range(1, k):
-            e1 = pure.get((i, k), 0)
-            if e1:
-                e2 = pure.get((i, k + 1), 0)
-                if e2:
-                    t = (i, k, k + 1)
-                    c = comm.get(t, 0) + e1 * e2
+    lab = list(range(n + 1))  # 1-based slots and labels; index 0 unused
+    pos = list(range(n + 1))
+    where = [0] * (n + 1)  # where[v]: the index of the value v in the one-line image
+    for i, v in enumerate(image):
+        where[v] = i
+    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]  # nbr[u][v]: exponent on {u, v}
+    for (i, j), e in pure.items():
+        nbr[i][j] = nbr[j][i] = e
+    for k, eps in letters:
+        la, lb = lab[k], lab[k + 1]
+        na, nb = nbr[la], nbr[lb]
+        # section dichotomy: absorb the letter when it extends the reduced word
+        deposit = (eps == 1) != (where[k] < where[k + 1])
+        where[k], where[k + 1] = where[k + 1], where[k]
+        lab[k], lab[k + 1] = lb, la
+        pos[la], pos[lb] = k + 1, k
+        if na or nb:
+            for v in na.keys() | nb.keys():
+                if v == la or v == lb:
+                    continue
+                ea, eb = na.get(v, 0), nb.get(v, 0)
+                d = ea * eb - (ea if eps == 1 else eb)
+                if deposit and pos[v] < k:
+                    d += eps * (ea - eb)
+                if d:
+                    # slots (x, k, k+1) now hold labels (v, lb, la): a rotation of (lb, la, v)
+                    t, s = _sort3(lb, la, v)
+                    c = comm.get(t, 0) + s * d
                     if c:
                         comm[t] = c
                     else:
-                        comm.pop(t, None)
-        for x in range(k + 2, n + 1):
-            e1 = pure.get((k, x), 0)
-            if e1:
-                e2 = pure.get((k + 1, x), 0)
-                if e2:
-                    t = (k, k + 1, x)
-                    c = comm.get(t, 0) + e1 * e2
-                    if c:
-                        comm[t] = c
-                    else:
-                        comm.pop(t, None)
-        pure.clear()
-        pure.update(new_pure)
-    # section dichotomy: absorb the letter when it extends the reduced word
-    pos_k = image.index(k)
-    pos_k1 = image.index(k + 1)
-    length_up = pos_k < pos_k1
-    image[pos_k], image[pos_k1] = k + 1, k
-    if (eps == 1) != length_up:
-        # merge A[k,k+1]^eps at the head of the lex-ordered pure product
-        for i in range(1, k):
-            e = pure.get((i, k), 0)
+                        del comm[t]
+        if deposit:
+            e = na.get(lb, 0) + eps
             if e:
-                t = (i, k, k + 1)
-                c = comm.get(t, 0) - eps * e
-                if c:
-                    comm[t] = c
-                else:
-                    comm.pop(t, None)
-            e = pure.get((i, k + 1), 0)
-            if e:
-                t = (i, k, k + 1)
-                c = comm.get(t, 0) + eps * e
-                if c:
-                    comm[t] = c
-                else:
-                    comm.pop(t, None)
-        c = pure.get((k, k + 1), 0) + eps
-        if c:
-            pure[(k, k + 1)] = c
-        else:
-            del pure[(k, k + 1)]
-    return image
+                na[lb] = nb[la] = e
+            else:
+                del na[lb], nb[la]
+    out_pure = {}
+    for u in range(1, n + 1):
+        x = pos[u]
+        for v, e in nbr[u].items():
+            if u < v:
+                y = pos[v]
+                out_pure[(x, y) if x < y else (y, x)] = e
+    out_comm = {}
+    for (u, v, w), c in comm.items():
+        t, s = _sort3(pos[u], pos[v], pos[w])
+        out_comm[t] = s * c
+    out_image = [0] * n
+    for v in range(1, n + 1):
+        out_image[where[v]] = v
+    return out_image, out_pure, out_comm
 
 
 def _freeze(n: int, image: list[int], pure: dict[Pair, int], comm: dict[Triple, int]) -> NilElement:
@@ -612,9 +606,7 @@ def right_mul_gen(elem: NilElement, k: int, eps: int) -> NilElement:
         raise DomainError(f"generator index {k} out of range for n={elem.n}")
     if eps not in (1, -1):
         raise DomainError("eps must be +1 or -1")
-    image, pure, comm = _thaw(elem)
-    image = _letter_into_state(image, pure, comm, k, eps)
-    return _freeze(elem.n, image, pure, comm)
+    return _freeze(elem.n, *_fold(*_thaw(elem), ((k, eps),)))
 
 
 def collect(word: BraidWord) -> NilElement:
@@ -623,12 +615,7 @@ def collect(word: BraidWord) -> NilElement:
     This is a homomorphism: collect(u * v) = mul(collect(u), collect(v)).
     """
     n = word.n
-    image = list(range(1, n + 1))
-    pure: dict[Pair, int] = {}
-    comm: dict[Triple, int] = {}
-    for k, eps in word.letters:
-        image = _letter_into_state(image, pure, comm, k, eps)
-    return _freeze(n, image, pure, comm)
+    return _freeze(n, *_fold(list(range(1, n + 1)), {}, {}, word.letters))
 
 
 def _merge_pure_block(pure: dict[Pair, int], comm: dict[Triple, int],
@@ -663,9 +650,7 @@ def mul(a: NilElement, b: NilElement) -> NilElement:
     """Group multiplication of normal forms."""
     if a.n != b.n:
         raise DomainError("cannot multiply elements on different strand counts")
-    image, pure, comm = _thaw(a)
-    for k in _lex_reduced_word(b.perm.image):
-        image = _letter_into_state(image, pure, comm, k, 1)
+    image, pure, comm = _fold(*_thaw(a), [(k, 1) for k in _lex_reduced_word(b.perm.image)])
     _merge_pure_block(pure, comm, (((i, j), e) for i, j, e in b.pure.entries))
     for i, j, k, c in b.comm.entries:
         t = (i, j, k)
@@ -697,9 +682,8 @@ def inv(a: NilElement) -> NilElement:
                 else:
                     comm.pop(t, None)
         pure[p] = -ep
-    for k in reversed(_lex_reduced_word(a.perm.image)):
-        image = _letter_into_state(image, pure, comm, k, -1)
-    return _freeze(n, image, pure, comm)
+    word = _lex_reduced_word(a.perm.image)
+    return _freeze(n, *_fold(image, pure, comm, [(k, -1) for k in reversed(word)]))
 
 
 def power(a: NilElement, m: int) -> NilElement:
@@ -753,19 +737,16 @@ def pure_conjugation_map(perm: Permutation) -> dict[Pair, Pair]:
 def comm_conjugation_map(perm: Permutation) -> dict[Triple, SignedTriple]:
     """Signed triple relabelling induced by conjugation by an element with this permutation.
 
-    Computed by folding the generator rule along the canonical reduced word;
-    the kernel of the permutation map acts trivially on level 2, so this is
-    exact for every element with the given permutation.
+    The triple t goes to sort(perm^-1(t)) with the sign of the sort, which is
+    what the generator rule folded along any reduced word gives; the kernel of
+    the permutation map acts trivially on level 2, so this is exact for every
+    element with the given permutation.
     """
-    word = _lex_reduced_word(perm.image)
-    out = {}
-    for t in triples(perm.n):
-        cur, sign = t, 1
-        for k in reversed(word):
-            cur, s = _triple_action(cur, k)
-            sign *= s
-        out[t] = SignedTriple(cur, sign)
-    return out
+    inv_img = perm.inverse().image
+    return {
+        (a, b, c): SignedTriple(*_sort3(inv_img[a - 1], inv_img[b - 1], inv_img[c - 1]))
+        for a, b, c in triples(perm.n)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +762,29 @@ def element_to_dict(a: NilElement) -> dict:
     }
 
 
+def json_int(x) -> int:
+    """A JSON integer as given; bools, floats and strings are rejected, never coerced."""
+    if type(x) is not int:
+        raise DomainError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
+def _json_rows(rows, width: int) -> list[tuple[int, ...]]:
+    """A JSON list of integer rows, each of the given width."""
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise DomainError(f"expected a list of {width} integers, got {row!r}")
+        out.append(tuple(json_int(x) for x in row))
+    return out
+
+
 def element_from_dict(d: dict) -> NilElement:
     try:
-        n = int(d["n"])
-        perm = Permutation(tuple(int(x) for x in d["perm"]))
-        pure = PurePart.from_map(n, [((int(i), int(j)), int(e)) for i, j, e in d.get("pure", [])])
-        comm = CommPart.from_map(n, [((int(i), int(j), int(k)), int(c)) for i, j, k, c in d.get("comm", [])])
+        n = json_int(d["n"])
+        perm = Permutation(tuple(json_int(x) for x in d["perm"]))
+        pure = PurePart.from_map(n, [((i, j), e) for i, j, e in _json_rows(d.get("pure", []), 3)])
+        comm = CommPart.from_map(n, [((i, j, k), c) for i, j, k, c in _json_rows(d.get("comm", []), 4)])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed element JSON: {exc}") from exc
     return NilElement(n, perm, pure, comm)
@@ -798,7 +796,7 @@ def word_to_dict(w: BraidWord) -> dict:
 
 def word_from_dict(d: dict) -> BraidWord:
     try:
-        return BraidWord(int(d["n"]), tuple((int(k), int(e)) for k, e in d.get("word", [])))
+        return BraidWord(json_int(d["n"]), tuple(_json_rows(d.get("word", []), 2)))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed word JSON: {exc}") from exc
 

@@ -20,8 +20,9 @@ expression is parsed for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .core import DomainError, NilElement, comm_gen, identity, mul, power, pure_gen, sigma
+from .core import BraidWord, DomainError, NilElement, collect, comm_gen, identity, mul, power, pure_gen, sigma
 
 
 class ExpressionError(ValueError):
@@ -48,19 +49,35 @@ class Expression:
         return _eval_terms(self.terms, self.n)
 
 
+# a generator power beyond this is raised by squaring rather than spelled out letter by letter
+_RUN_EXPONENT_LIMIT = 64
+
+
+def _is_run_term(term) -> bool:
+    atom, exponent = term
+    return atom[0] == "gen" and abs(exponent) <= _RUN_EXPONENT_LIMIT
+
+
 def _eval_terms(terms: tuple, n: int) -> NilElement:
     acc = identity(n)
-    for atom, exponent in terms:
-        kind = atom[0]
-        if kind == "gen":
-            base = sigma(n, atom[1], atom[2])
-        elif kind == "pure":
-            base = pure_gen(n, atom[1], atom[2])
-        elif kind == "comm":
-            base = comm_gen(n, (atom[1], atom[2], atom[3]))
-        else:
-            base = _eval_terms(atom[1], n)
-        acc = mul(acc, base if exponent == 1 else power(base, exponent))
+    for in_run, group in groupby(terms, key=_is_run_term):
+        if in_run:
+            # consecutive generator atoms are spelled out and folded by one collect
+            letters = tuple(letter for (_, k, eps), m in group
+                            for letter in [(k, eps if m > 0 else -eps)] * abs(m))
+            acc = mul(acc, collect(BraidWord(n, letters)))
+            continue
+        for atom, exponent in group:
+            kind = atom[0]
+            if kind == "gen":
+                base = sigma(n, atom[1], atom[2])
+            elif kind == "pure":
+                base = pure_gen(n, atom[1], atom[2])
+            elif kind == "comm":
+                base = comm_gen(n, (atom[1], atom[2], atom[3]))
+            else:
+                base = _eval_terms(atom[1], n)
+            acc = mul(acc, base if exponent == 1 else power(base, exponent))
     return acc
 
 

@@ -1,10 +1,14 @@
-"""Shared test helpers: random words and the independent strand-tracking oracle."""
+"""Shared test helpers: random words and the independent oracles.
+
+The oracles are the strand-tracking normal form at level 1 and the eager
+letter-by-letter fold, which relabels every graded entry on each letter.
+"""
 
 from __future__ import annotations
 
 import random
 
-from braidnil.core import BraidWord
+from braidnil.core import BraidWord, Pair, Triple, _pair_action, _triple_action
 
 
 def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
@@ -43,3 +47,95 @@ def strand_tracking_normal_form(word: BraidWord):
             if c:
                 pure[(a, b)] = c // 2
     return perm_image, pure
+
+
+def eager_fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
+               k: int, eps: int) -> list[int]:
+    """Multiply the state (image, pure, comm) by s_k^eps on the right, in place.
+
+    Dict-valued parts are mutated; the new one-line image is returned.  The
+    letter first conjugates both graded parts through s_k^-eps (moving them to
+    the right of the new letter), then either is absorbed into the section or
+    deposits A[k,k+1]^eps at the head of the pure product, with the class-2
+    reordering corrections [X^a, Y^b] = a*b*[X, Y] in both steps.
+    """
+    n = len(image)
+    # conjugate level-2 coordinates: a signed relabelling, same in both directions
+    if comm:
+        relabelled = {}
+        for t, c in comm.items():
+            t2, s = _triple_action(t, k)
+            relabelled[t2] = s * c
+        comm.clear()
+        comm.update(relabelled)
+    # conjugate level-1 coordinates through s_k^-eps, collecting corrections
+    if pure:
+        eps_conj = -eps
+        new_pure = {}
+        for (i, j), e in pure.items():
+            p2, corr = _pair_action(i, j, k, eps_conj)
+            new_pure[p2] = e
+            if corr is not None:
+                t, s = corr
+                c = comm.get(t, 0) + s * e
+                if c:
+                    comm[t] = c
+                else:
+                    comm.pop(t, None)
+        # restoring lex order swaps exactly the blocks (i,k)<->(i,k+1) and
+        # (k,x)<->(k+1,x); only same-index pairs meet a nonzero bracket, and
+        # both families contribute +1 on the shared triple
+        for i in range(1, k):
+            e1 = pure.get((i, k), 0)
+            if e1:
+                e2 = pure.get((i, k + 1), 0)
+                if e2:
+                    t = (i, k, k + 1)
+                    c = comm.get(t, 0) + e1 * e2
+                    if c:
+                        comm[t] = c
+                    else:
+                        comm.pop(t, None)
+        for x in range(k + 2, n + 1):
+            e1 = pure.get((k, x), 0)
+            if e1:
+                e2 = pure.get((k + 1, x), 0)
+                if e2:
+                    t = (k, k + 1, x)
+                    c = comm.get(t, 0) + e1 * e2
+                    if c:
+                        comm[t] = c
+                    else:
+                        comm.pop(t, None)
+        pure.clear()
+        pure.update(new_pure)
+    # section dichotomy: absorb the letter when it extends the reduced word
+    pos_k = image.index(k)
+    pos_k1 = image.index(k + 1)
+    length_up = pos_k < pos_k1
+    image[pos_k], image[pos_k1] = k + 1, k
+    if (eps == 1) != length_up:
+        # merge A[k,k+1]^eps at the head of the lex-ordered pure product
+        for i in range(1, k):
+            e = pure.get((i, k), 0)
+            if e:
+                t = (i, k, k + 1)
+                c = comm.get(t, 0) - eps * e
+                if c:
+                    comm[t] = c
+                else:
+                    comm.pop(t, None)
+            e = pure.get((i, k + 1), 0)
+            if e:
+                t = (i, k, k + 1)
+                c = comm.get(t, 0) + eps * e
+                if c:
+                    comm[t] = c
+                else:
+                    comm.pop(t, None)
+        c = pure.get((k, k + 1), 0) + eps
+        if c:
+            pure[(k, k + 1)] = c
+        else:
+            del pure[(k, k + 1)]
+    return image

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from braidnil import presentations
 from braidnil.cli import main
 from braidnil.core import comm_gen, element_from_dict, identity
@@ -158,3 +160,17 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
     code, _, err = run(capsys, "mul", "--n", "4", '{"n":3,"perm":[1,2,3],"pure":[],"comm":[]}', "s1")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2,1.7]],"comm":[]}'], id="float-exponent"),
+    pytest.param(["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2,true]],"comm":[]}'], id="bool-exponent"),
+    pytest.param(["inv", "--n", "3", '{"n":3,"perm":[1,2,"x"],"pure":[],"comm":[]}'], id="string-in-element"),
+    pytest.param(["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2]],"comm":[]}'], id="short-row"),
+    pytest.param(["collect", "--n", "3", '{"n":3,"word":[[1,1.0]]}'], id="float-in-word"),
+    pytest.param(["torsion", "--n", "5", "--residues", '{"n":5,"residues":[["x"]]}'], id="string-in-residues"),
+    pytest.param(["torsion", "--n", "5", "--cycle-type", "x"], id="string-in-cycle-type"),
+])
+def test_non_integer_input_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "domain error" in err

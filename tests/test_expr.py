@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from braidnil.core import DomainError, collect, comm_gen, identity, mul
+from braidnil.core import DomainError, collect, comm_gen, identity, mul, power, pure_gen, sigma
 from braidnil.expr import ExpressionError, format_terms, parse
 from braidnil.torsion import delta, delta_word
 
@@ -74,3 +76,22 @@ def test_format_round_trip():
         expr = parse(text, 5)
         again = parse(format_terms(expr.terms), 5)
         assert again.element() == expr.element()
+
+
+def test_generator_runs_equal_atom_by_atom_products():
+    # exponents on both sides of the limit above which a generator power is raised by squaring
+    rng = random.Random(41)
+    n = 6
+    for _ in range(40):
+        atoms, expected = [], identity(n)
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.8:
+                k, m = rng.randint(1, n - 1), rng.choice((1, -1, 0, 2, -3, 64, -65, 70))
+                atoms.append(f"s{k}^{m}")
+                expected = mul(expected, power(sigma(n, k), m))
+            else:
+                i, j = rng.sample(range(1, n + 1), 2)
+                atoms.append(f"A[{i},{j}]")
+                expected = mul(expected, pure_gen(n, i, j))
+        assert parse(" ".join(atoms), n).element() == expected
+    assert parse("s1^1000000000 s2", 3).element() == mul(power(sigma(3, 1), 10 ** 9), sigma(3, 2))
