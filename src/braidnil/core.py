@@ -553,7 +553,7 @@ def _fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
                 if deposit and pos[v] < k:
                     d += eps * (ea - eb)
                 if d:
-                    # slots (x, k, k+1) now hold labels (v, lb, la): a rotation of (lb, la, v)
+                    # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): one rotation, one sign
                     t, s = _sort3(lb, la, v)
                     c = comm.get(t, 0) + s * d
                     if c:
