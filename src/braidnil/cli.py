@@ -153,6 +153,43 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _block_rows(rows, signs, width: int, offset: int, zero: str, sep: str, fmt):
+    """Text rows of the signed permutation block with signs[c] at (rows[c], offset + c).
+
+    Each row is `width` cells joined by `sep`, sliced out of one run of zero
+    cells around its single nonzero entry rather than encoded cell by cell.
+    """
+    run = (zero + sep) * width
+    step, end = len(zero) + len(sep), len(run) - len(sep)
+    for c in sorted(range(len(rows)), key=rows.__getitem__):  # the column of each row's nonzero
+        at = step * (offset + c)
+        yield run[:at] + fmt(signs[c]) + run[at + len(zero):end]
+
+
+def _write_holonomy(h: invariants.HolonomyMatrix, pretty: bool) -> None:
+    """Write the holonomy blocks row by row from their signed permutations, never as dense matrices.
+
+    The JSON blocks come first, then the other keys from dumps_canonical,
+    since block1 and block2 sort before them; --pretty writes the
+    block-diagonal matrix, then the determinant.
+    """
+    write = sys.stdout.write
+    p, t = len(h.pair_basis), len(h.triple_basis)
+    blocks = ((h.pair_rows, (1,) * p, 0), (h.triple_rows, h.triple_signs, p))
+    if pretty:
+        for rows, signs, offset in blocks:
+            for row in _block_rows(rows, signs, p + t, offset, " 0", " ", "{:>2}".format):
+                write(row + "\n")
+        write(f"det = {h.det}\n")
+        return
+    for head, (rows, signs, _) in zip(('{"block1":[', '],"block2":['), blocks):
+        write(head)
+        for i, row in enumerate(_block_rows(rows, signs, len(rows), 0, "0", ",", str)):
+            write(("[" if i == 0 else ",[") + row + "]")
+    rest = dumps_canonical({"n": h.n, "pair_basis": h.pair_basis, "triple_basis": h.triple_basis, "det": h.det})
+    write("]," + rest[1:] + "\n")
+
+
 def _cmd_torsion(args) -> int:
     if args.spectrum:
         _print({"n": args.n, "spectrum": torsion.torsion_spectrum(args.n)})
@@ -188,19 +225,15 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = []
     if args.suite == "b3":
         names = [args.subgroup] if args.subgroup else list(presentations.SUBGROUPS)
         reports = [presentations.subgroup_presentation(s) for s in names]
+    elif args.n is None:
+        raise DomainError(f"--n is required for suite {args.suite}")
     else:
-        if args.n is None:
-            raise DomainError(f"--n is required for suite {args.suite}")
-        if args.suite == "pn3":
-            reports = [presentations.pure_presentation(args.n)]
-        elif args.suite == "bn3":
-            reports = [presentations.braid_presentation(args.n)]
-        else:
-            reports = [presentations.full_twist(args.n)]
+        suite = {"pn3": presentations.pure_presentation, "bn3": presentations.braid_presentation,
+                 "fulltwist": presentations.full_twist}[args.suite]
+        reports = [suite(args.n)]
     _print({"reports": [r.to_dict() for r in reports]})
     return 0 if all(r.passed for r in reports) else 1
 
@@ -257,13 +290,8 @@ def main(argv=None) -> int:
                     ],
                 })
         elif args.command == "ranks":
-            if args.q is not None:
-                _print({"n": args.n, "ranks": [{"q": args.q, "rank": invariants.lcs_rank(args.n, args.q)}]})
-            else:
-                _print({"n": args.n, "ranks": [
-                    {"q": q, "rank": invariants.lcs_rank(args.n, q)}
-                    for q in range(1, args.qmax + 1)
-                ]})
+            qs = [args.q] if args.q is not None else range(1, args.qmax + 1)
+            _print({"n": args.n, "ranks": [{"q": q, "rank": invariants.lcs_rank(args.n, q)} for q in qs]})
         elif args.command == "table":
             t = invariants.dimension_table(args.nmax, args.kmax)
             if args.pretty:
@@ -303,20 +331,7 @@ def main(argv=None) -> int:
                 if args.n != 3:
                     raise DomainError("--paper-basis is only defined for n=3")
                 pair_basis = ((1, 3), (2, 3), (1, 2))
-            h = invariants.holonomy_matrix(e, pair_basis=pair_basis)
-            if args.pretty:
-                for row in invariants.combined_matrix(h):
-                    print(" ".join(f"{x:>2}" for x in row))
-                print(f"det = {h.det}")
-            else:
-                _print({
-                    "n": h.n,
-                    "pair_basis": [list(p) for p in h.pair_basis],
-                    "triple_basis": [list(t) for t in h.triple_basis],
-                    "block1": [list(r) for r in h.block1],
-                    "block2": [list(r) for r in h.block2],
-                    "det": h.det,
-                })
+            _write_holonomy(invariants.holonomy_matrix(e, pair_basis=pair_basis), args.pretty)
         elif args.command == "verify":
             return _cmd_verify(args)
         return 0

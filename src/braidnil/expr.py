@@ -113,6 +113,10 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
+# deepest parenthesis nesting accepted; parsing, validation and evaluation each recurse once per level
+_MAX_NESTING = 500
+
+
 def _parse_terms(sc: _Scanner, depth: int) -> tuple:
     terms = []
     while True:
@@ -144,6 +148,8 @@ def _parse_terms(sc: _Scanner, depth: int) -> tuple:
             sc.expect("]")
             atom = ("comm", i, j, k)
         elif ch == "(":
+            if depth == _MAX_NESTING:
+                raise ExpressionError(f"parentheses nested deeper than {_MAX_NESTING}", sc.pos)
             sc.pos += 1
             inner = _parse_terms(sc, depth + 1)
             sc.expect(")")

@@ -11,8 +11,11 @@ The Hirsch length of the class-(k-1) quotient, which is the dimension of the
 ambient almost-crystallographic group, is the sum of the first k-1 ranks.
 
 Holonomy matrices record the conjugation action of an element on the two
-graded lattices: an unsigned permutation matrix on pair coordinates and a
-signed permutation matrix on triple coordinates.  Determinant +1 on every
+graded lattices: an unsigned permutation on pair coordinates and a signed
+permutation on triple coordinates.  Both blocks are stored as signed
+permutations, O(C(n,3)) integers rather than O(C(n,3)^2) matrix cells; the
+dense matrix exists only as combined_matrix's view, and the CLI splices its
+text rows straight from the permutations.  Determinant +1 on every
 generator of a finite quotient group is the orientability criterion for the
 corresponding infra-nilmanifold.  Bases are lexicographic unless an explicit
 order is passed (the 3-strand regression uses the ordering of the source
@@ -34,7 +37,6 @@ from .core import (
     pure_conjugation_map,
     triples,
 )
-from .orbits import OrbitBasis, orbit_partition, standard_transversal  # re-exported
 
 __all__ = [
     "lcs_rank",
@@ -45,9 +47,6 @@ __all__ = [
     "holonomy_matrix",
     "combined_matrix",
     "orientability_check",
-    "orbit_partition",
-    "standard_transversal",
-    "OrbitBasis",
 ]
 
 
@@ -148,38 +147,37 @@ def dimension_table(n_max: int, k_max: int) -> RankTable:
 # Holonomy matrices and orientability
 # ---------------------------------------------------------------------------
 
-def _permutation_parity(perm_of_indices: list[int]) -> int:
-    """Sign of a permutation given as an image list on 0..m-1."""
+def _permutation_parity(perm_of_indices: tuple[int, ...]) -> int:
+    """Sign of a permutation given as an image tuple on 0..m-1: (-1)^(m - number of cycles)."""
     seen = [False] * len(perm_of_indices)
-    sign = 1
+    cycles = 0
     for i in range(len(perm_of_indices)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm_of_indices[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm_of_indices[j]
+    return -1 if (len(perm_of_indices) - cycles) % 2 else 1
 
 
 @dataclass(frozen=True)
 class HolonomyMatrix:
     """Graded conjugation action of one element, in column-is-image convention.
 
-    block1 is the unsigned permutation matrix on the pair basis and block2 the
-    signed permutation matrix on the triple basis; det is the product of the
-    two block determinants, always +1 or -1.
+    Each block is a signed permutation matrix, stored by column: the pair
+    block has its one nonzero entry, 1, of column c in row pair_rows[c]; the
+    triple block has triple_signs[c] in row triple_rows[c].  det is the
+    product of the two block determinants, always +1 or -1.  The dense matrix
+    is built only by combined_matrix.
     """
 
     n: int
     pair_basis: tuple[Pair, ...]
     triple_basis: tuple[Triple, ...]
-    block1: tuple[tuple[int, ...], ...]
-    block2: tuple[tuple[int, ...], ...]
+    pair_rows: tuple[int, ...]
+    triple_rows: tuple[int, ...]
+    triple_signs: tuple[int, ...]
     det: int
 
 
@@ -196,45 +194,23 @@ def holonomy_matrix(g: NilElement,
         raise DomainError("basis orders must enumerate every pair / triple exactly once")
 
     pmap = pure_conjugation_map(g.perm)
-    m1 = [[0] * len(pair_basis) for _ in pair_basis]
-    perm1 = [0] * len(pair_basis)
-    for p, col in pidx.items():
-        row = pidx[pmap[p]]
-        m1[row][col] = 1
-        perm1[col] = row
-
+    pair_rows = tuple(pidx[pmap[p]] for p in pair_basis)
     cmap = comm_conjugation_map(g.perm)
-    m2 = [[0] * len(triple_basis) for _ in triple_basis]
-    perm2 = [0] * len(triple_basis)
-    sign_product = 1
-    for t, col in tidx.items():
-        st = cmap[t]
-        row = tidx[st.triple]
-        m2[row][col] = st.sign
-        perm2[col] = row
-        sign_product *= st.sign
-
-    det = _permutation_parity(perm1) * _permutation_parity(perm2) * sign_product
-    return HolonomyMatrix(
-        n,
-        pair_basis,
-        triple_basis,
-        tuple(tuple(r) for r in m1),
-        tuple(tuple(r) for r in m2),
-        det,
-    )
+    images = [cmap[t] for t in triple_basis]
+    triple_rows = tuple(tidx[st.triple] for st in images)
+    triple_signs = tuple(st.sign for st in images)
+    det = _permutation_parity(pair_rows) * _permutation_parity(triple_rows) * math.prod(triple_signs)
+    return HolonomyMatrix(n, pair_basis, triple_basis, pair_rows, triple_rows, triple_signs, det)
 
 
 def combined_matrix(h: HolonomyMatrix) -> tuple[tuple[int, ...], ...]:
     """Block-diagonal matrix on pair coordinates followed by triple coordinates."""
     p, t = len(h.pair_basis), len(h.triple_basis)
     out = [[0] * (p + t) for _ in range(p + t)]
-    for i in range(p):
-        for j in range(p):
-            out[i][j] = h.block1[i][j]
-    for i in range(t):
-        for j in range(t):
-            out[p + i][p + j] = h.block2[i][j]
+    for col, row in enumerate(h.pair_rows):
+        out[row][col] = 1
+    for col, (row, sign) in enumerate(zip(h.triple_rows, h.triple_signs)):
+        out[p + row][p + col] = sign
     return tuple(tuple(r) for r in out)
 
 

@@ -18,9 +18,12 @@ from .core import (
     CommPart,
     DomainError,
     NilElement,
+    Permutation,
+    PurePart,
     SignedTriple,
     Triple,
     comm_conjugation_map,
+    identity,
     triples,
 )
 
@@ -96,8 +99,6 @@ def cycle_element(n: int) -> NilElement:
     action factors through the permutation, so this lift serves for all n,
     even ones included.
     """
-    from .core import Permutation, PurePart, identity
-
     if n < 1:
         raise DomainError("strand count must be at least 1")
     if n == 1:

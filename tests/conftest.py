@@ -1,14 +1,28 @@
 """Shared test helpers: random words and the independent oracles.
 
-The oracles are the strand-tracking normal form at level 1 and the eager
-letter-by-letter fold, which relabels every graded entry on each letter.
+The oracles are the strand-tracking normal form at level 1, the eager
+letter-by-letter fold, which relabels every graded entry on each letter, and
+the dense holonomy matrices with the CLI text they encode to.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
 
-from braidnil.core import BraidWord, Pair, Triple, _pair_action, _triple_action
+from braidnil.core import (
+    BraidWord,
+    NilElement,
+    Pair,
+    Triple,
+    _pair_action,
+    _triple_action,
+    comm_conjugation_map,
+    pairs,
+    pure_conjugation_map,
+    triples,
+)
 
 
 def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
@@ -139,3 +153,58 @@ def eager_fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
         else:
             del pure[(k, k + 1)]
     return image
+
+
+def _inversion_sign(perm: list[int]) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def dense_holonomy(g: NilElement, pair_basis=None, triple_basis=None) -> dict:
+    """Dense oracle for the holonomy action: the CLI's JSON document as a dict.
+
+    block1 and block2 are the full matrices, in column-is-image convention,
+    filled from the conjugation maps; det is the sign of each block's
+    permutation, by inversion count, times the product of the triple signs.
+    """
+    n = g.n
+    pair_basis = list(pairs(n)) if pair_basis is None else list(pair_basis)
+    triple_basis = list(triples(n)) if triple_basis is None else list(triple_basis)
+    pidx = {p: i for i, p in enumerate(pair_basis)}
+    tidx = {t: i for i, t in enumerate(triple_basis)}
+    pmap = pure_conjugation_map(g.perm)
+    m1 = [[0] * len(pair_basis) for _ in pair_basis]
+    perm1 = [0] * len(pair_basis)
+    for p, col in pidx.items():
+        row = pidx[pmap[p]]
+        m1[row][col] = 1
+        perm1[col] = row
+    cmap = comm_conjugation_map(g.perm)
+    m2 = [[0] * len(triple_basis) for _ in triple_basis]
+    perm2 = [0] * len(triple_basis)
+    for t, col in tidx.items():
+        st = cmap[t]
+        row = tidx[st.triple]
+        m2[row][col] = st.sign
+        perm2[col] = row
+    signs = math.prod(cmap[t].sign for t in triple_basis)
+    return {
+        "n": n,
+        "pair_basis": [list(p) for p in pair_basis],
+        "triple_basis": [list(t) for t in triple_basis],
+        "block1": m1,
+        "block2": m2,
+        "det": _inversion_sign(perm1) * _inversion_sign(perm2) * signs,
+    }
+
+
+def holonomy_json(doc: dict) -> str:
+    """The canonical JSON line the CLI prints for a dense holonomy document."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def holonomy_pretty(doc: dict) -> str:
+    """The --pretty text: the block-diagonal matrix, right-aligned cells, then det."""
+    p, t = len(doc["block1"]), len(doc["block2"])
+    rows = [r + [0] * t for r in doc["block1"]] + [[0] * p + r for r in doc["block2"]]
+    return "".join(" ".join(f"{x:>2}" for x in r) + "\n" for r in rows) + f"det = {doc['det']}\n"

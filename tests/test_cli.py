@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidnil
 from braidnil import presentations
 from braidnil.cli import main
-from braidnil.core import comm_gen, element_from_dict, identity
+from braidnil.core import collect, comm_gen, element_from_dict, element_to_dict, identity
+from braidnil.expr import _MAX_NESTING
 from braidnil.torsion import delta
+from conftest import dense_holonomy, holonomy_json, holonomy_pretty, random_word
 
 
 def run(capsys, *argv):
@@ -130,6 +138,43 @@ def test_holonomy_paper_basis(capsys):
     assert doc["det"] == 1
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_holonomy_output_equals_the_dense_oracle(capsys, n):
+    rng = random.Random(n)
+    for _ in range(3):
+        g = collect(random_word(rng, n, 40))
+        doc = dense_holonomy(g)
+        arg = json.dumps(element_to_dict(g))
+        assert run(capsys, "holonomy", "--n", str(n), arg) == (0, holonomy_json(doc), "")
+        assert run(capsys, "holonomy", "--n", str(n), arg, "--pretty") == (0, holonomy_pretty(doc), "")
+
+
+def test_holonomy_paper_basis_equals_the_dense_oracle(capsys):
+    paper_pairs = ((1, 3), (2, 3), (1, 2))
+    for expr in ("", "s1", "s2 s1", "s1 s2 s1^-1", "A[1,2] s2"):
+        doc = dense_holonomy(braidnil.parse(expr, 3).element(), pair_basis=paper_pairs)
+        assert run(capsys, "holonomy", "--n", "3", expr, "--paper-basis") == (0, holonomy_json(doc), "")
+        assert run(capsys, "holonomy", "--n", "3", expr, "--paper-basis", "--pretty") == (0, holonomy_pretty(doc), "")
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+def test_holonomy_memory_stays_bounded(pretty):
+    # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB
+    child = ("import resource, sys\n"
+             "from braidnil.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "sys.stderr.write(f'{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')\n")
+    argv = ["holonomy", "--n", "28", "s1 s2 s5 S27"] + (["--pretty"] if pretty else [])
+    env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
+    with open(os.devnull, "w") as sink:
+        proc = subprocess.run([sys.executable, "-c", child, *argv], stdout=sink, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, max_rss_kb = map(int, proc.stderr.split())
+    assert code == 0
+    assert max_rss_kb < 64 * 1024
+
+
 def test_verify_suites_exit_zero(capsys):
     for args in (("verify", "--suite", "pn3", "--n", "4"),
                  ("verify", "--suite", "bn3", "--n", "4"),
@@ -174,3 +219,15 @@ def test_domain_error_exit_code(capsys):
 def test_non_integer_input_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and "domain error" in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "collect", "--n", "3", "(" * 3000 + "s1" + ")" * 3000)
+    assert code == 2 and out == "" and "parse error" in err and "Traceback" not in err
+    code, out, err = run(capsys, "collect", "--n", "3", "(" * (_MAX_NESTING + 1) + "s1" + ")" * (_MAX_NESTING + 1))
+    assert code == 2 and "nested deeper" in err
+
+
+def test_nesting_at_the_cap_still_parses(capsys):
+    expected = run(capsys, "collect", "--n", "3", "s1")
+    assert run(capsys, "collect", "--n", "3", "(" * _MAX_NESTING + "s1" + ")" * _MAX_NESTING) == expected

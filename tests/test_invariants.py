@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidnil.core import (
     BraidWord,
@@ -17,6 +19,7 @@ from braidnil.core import (
     mul,
     pure_gen,
     sigma,
+    triples,
 )
 from braidnil.invariants import (
     combined_matrix,
@@ -27,7 +30,7 @@ from braidnil.invariants import (
     orientability_check,
 )
 from braidnil.orbits import cycle_element, orbit_partition, standard_transversal
-from conftest import random_word
+from conftest import dense_holonomy, random_word
 
 
 def newton_extrapolate(samples: list[int], start: int, x: int) -> Fraction:
@@ -166,8 +169,8 @@ class TestHolonomy:
     def test_identity_action(self):
         h = holonomy_matrix(pure_gen(3, 1, 2))
         assert h.det == 1
-        assert all(h.block1[i][i] == 1 for i in range(3))
-        assert h.block2 == ((1,),)
+        assert all(h.pair_rows[i] == i for i in range(3))
+        assert (h.triple_rows, h.triple_signs) == ((0,), (1,))
 
     def test_source_matrix_m1(self):
         h = holonomy_matrix(sigma(3, 1), pair_basis=self.PAPER_PAIRS)
@@ -194,8 +197,8 @@ class TestHolonomy:
             e = mul(pure_gen(4, rng.choice([1, 2]), 3),
                     comm_gen(4, (1, 2, rng.choice([3, 4]))))
             h = holonomy_matrix(e)
-            assert all(h.block1[i][i] == 1 for i in range(6))
-            assert all(h.block2[i][i] == 1 for i in range(4))
+            assert all(h.pair_rows[i] == i for i in range(6))
+            assert all(h.triple_rows[i] == i and h.triple_signs[i] == 1 for i in range(4))
             assert h.det == 1
 
     def test_orientability_of_three_strand_subgroups(self):
@@ -219,3 +222,43 @@ class TestHolonomy:
     def test_basis_validation(self):
         with pytest.raises(DomainError):
             holonomy_matrix(sigma(3, 1), pair_basis=((1, 2), (1, 3)))
+
+    def test_combined_matrix_equals_the_dense_oracle(self):
+        rng = random.Random(41)
+        for n in range(2, 8):
+            for _ in range(5):
+                g = collect(random_word(rng, n, 30))
+                triple_basis = list(triples(n))
+                rng.shuffle(triple_basis)
+                h = holonomy_matrix(g, triple_basis=triple_basis)
+                doc = dense_holonomy(g, triple_basis=triple_basis)
+                p = len(doc["block1"])
+                dense = combined_matrix(h)
+                assert [list(r[:p]) for r in dense[:p]] == doc["block1"]
+                assert [list(r[p:]) for r in dense[p:]] == doc["block2"]
+                assert all(not any(r[p:]) for r in dense[:p]) and all(not any(r[:p]) for r in dense[p:])
+                assert h.det == doc["det"]
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(2, 7))
+    word = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=40)
+    return tuple(collect(BraidWord(n, tuple(draw(word)))) for _ in range(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_holonomy_is_a_homomorphism_on_signed_permutations(case):
+    a, b = case
+    ha, hb, hab = holonomy_matrix(a), holonomy_matrix(b), holonomy_matrix(mul(a, b))
+    # column c of M(a)M(b) goes to row rows_b[c] under M(b), then on under M(a)
+    assert hab.pair_rows == tuple(ha.pair_rows[r] for r in hb.pair_rows)
+    assert hab.triple_rows == tuple(ha.triple_rows[r] for r in hb.triple_rows)
+    assert hab.triple_signs == tuple(s * ha.triple_signs[r] for r, s in zip(hb.triple_rows, hb.triple_signs))
+    assert combined_matrix(hab) == _matmul(combined_matrix(ha), combined_matrix(hb))
+    assert hab.det == ha.det * hb.det
