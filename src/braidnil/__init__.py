@@ -11,11 +11,8 @@ from .core import (
     collect,
     comm_gen,
     comm_gen_word,
-    comm_structure,
     commutator_word,
     conj,
-    conj_pair_by_gen,
-    conj_triple_by_gen,
     element_from_dict,
     element_to_dict,
     identity,
@@ -26,7 +23,6 @@ from .core import (
     power,
     pure_gen,
     pure_gen_word,
-    right_mul_gen,
     sigma,
     tits_lift,
     triples,

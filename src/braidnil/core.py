@@ -216,14 +216,6 @@ def _norm_pair(i: int, j: int, n: int) -> Pair:
     return (i, j) if i < j else (j, i)
 
 
-def _norm_triple(t: Iterable[int], n: int) -> tuple[Triple, int]:
-    """Sort a triple key, returning the sign of the sorting permutation."""
-    t = tuple(t)
-    if len(set(t)) != 3 or not all(1 <= x <= n for x in t):
-        raise DomainError(f"invalid triple {t} for n={n}")
-    return _sort3(*t)
-
-
 def _sort3(a: int, b: int, c: int) -> tuple[Triple, int]:
     """Sort three distinct integers, returning the sign of the sorting permutation."""
     sign = 1
@@ -237,71 +229,62 @@ def _sort3(a: int, b: int, c: int) -> tuple[Triple, int]:
 
 
 @dataclass(frozen=True)
-class PurePart:
-    """Finite integer exponent map on pair keys; entries are (i, j, exponent), lex-sorted."""
+class _Coordinates:
+    """Finite integer exponent map on sorted index keys; entries are (*key, exponent), lex-sorted, none zero.
+
+    A subclass supplies `_norm(key, n)`: the checked key, sorted, and the sign of the sort.
+    """
 
     n: int
-    entries: tuple[tuple[int, int, int], ...]
+    entries: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def zero(n: int) -> PurePart:
-        return PurePart(n, ())
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n, ())
 
-    @staticmethod
-    def from_map(n: int, mapping: dict[Pair, int] | Iterable[tuple[Pair, int]]) -> PurePart:
-        acc: dict[Pair, int] = {}
+    @classmethod
+    def from_map(cls, n: int, mapping: dict | Iterable[tuple[tuple[int, ...], int]]):
+        """Sum the exponents per key, with each key's sign, and drop the zeros."""
+        acc: dict[tuple[int, ...], int] = {}
         items = mapping.items() if isinstance(mapping, dict) else mapping
-        for (i, j), e in items:
-            p = _norm_pair(i, j, n)
-            acc[p] = acc.get(p, 0) + e
-        return PurePart(n, tuple((i, j, e) for (i, j), e in sorted(acc.items()) if e != 0))
+        for key, e in items:
+            key, sign = cls._norm(key, n)
+            acc[key] = acc.get(key, 0) + sign * e
+        return cls(n, tuple(key + (e,) for key, e in sorted(acc.items()) if e != 0))
 
-    def as_map(self) -> dict[Pair, int]:
-        return {(i, j): e for i, j, e in self.entries}
-
-    def get(self, i: int, j: int) -> int:
-        p = _norm_pair(i, j, self.n)
-        for a, b, e in self.entries:
-            if (a, b) == p:
-                return e
-        return 0
+    def as_map(self) -> dict[tuple[int, ...], int]:
+        return {row[:-1]: row[-1] for row in self.entries}
 
     def is_zero(self) -> bool:
         return not self.entries
 
 
 @dataclass(frozen=True)
-class CommPart:
-    """Finite integer exponent map on triple keys; entries are (i, j, k, exponent), lex-sorted."""
+class PurePart(_Coordinates):
+    """Exponents on the pure generators A[i,j]; entries are (i, j, exponent), lex-sorted."""
 
-    n: int
+    entries: tuple[tuple[int, int, int], ...]
+
+    @staticmethod
+    def _norm(key: Pair, n: int) -> tuple[Pair, int]:
+        if len(key) != 2:
+            raise DomainError(f"invalid pair {tuple(key)} for n={n}")
+        return _norm_pair(key[0], key[1], n), 1
+
+
+@dataclass(frozen=True)
+class CommPart(_Coordinates):
+    """Exponents on the basis commutators a[i,j,k]; entries are (i, j, k, exponent), lex-sorted."""
+
     entries: tuple[tuple[int, int, int, int], ...]
 
     @staticmethod
-    def zero(n: int) -> CommPart:
-        return CommPart(n, ())
-
-    @staticmethod
-    def from_map(n: int, mapping: dict[Triple, int] | Iterable[tuple[Triple, int]]) -> CommPart:
-        acc: dict[Triple, int] = {}
-        items = mapping.items() if isinstance(mapping, dict) else mapping
-        for t, c in items:
-            key, sign = _norm_triple(t, n)
-            acc[key] = acc.get(key, 0) + sign * c
-        return CommPart(n, tuple((i, j, k, c) for (i, j, k), c in sorted(acc.items()) if c != 0))
-
-    def as_map(self) -> dict[Triple, int]:
-        return {(i, j, k): c for i, j, k, c in self.entries}
-
-    def get(self, t: Triple) -> int:
-        key, sign = _norm_triple(t, self.n)
-        for i, j, k, c in self.entries:
-            if (i, j, k) == key:
-                return sign * c
-        return 0
-
-    def is_zero(self) -> bool:
-        return not self.entries
+    def _norm(t: Iterable[int], n: int) -> tuple[Triple, int]:
+        """a[i,j,k] for any order of its indices: the sorted triple, with the sign of the sort."""
+        t = tuple(t)
+        if len(t) != 3 or len(set(t)) != 3 or not all(1 <= x <= n for x in t):
+            raise DomainError(f"invalid triple {t} for n={n}")
+        return _sort3(*t)
 
 
 @dataclass(frozen=True)
@@ -348,124 +331,6 @@ def pure_gen(n: int, i: int, j: int) -> NilElement:
 def comm_gen(n: int, triple: Triple) -> NilElement:
     """The basis commutator a[i,j,k] as a normal form."""
     return NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.from_map(n, {tuple(triple): 1}))
-
-
-# ---------------------------------------------------------------------------
-# Level-2 structure constants and the generator conjugation rules
-# ---------------------------------------------------------------------------
-
-def _bracket(p: Pair, q: Pair):
-    """Coordinates of [A_p, A_q] at level 2: (triple, sign), or None when it vanishes.
-
-    Nonzero only when p and q share exactly one index.  With shared index s and
-    remaining indices u (from p) and v (from q), the sign is +1 for
-    (s middle, u < v) and (s extreme, u > v), else -1; the triple is sorted
-    {s, u, v}.  This encodes [A_{i,j}, A_{j,k}] = a_{i,j,k} together with
-    [A_{i,j}, A_{i,k}] = [A_{i,k}, A_{j,k}] = a_{i,j,k}^-1 and antisymmetry.
-    """
-    if p[0] in q:
-        s = p[0]
-        u = p[1]
-    elif p[1] in q:
-        s = p[1]
-        u = p[0]
-    else:
-        return None
-    v = q[0] + q[1] - s
-    if v == u or v == s:
-        return None  # shares both indices: [A_p, A_p^m] = 1
-    a, b, c = sorted((s, u, v))
-    if s == b:
-        sign = 1 if u < v else -1
-    else:
-        sign = 1 if u > v else -1
-    return (a, b, c), sign
-
-
-def comm_structure(p: Pair, q: Pair, n: int) -> CommPart:
-    """Level-2 coordinates of the commutator [A_p, A_q]; antisymmetric and bilinear."""
-    p = _norm_pair(p[0], p[1], n)
-    q = _norm_pair(q[0], q[1], n)
-    hit = _bracket(p, q)
-    if hit is None:
-        return CommPart.zero(n)
-    t, sign = hit
-    return CommPart.from_map(n, {t: sign})
-
-
-def _pair_action(i: int, j: int, k: int, eps: int):
-    """Conjugate the pure generator A[i,j] by s_k^eps: returns ((i',j'), correction).
-
-    The correction is a single (triple, sign) level-2 coefficient or None, so
-    s_k^eps A[i,j] s_k^-eps = A[i',j'] * a[triple]^sign.  The eps=+1 cases are
-    the displayed rules of the group action; the eps=-1 cases are derived from
-    them and verified by the round-trip identity in the test suite.
-    """
-    if eps == 1:
-        if j == k + 1:
-            if i < k:
-                return (i, k), ((i, k, k + 1), -1)
-        elif i == k + 1:
-            return (k, j), ((k, k + 1, j), -1)
-    else:
-        if j == k:
-            if i < k:
-                return (i, k + 1), ((i, k, k + 1), -1)
-        elif i == k and j > k + 1:
-            return (k + 1, j), ((k, k + 1, j), -1)
-    # plain index swap, no level-2 correction
-    a = k + 1 if i == k else k if i == k + 1 else i
-    b = k + 1 if j == k else k if j == k + 1 else j
-    return ((a, b) if a < b else (b, a)), None
-
-
-def conj_pair_by_gen(pair: Pair, k: int, eps: int, n: int) -> tuple[Pair, CommPart]:
-    """Public form of the pair conjugation rule, with validated inputs."""
-    i, j = _norm_pair(pair[0], pair[1], n)
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"generator index {k} out of range for n={n}")
-    p2, corr = _pair_action(i, j, k, eps)
-    if corr is None:
-        return p2, CommPart.zero(n)
-    t, sign = corr
-    return p2, CommPart.from_map(n, {t: sign})
-
-
-def _triple_action(t: Triple, k: int) -> tuple[Triple, int]:
-    """Conjugate the basis triple by s_k^±1 (a signed involution, direction-free).
-
-    The image is the sorted index swap; the sign is -1 exactly when both k and
-    k+1 lie in the triple, which is when the swap inverts two of its entries.
-    """
-    a, b, c = t
-    in_k = a == k or b == k or c == k
-    in_k1 = a == k + 1 or b == k + 1 or c == k + 1
-    if in_k and in_k1:
-        return t, -1
-    if in_k:
-        x = k + 1
-    elif in_k1:
-        x = k
-    else:
-        return t, 1
-    rest = [y for y in t if y != k and y != k + 1]
-    lo, hi = rest
-    if x < lo:
-        return (x, lo, hi), 1
-    if x < hi:
-        return (lo, x, hi), 1
-    return (lo, hi, x), 1
-
-
-def conj_triple_by_gen(triple: Triple, k: int, eps: int, n: int) -> SignedTriple:
-    """Public form of the triple conjugation rule; eps is accepted but irrelevant."""
-    t, sign = _norm_triple(triple, n)
-    if not 1 <= k <= n - 1:
-        raise DomainError(f"generator index {k} out of range for n={n}")
-    if eps not in (1, -1):
-        raise DomainError("eps must be +1 or -1")
-    t2, s2 = _triple_action(t, k)
-    return SignedTriple(t2, sign * s2)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +465,6 @@ def _thaw(a: NilElement) -> tuple[list[int], dict[Pair, int], dict[Triple, int]]
     )
 
 
-def right_mul_gen(elem: NilElement, k: int, eps: int) -> NilElement:
-    """Normal form of elem * s_k^eps."""
-    if not 1 <= k <= elem.n - 1:
-        raise DomainError(f"generator index {k} out of range for n={elem.n}")
-    if eps not in (1, -1):
-        raise DomainError("eps must be +1 or -1")
-    return _freeze(elem.n, *_fold(*_thaw(elem), ((k, eps),)))
-
-
 def collect(word: BraidWord) -> NilElement:
     """Fold a braid word into its canonical normal form.
 
@@ -616,6 +472,34 @@ def collect(word: BraidWord) -> NilElement:
     """
     n = word.n
     return _freeze(n, *_fold(list(range(1, n + 1)), {}, {}, word.letters))
+
+
+def _bracket(p: Pair, q: Pair):
+    """Coordinates of [A_p, A_q] at level 2: (triple, sign), or None when it vanishes.
+
+    Nonzero only when p and q share exactly one index.  With shared index s and
+    remaining indices u (from p) and v (from q), the sign is +1 for
+    (s middle, u < v) and (s extreme, u > v), else -1; the triple is sorted
+    {s, u, v}.  This encodes [A_{i,j}, A_{j,k}] = a_{i,j,k} together with
+    [A_{i,j}, A_{i,k}] = [A_{i,k}, A_{j,k}] = a_{i,j,k}^-1 and antisymmetry.
+    """
+    if p[0] in q:
+        s = p[0]
+        u = p[1]
+    elif p[1] in q:
+        s = p[1]
+        u = p[0]
+    else:
+        return None
+    v = q[0] + q[1] - s
+    if v == u or v == s:
+        return None  # shares both indices: [A_p, A_p^m] = 1
+    a, b, c = sorted((s, u, v))
+    if s == b:
+        sign = 1 if u < v else -1
+    else:
+        sign = 1 if u > v else -1
+    return (a, b, c), sign
 
 
 def _merge_pure_block(pure: dict[Pair, int], comm: dict[Triple, int],
@@ -738,7 +622,7 @@ def comm_conjugation_map(perm: Permutation) -> dict[Triple, SignedTriple]:
     """Signed triple relabelling induced by conjugation by an element with this permutation.
 
     The triple t goes to sort(perm^-1(t)) with the sign of the sort, which is
-    what the generator rule folded along any reduced word gives; the kernel of
+    what the per-generator rule folded along any reduced word gives; the kernel of
     the permutation map acts trivially on level 2, so this is exact for every
     element with the given permutation.
     """

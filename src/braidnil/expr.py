@@ -106,7 +106,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":  # not isdigit(): it takes '²' and '٣'
             self.pos += 1
         if self.pos == digits:
             raise ExpressionError("expected an integer", start)
@@ -170,13 +170,9 @@ def _validate(terms: tuple, n: int) -> None:
             if not 1 <= atom[1] <= n - 1:
                 raise DomainError(f"generator index {atom[1]} out of range for n={n}")
         elif kind == "pure":
-            i, j = atom[1], atom[2]
-            if i == j or not (1 <= i <= n and 1 <= j <= n):
-                raise DomainError(f"pair ({i},{j}) out of range for n={n}")
+            pure_gen(n, atom[1], atom[2])  # the coordinate types check their keys
         elif kind == "comm":
-            t = atom[1:]
-            if len(set(t)) != 3 or not all(1 <= x <= n for x in t):
-                raise DomainError(f"triple {t} out of range for n={n}")
+            comm_gen(n, atom[1:])
         else:
             _validate(atom[1], n)
 

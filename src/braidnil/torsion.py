@@ -108,13 +108,9 @@ def finite_order_element(n: int, residues: list[list[int]]) -> NilElement:
     basis = orbit_partition(n)
     if len(residues) != basis.count or any(len(row) != len(orb) for row, orb in zip(residues, basis.orbits)):
         raise DomainError(f"residue matrix shape does not match the {basis.count} orbits of n={n}")
-    coeffs = {}
-    for row, orbit in zip(residues, basis.orbits):
-        for x, st in zip(row, orbit):
-            if x:
-                coeffs[st.triple] = coeffs.get(st.triple, 0) + st.sign * x
-    theta = NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.from_map(n, coeffs))
-    return mul(theta, delta(0, n, n))
+    theta = CommPart.from_map(n, ((st.triple, st.sign * x) for row, orbit in zip(residues, basis.orbits)
+                                  for x, st in zip(row, orbit)))
+    return mul(NilElement(n, Permutation.identity(n), PurePart.zero(n), theta), delta(0, n, n))
 
 
 @dataclass(frozen=True)
@@ -322,12 +318,9 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement | None:
     sol = _solve_circulant(coefficients_by_orbit(basis, target))
     if sol is None:
         return None
-    coeffs = {}
-    for row, orbit in zip(sol, basis.orbits):
-        for v, st in zip(row, orbit):
-            if v:
-                coeffs[st.triple] = coeffs.get(st.triple, 0) + st.sign * v
-    g3 = NilElement(n, Permutation.identity(n), zero_p, CommPart.from_map(n, coeffs))
+    level2 = CommPart.from_map(n, ((st.triple, st.sign * v) for row, orbit in zip(sol, basis.orbits)
+                                   for v, st in zip(row, orbit)))
+    g3 = NilElement(n, Permutation.identity(n), zero_p, level2)
 
     g = mul(g3, mul(g2, g1))
     return g if conj(g, a) == b else None

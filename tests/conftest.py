@@ -1,8 +1,9 @@
 """Shared test helpers: random words and the independent oracles.
 
-The oracles are the strand-tracking normal form at level 1, the eager
-letter-by-letter fold, which relabels every graded entry on each letter, and
-the dense holonomy matrices with the CLI text they encode to.
+The oracles are the strand-tracking normal form at level 1, the conjugation
+rules of one generator on one pair or triple, the eager letter-by-letter fold
+built on them, which relabels every graded entry on each letter, and the dense
+holonomy matrices with the CLI text they encode to.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from braidnil.core import (
     NilElement,
     Pair,
     Triple,
-    _pair_action,
-    _triple_action,
     comm_conjugation_map,
     pairs,
     pure_conjugation_map,
@@ -61,6 +60,58 @@ def strand_tracking_normal_form(word: BraidWord):
             if c:
                 pure[(a, b)] = c // 2
     return perm_image, pure
+
+
+def _pair_action(i: int, j: int, k: int, eps: int):
+    """Conjugate the pure generator A[i,j] by s_k^eps: returns ((i',j'), correction).
+
+    The correction is a single (triple, sign) level-2 coefficient or None, so
+    s_k^eps A[i,j] s_k^-eps = A[i',j'] * a[triple]^sign.  The eps=+1 cases are
+    the displayed rules of the group action; the eps=-1 cases are derived from
+    them and verified by the round-trip identity in the test suite.
+    """
+    if eps == 1:
+        if j == k + 1:
+            if i < k:
+                return (i, k), ((i, k, k + 1), -1)
+        elif i == k + 1:
+            return (k, j), ((k, k + 1, j), -1)
+    else:
+        if j == k:
+            if i < k:
+                return (i, k + 1), ((i, k, k + 1), -1)
+        elif i == k and j > k + 1:
+            return (k + 1, j), ((k, k + 1, j), -1)
+    # plain index swap, no level-2 correction
+    a = k + 1 if i == k else k if i == k + 1 else i
+    b = k + 1 if j == k else k if j == k + 1 else j
+    return ((a, b) if a < b else (b, a)), None
+
+
+def _triple_action(t: Triple, k: int) -> tuple[Triple, int]:
+    """Conjugate the basis triple by s_k^±1 (a signed involution, direction-free).
+
+    The image is the sorted index swap; the sign is -1 exactly when both k and
+    k+1 lie in the triple, which is when the swap inverts two of its entries.
+    """
+    a, b, c = t
+    in_k = a == k or b == k or c == k
+    in_k1 = a == k + 1 or b == k + 1 or c == k + 1
+    if in_k and in_k1:
+        return t, -1
+    if in_k:
+        x = k + 1
+    elif in_k1:
+        x = k
+    else:
+        return t, 1
+    rest = [y for y in t if y != k and y != k + 1]
+    lo, hi = rest
+    if x < lo:
+        return (x, lo, hi), 1
+    if x < hi:
+        return (lo, x, hi), 1
+    return (lo, hi, x), 1
 
 
 def eager_fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],

@@ -2,21 +2,36 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import braidnil
 from braidnil import presentations
 from braidnil.cli import main
-from braidnil.core import collect, comm_gen, element_from_dict, element_to_dict, identity
+from braidnil.core import (
+    collect,
+    comm_gen,
+    element_from_dict,
+    element_to_dict,
+    identity,
+    inv,
+    mul,
+    power,
+    pure_gen,
+    sigma,
+)
 from braidnil.expr import _MAX_NESTING
-from braidnil.torsion import delta
+from braidnil.torsion import delta, finite_order_element
 from conftest import dense_holonomy, holonomy_json, holonomy_pretty, random_word
 
 
@@ -231,3 +246,87 @@ def test_deep_nesting_is_a_parse_error(capsys):
 def test_nesting_at_the_cap_still_parses(capsys):
     expected = run(capsys, "collect", "--n", "3", "s1")
     assert run(capsys, "collect", "--n", "3", "(" * _MAX_NESTING + "s1" + ")" * _MAX_NESTING) == expected
+
+
+@pytest.mark.parametrize("text", ["s²", "s1^²", "s٣"])
+def test_non_ascii_digits_are_parse_errors(capsys, text):
+    code, out, err = run(capsys, "collect", "--n", "4", text)
+    assert code == 2 and out == "" and "parse error" in err
+
+
+def lifted_digit_limit(fn):
+    """fn() with CPython's 4300-digit str<->int conversion limit lifted, then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+BIG = "7" * 5000  # past the 4300-digit limit
+NINES = "9" * 2200  # a small enough exponent whose answer has a level-2 coefficient of 4401 digits
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["collect", "--n", "3", f"s1^{BIG}"],
+                 lambda: element_to_dict(power(sigma(3, 1), int(BIG))), id="expression-exponent"),
+    pytest.param(["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2,%s]],"comm":[]}' % BIG],
+                 lambda: element_to_dict(inv(element_from_dict({"n": 3, "perm": [1, 2, 3],
+                                                                "pure": [[1, 2, int(BIG)]]}))),
+                 id="element-json"),
+    pytest.param(["torsion", "--n", "5", "--residues", '{"n":5,"residues":[[%s,0,0,0,0],[0,0,0,0,0]]}' % BIG],
+                 lambda: {"n": 5, "order": "infinite",
+                          "element": element_to_dict(finite_order_element(5, [[int(BIG), 0, 0, 0, 0], [0] * 5]))},
+                 id="residues-json"),
+    pytest.param(["collect", "--n", "3", f"(A[1,2] A[2,3])^{NINES}"],
+                 lambda: element_to_dict(power(mul(pure_gen(3, 1, 2), pure_gen(3, 2, 3)), int(NINES))),
+                 id="printed-answer"),
+])
+def test_integers_past_the_digit_limit(capsys, argv, expected):
+    limit = sys.get_int_max_str_digits()
+    assert limit != 0
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # main puts the caller's limit back
+    assert lifted_digit_limit(lambda: json.loads(out) == expected())
+
+
+# text from the grammar, and the same cut up and mixed with the expression alphabet, the digits
+# str.isdigit() accepts but int() does not read as ASCII, and digit runs up to and past the 4300-digit
+# str<->int limit (with small values, so evaluation stays cheap); indices 0 and 9 are out of range
+_INDEX = st.sampled_from([1, 2, 3, 1, 2, 3, 4, 5, 0, 9])
+_TERM = st.builds("{}{}".format, st.one_of(
+    st.builds("{}{}".format, st.sampled_from("sS"), _INDEX),
+    st.builds("A[{},{}]".format, _INDEX, _INDEX),
+    st.builds("a[{},{},{}]".format, _INDEX, _INDEX, _INDEX),
+), st.one_of(st.just(""), st.integers(-300, 300).map("^{}".format)))
+_WELL_FORMED = st.recursive(_TERM, lambda inner: st.one_of(
+    st.lists(inner, min_size=2, max_size=4).map(" ".join),
+    st.builds("({})^{}".format, st.lists(inner, max_size=4).map(" ".join), st.integers(-9, 9)),
+), max_leaves=12)
+_DIGITS = st.one_of(
+    st.sampled_from(["²", "٣", "1²", *"0123456789"]),
+    st.text("0123456789", min_size=10, max_size=40),
+    st.integers(4290, 4310).map(lambda k: "0" * k + "1"),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["s", "S", "A[", "a[", "]", ",", "(", ")", "^", "-", "+", " "]),
+    _DIGITS,
+    st.builds("{}{}".format, st.sampled_from(["s", "S", "^", "^-", "A[", "a[", ","]), _DIGITS),
+)
+_EXPRESSION_TEXT = st.one_of(_WELL_FORMED, st.lists(st.one_of(_WELL_FORMED, _JUNK), max_size=12).map("".join))
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(["collect", "order"]), n=st.integers(1, 7), text=_EXPRESSION_TEXT)
+def test_cli_fuzz_exits_with_an_answer_or_a_diagnostic(command, n, text):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([command, "--n", str(n), text])
+        except SystemExit as exc:  # argparse rejects an expression that reads as an option, e.g. "-s1"
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert code == 0 or out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -7,6 +7,8 @@ import random
 from itertools import permutations as all_permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidnil.core import (
     BraidWord,
@@ -15,13 +17,13 @@ from braidnil.core import (
     NilElement,
     Permutation,
     PurePart,
+    SignedTriple,
+    _bracket,
     collect,
     comm_conjugation_map,
     comm_gen,
-    comm_structure,
+    commutator_word,
     conj,
-    conj_pair_by_gen,
-    conj_triple_by_gen,
     dumps_canonical,
     element_from_dict,
     element_to_dict,
@@ -32,14 +34,14 @@ from braidnil.core import (
     pairs,
     power,
     pure_gen,
-    right_mul_gen,
+    pure_gen_word,
     sigma,
     tits_lift,
     triples,
     word_from_dict,
     word_to_dict,
 )
-from conftest import random_word
+from conftest import _pair_action, _triple_action, random_word
 
 
 def delta5_word() -> BraidWord:
@@ -132,30 +134,28 @@ class TestTitsLift:
 
 class TestCommStructure:
     def test_defining_bracket(self):
-        assert comm_structure((1, 2), (2, 3), 5).as_map() == {(1, 2, 3): 1}
+        assert _bracket((1, 2), (2, 3)) == ((1, 2, 3), 1)
 
     def test_shared_maximum_bracket_is_inverse(self):
-        assert comm_structure((1, 3), (2, 3), 5).as_map() == {(1, 2, 3): -1}
+        assert _bracket((1, 3), (2, 3)) == ((1, 2, 3), -1)
 
     def test_disjoint_pairs_commute(self):
-        assert comm_structure((1, 2), (3, 4), 5).is_zero()
-        assert comm_structure((1, 2), (1, 2), 5).is_zero()
+        assert _bracket((1, 2), (3, 4)) is None
+        assert _bracket((1, 2), (1, 2)) is None
 
     def test_antisymmetry(self):
         for p in pairs(5):
             for q in pairs(5):
-                lhs = comm_structure(p, q, 5).as_map()
-                rhs = comm_structure(q, p, 5).as_map()
-                assert lhs == {t: -c for t, c in rhs.items()}
+                hit = _bracket(q, p)
+                assert _bracket(p, q) == (None if hit is None else (hit[0], -hit[1]))
 
     def test_matches_collected_commutator_words(self):
-        from braidnil.core import commutator_word, pure_gen_word
-
         for p in pairs(4):
             for q in pairs(4):
                 e = collect(commutator_word(pure_gen_word(4, *p), pure_gen_word(4, *q)))
                 assert e.perm.is_identity() and e.pure.is_zero()
-                assert e.comm == comm_structure(p, q, 4)
+                hit = _bracket(p, q)
+                assert e.comm == CommPart.from_map(4, [] if hit is None else [hit])
 
     def test_bilinearity_in_exponents(self):
         # [X^a, Y^b] carries coefficient a*b on the bracket of the generators
@@ -168,19 +168,23 @@ class TestCommStructure:
             assert lhs.comm.as_map() == {(1, 2, 4): a * b}
 
 
+def level2(n: int, mapping) -> NilElement:
+    return NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.from_map(n, mapping))
+
+
 class TestGeneratorConjugation:
     def test_pair_rule_second_index_descends(self):
-        p2, corr = conj_pair_by_gen((1, 3), 2, 1, 5)
-        assert p2 == (1, 2) and corr.as_map() == {(1, 2, 3): -1}
+        assert _pair_action(1, 3, 2, 1) == ((1, 2), ((1, 2, 3), -1))
+        assert conj(sigma(5, 2), pure_gen(5, 1, 3)) == mul(pure_gen(5, 1, 2), level2(5, {(1, 2, 3): -1}))
 
     def test_pair_rule_disjoint(self):
-        p2, corr = conj_pair_by_gen((1, 2), 3, 1, 5)
-        assert p2 == (1, 2) and corr.is_zero()
+        assert _pair_action(1, 2, 3, 1) == ((1, 2), None)
+        assert conj(sigma(5, 3), pure_gen(5, 1, 2)) == pure_gen(5, 1, 2)
 
     def test_pair_rule_inverse_direction_by_round_trip(self):
         # the derived eps=-1 value for ((1,3), k=2) is a plain relabelling
-        p2, corr = conj_pair_by_gen((1, 3), 2, -1, 5)
-        assert p2 == (1, 2) and corr.is_zero()
+        assert _pair_action(1, 3, 2, -1) == ((1, 2), None)
+        assert conj(sigma(5, 2, -1), pure_gen(5, 1, 3)) == pure_gen(5, 1, 2)
 
     def test_pair_round_trip_all_cases(self):
         # conjugating with (k, eps) then (k, -eps) must restore the input with
@@ -192,40 +196,37 @@ class TestGeneratorConjugation:
                     for eps in (1, -1):
                         s = sigma(n, k, eps)
                         assert conj(inv(s), conj(s, a)) == a
-                        # and the rule itself matches the engine
-                        p2, corr = conj_pair_by_gen((i, j), k, eps, n)
-                        expected = mul(pure_gen(n, *p2),
-                                       NilElement(n, Permutation.identity(n), PurePart.zero(n), corr))
-                        assert conj(s, a) == expected
+                        # and the oracle's rule matches the engine
+                        p2, corr = _pair_action(i, j, k, eps)
+                        assert conj(s, a) == mul(pure_gen(n, *p2), level2(n, [] if corr is None else [corr]))
 
     def test_triple_rule_examples(self):
-        assert conj_triple_by_gen((1, 2, 3), 3, 1, 5) == conj_triple_by_gen((1, 2, 3), 3, -1, 5)
-        assert conj_triple_by_gen((1, 2, 3), 3, 1, 5).triple == (1, 2, 4)
-        assert conj_triple_by_gen((1, 2, 3), 3, 1, 5).sign == 1
-        st = conj_triple_by_gen((1, 2, 3), 2, 1, 5)
-        assert st.triple == (1, 2, 3) and st.sign == -1
-        st = conj_triple_by_gen((2, 3, 5), 1, 1, 5)
-        assert st.triple == (1, 3, 5) and st.sign == 1
+        t = (1, 2, 3)
+        assert conj(sigma(5, 3), comm_gen(5, t)) == conj(sigma(5, 3, -1), comm_gen(5, t))
+        assert comm_conjugation_map(Permutation.transposition(5, 3))[t] == SignedTriple((1, 2, 4), 1)
+        assert comm_conjugation_map(Permutation.transposition(5, 2))[t] == SignedTriple((1, 2, 3), -1)
+        assert comm_conjugation_map(Permutation.transposition(5, 1))[(2, 3, 5)] == SignedTriple((1, 3, 5), 1)
 
     def test_triple_round_trip_and_engine_agreement(self):
         for n in (3, 4, 5):
-            for t in triples(n):
-                for k in range(1, n):
-                    st = conj_triple_by_gen(t, k, 1, n)
-                    back = conj_triple_by_gen(st.triple, k, -1, n)
+            for k in range(1, n):
+                act = comm_conjugation_map(Permutation.transposition(n, k))
+                for t in triples(n):
+                    st = act[t]
+                    back = act[st.triple]
                     assert back.triple == t and back.sign * st.sign == 1
-                    got = conj(sigma(n, k), comm_gen(n, t))
-                    assert got == NilElement(n, Permutation.identity(n), PurePart.zero(n),
-                                             CommPart.from_map(n, {st.triple: st.sign}))
+                    assert _triple_action(t, k) == (st.triple, st.sign)
+                    for eps in (1, -1):
+                        assert conj(sigma(n, k, eps), comm_gen(n, t)) == level2(n, {st.triple: st.sign})
 
 
 class TestGroupLaw:
     def test_two_letters_make_a_pure_generator(self):
-        e = right_mul_gen(right_mul_gen(identity(2), 1, 1), 1, 1)
+        e = mul(mul(identity(2), sigma(2, 1)), sigma(2, 1))
         assert e == pure_gen(2, 1, 2)
 
     def test_single_letter_is_section_only(self):
-        e = right_mul_gen(identity(2), 1, 1)
+        e = mul(identity(2), sigma(2, 1))
         assert e.perm.image == (2, 1) and e.pure.is_zero() and e.comm.is_zero()
 
     def test_empty_word_collects_to_identity(self):
@@ -388,3 +389,61 @@ class TestImmutability:
             e.n = 4
         with pytest.raises(dataclasses.FrozenInstanceError):
             e.perm.image = (1, 2, 3)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements collected from random words at one strand count, with extra graded noise."""
+    n = draw(st.integers(2, 10))
+    letters = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=30)
+    keys = list(pairs(n)) + list(triples(n))
+    out = []
+    for _ in range(2):
+        noise = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=12))
+        graded = NilElement(n, Permutation.identity(n),
+                            PurePart.from_map(n, {k: e for k, e in noise.items() if len(k) == 2}),
+                            CommPart.from_map(n, {k: e for k, e in noise.items() if len(k) == 3}))
+        out.append(mul(collect(BraidWord(n, tuple(draw(letters)))), graded))
+    return tuple(out)
+
+
+class TestCanonicalForm:
+    """Outputs of the group law are canonical: sorted in-range keys, no zero, and stable round trips."""
+
+    @staticmethod
+    def assert_canonical(e: NilElement):
+        n = e.n
+        for part, width in ((e.pure, 2), (e.comm, 3)):
+            keys = [row[:-1] for row in part.entries]
+            assert all(len(key) == width and 1 <= key[0] and key[-1] <= n for key in keys)
+            assert all(a < b for key in keys for a, b in zip(key, key[1:]))
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(row[-1] != 0 for row in part.entries)
+            assert type(part).from_map(n, part.as_map()) == part
+        assert element_from_dict(element_to_dict(e)) == e
+
+    @settings(max_examples=80, deadline=None)
+    @given(element_pairs(), st.integers(-4, 6))
+    def test_group_law_outputs_are_canonical(self, xy, m):
+        x, y = xy
+        for e in (x, mul(x, y), inv(x), power(x, m), conj(y, x)):
+            self.assert_canonical(e)
+
+    def test_from_map_sums_repeated_keys_with_their_signs_and_drops_zeros(self):
+        assert PurePart.from_map(5, [((2, 1), 3), ((1, 2), -3), ((4, 5), 0)]) == PurePart.zero(5)
+        assert CommPart.from_map(5, [((1, 2, 3), 1), ((2, 1, 3), 1), ((1, 2, 4), 0)]) == CommPart.zero(5)
+        assert CommPart.from_map(5, {(3, 1, 2): 2, (4, 2, 1): 1}).entries == ((1, 2, 3, 2), (1, 2, 4, -1))
+
+    @pytest.mark.parametrize("part, key", [
+        (PurePart, (1,)), (PurePart, (1, 2, 3)), (CommPart, (1, 2)), (CommPart, (1, 2, 3, 4)),
+        (CommPart, (1, 1, 2, 3)),
+    ])
+    def test_wrong_width_keys_are_domain_errors(self, part, key):
+        with pytest.raises(DomainError):
+            part.from_map(5, {key: 1})
+        with pytest.raises(DomainError):
+            part.from_map(5, [(key, 1)])
+
+    def test_comm_gen_rejects_a_pair(self):
+        with pytest.raises(DomainError):
+            comm_gen(5, (1, 2))

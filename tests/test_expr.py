@@ -60,6 +60,11 @@ def test_syntax_error_offsets():
     assert exc.value.offset == 5
     with pytest.raises(ExpressionError):
         parse("(s1", 3)
+    # only ASCII digits: int() rejects '²' and reads '٣' as 3
+    for text, offset in (("s²", 1), ("s1^²", 3), ("s٣", 1)):
+        with pytest.raises(ExpressionError) as exc:
+            parse(text, 4)
+        assert exc.value.offset == offset
 
 
 def test_out_of_range_indices_are_domain_errors():

@@ -14,13 +14,12 @@ from braidnil.core import (
     _freeze,
     _lex_reduced_word,
     _thaw,
-    _triple_action,
     collect,
     comm_conjugation_map,
     mul,
     triples,
 )
-from conftest import eager_fold, random_word
+from conftest import _triple_action, eager_fold, random_word
 
 
 def letters(n: int, max_size: int):
