@@ -33,10 +33,11 @@ All exponents are plain Python integers, so arithmetic is exact at any size.
 Every value here is immutable and every function is pure; the only cache is
 the bounded one on the reduced-word lift, keyed by the permutation alone.
 
-The group law is one letter fold, `_fold`: collect folds a word's letters, and
-mul and inv fold a graded part through a section's letters.  The fold leaves
-the graded part in its starting strand frame and tracks where each strand
-lies, so a letter costs work on the pairs at its two strands only.
+The group law is the letter fold `_fold` and the closed-form pure-block merge
+`_merge_pure_block`: collect folds a word; mul folds a's graded part through
+b's section, then merges b's pure block; inv merges a's pure factors reversed
+and inverted, then folds through the inverse section.  A letter costs work on
+the pairs at its two strands, a merged factor on the residents sharing an index.
 """
 
 from __future__ import annotations
@@ -474,60 +475,41 @@ def collect(word: BraidWord) -> NilElement:
     return _freeze(n, *_fold(list(range(1, n + 1)), {}, {}, word.letters))
 
 
-def _bracket(p: Pair, q: Pair):
-    """Coordinates of [A_p, A_q] at level 2: (triple, sign), or None when it vanishes.
-
-    Nonzero only when p and q share exactly one index.  With shared index s and
-    remaining indices u (from p) and v (from q), the sign is +1 for
-    (s middle, u < v) and (s extreme, u > v), else -1; the triple is sorted
-    {s, u, v}.  This encodes [A_{i,j}, A_{j,k}] = a_{i,j,k} together with
-    [A_{i,j}, A_{i,k}] = [A_{i,k}, A_{j,k}] = a_{i,j,k}^-1 and antisymmetry.
-    """
-    if p[0] in q:
-        s = p[0]
-        u = p[1]
-    elif p[1] in q:
-        s = p[1]
-        u = p[0]
-    else:
-        return None
-    v = q[0] + q[1] - s
-    if v == u or v == s:
-        return None  # shares both indices: [A_p, A_p^m] = 1
-    a, b, c = sorted((s, u, v))
-    if s == b:
-        sign = 1 if u < v else -1
-    else:
-        sign = 1 if u > v else -1
-    return (a, b, c), sign
-
-
-def _merge_pure_block(pure: dict[Pair, int], comm: dict[Triple, int],
+def _merge_pure_block(n: int, pure: dict[Pair, int], comm: dict[Triple, int],
                       block: Iterable[tuple[Pair, int]]) -> None:
-    """Append a lex-ordered block of pure factors and restore lex order.
+    """Append a block of pure factors to the lex-ordered product and restore lex order.
 
-    Each incoming factor q moves left past every resident factor p > q,
-    producing the correction e_p * e_q * [A_p, A_q].
+    Each incoming A[i,j]^e moves left past the residents A_p, p > (i,j), with
+    the correction e * e_p * [A_p, A[i,j]], nonzero only for p sharing one
+    index: A[x,j] for i < x < j adds e * e_(x,j) to a[i,x,j], and A[i,x], A[j,x]
+    for x > j add e * (e_(i,x) - e_(j,x)) to a[i,j,x].  So a factor costs the
+    resident degree of its two indices.
     """
-    incoming = list(block)
-    for q, eq in incoming:
-        if not eq:
+    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]  # nbr[u][v]: exponent on {u, v}
+    for (u, v), d in pure.items():
+        nbr[u][v] = nbr[v][u] = d
+    for (i, j), e in block:
+        if not e:
             continue
-        for p, ep in pure.items():
-            if p > q and ep:
-                hit = _bracket(p, q)
-                if hit is not None:
-                    t, s = hit
-                    c = comm.get(t, 0) + s * ep * eq
-                    if c:
-                        comm[t] = c
-                    else:
-                        comm.pop(t, None)
-        c = pure.get(q, 0) + eq
+        ni, nj = nbr[i], nbr[j]
+        for x in ni.keys() | nj.keys():
+            if x > j:
+                t, d = (i, j, x), ni.get(x, 0) - nj.get(x, 0)
+            elif i < x < j:
+                t, d = (i, x, j), nj.get(x, 0)
+            else:
+                continue
+            if d:
+                c = comm.get(t, 0) + e * d
+                if c:
+                    comm[t] = c
+                else:
+                    del comm[t]
+        c = ni.get(j, 0) + e
         if c:
-            pure[q] = c
+            pure[(i, j)] = ni[j] = nj[i] = c
         else:
-            pure.pop(q, None)
+            del pure[(i, j)], ni[j], nj[i]
 
 
 def mul(a: NilElement, b: NilElement) -> NilElement:
@@ -535,7 +517,7 @@ def mul(a: NilElement, b: NilElement) -> NilElement:
     if a.n != b.n:
         raise DomainError("cannot multiply elements on different strand counts")
     image, pure, comm = _fold(*_thaw(a), [(k, 1) for k in _lex_reduced_word(b.perm.image)])
-    _merge_pure_block(pure, comm, (((i, j), e) for i, j, e in b.pure.entries))
+    _merge_pure_block(a.n, pure, comm, (((i, j), e) for i, j, e in b.pure.entries))
     for i, j, k, c in b.comm.entries:
         t = (i, j, k)
         cc = comm.get(t, 0) + c
@@ -549,25 +531,12 @@ def mul(a: NilElement, b: NilElement) -> NilElement:
 def inv(a: NilElement) -> NilElement:
     """Group inverse: fold comm^-1 * pure^-1 * section^-1 back into normal form."""
     n = a.n
-    image = list(range(1, n + 1))
     pure: dict[Pair, int] = {}
-    comm: dict[Triple, int] = {(i, j, k): -c for i, j, k, c in a.comm.entries}
-    # the inverse of the lex-ordered pure product is the reversed product of
-    # inverses; re-sorting inverts every pair of distinct factors once
-    entries = [((i, j), e) for i, j, e in a.pure.entries]
-    for idx, (p, ep) in enumerate(entries):
-        for q, eq in entries[:idx]:
-            hit = _bracket(p, q)
-            if hit is not None:
-                t, s = hit
-                c = comm.get(t, 0) + s * ep * eq
-                if c:
-                    comm[t] = c
-                else:
-                    comm.pop(t, None)
-        pure[p] = -ep
-    word = _lex_reduced_word(a.perm.image)
-    return _freeze(n, *_fold(image, pure, comm, [(k, -1) for k in reversed(word)]))
+    comm = {(i, j, k): -c for i, j, k, c in a.comm.entries}
+    # the inverse of the lex-ordered pure product is the reversed product of inverses
+    _merge_pure_block(n, pure, comm, (((i, j), -e) for i, j, e in reversed(a.pure.entries)))
+    word = reversed(_lex_reduced_word(a.perm.image))
+    return _freeze(n, *_fold(list(range(1, n + 1)), pure, comm, [(k, -1) for k in word]))
 
 
 def power(a: NilElement, m: int) -> NilElement:
@@ -611,11 +580,7 @@ def pure_conjugation_map(perm: Permutation) -> dict[Pair, Pair]:
     permutation of g, up to a central level-2 factor.
     """
     inv_img = perm.inverse().image
-    out = {}
-    for i, j in pairs(perm.n):
-        a, b = inv_img[i - 1], inv_img[j - 1]
-        out[(i, j)] = (a, b) if a < b else (b, a)
-    return out
+    return {(i, j): _norm_pair(inv_img[i - 1], inv_img[j - 1], perm.n) for i, j in pairs(perm.n)}
 
 
 def comm_conjugation_map(perm: Permutation) -> dict[Triple, SignedTriple]:

@@ -12,7 +12,7 @@ Grammar (whitespace between tokens is optional and ignored):
           | '(' expr ')'
 
 Concatenation is group multiplication left to right; the empty expression is
-the identity.  Syntax errors carry the byte offset of the offending token;
+the identity.  Syntax errors carry the UTF-8 byte offset of the offending token;
 index-range errors are domain errors, raised against the strand count the
 expression is parsed for.
 """
@@ -86,6 +86,13 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
+    def error(self, message: str, pos: int) -> ExpressionError:
+        """The syntax error at string index pos, placed at its UTF-8 byte offset.
+
+        The text before pos is what the scanner accepted, so it always encodes.
+        """
+        return ExpressionError(message, len(self.text[:pos].encode()))
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -97,7 +104,7 @@ class _Scanner:
     def expect(self, ch: str):
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ExpressionError(f"expected {ch!r}", self.pos)
+            raise self.error(f"expected {ch!r}", self.pos)
         self.pos += 1
 
     def integer(self) -> int:
@@ -109,7 +116,7 @@ class _Scanner:
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":  # not isdigit(): it takes '²' and '٣'
             self.pos += 1
         if self.pos == digits:
-            raise ExpressionError("expected an integer", start)
+            raise self.error("expected an integer", start)
         return int(self.text[start:self.pos])
 
 
@@ -123,7 +130,7 @@ def _parse_terms(sc: _Scanner, depth: int) -> tuple:
         ch = sc.peek()
         if ch == "" or ch == ")":
             if ch == ")" and depth == 0:
-                raise ExpressionError("unbalanced ')'", sc.pos)
+                raise sc.error("unbalanced ')'", sc.pos)
             return tuple(terms)
         if ch == "s" or ch == "S":
             sc.pos += 1
@@ -149,13 +156,13 @@ def _parse_terms(sc: _Scanner, depth: int) -> tuple:
             atom = ("comm", i, j, k)
         elif ch == "(":
             if depth == _MAX_NESTING:
-                raise ExpressionError(f"parentheses nested deeper than {_MAX_NESTING}", sc.pos)
+                raise sc.error(f"parentheses nested deeper than {_MAX_NESTING}", sc.pos)
             sc.pos += 1
             inner = _parse_terms(sc, depth + 1)
             sc.expect(")")
             atom = ("group", inner)
         else:
-            raise ExpressionError(f"unexpected character {ch!r}", sc.pos)
+            raise sc.error(f"unexpected character {ch!r}", sc.pos)
         exponent = 1
         if sc.peek() == "^":
             sc.pos += 1

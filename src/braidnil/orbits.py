@@ -50,14 +50,6 @@ class OrbitBasis:
     def representatives(self) -> tuple[Triple, ...]:
         return tuple(o[0].triple for o in self.orbits)
 
-    def index_of(self, t: Triple) -> tuple[int, int]:
-        """Locate a triple: (orbit index, position along the orbit)."""
-        for i, orbit in enumerate(self.orbits):
-            for j, st in enumerate(orbit):
-                if st.triple == t:
-                    return i, j
-        raise DomainError(f"triple {t} not in basis for n={self.n}")
-
 
 def orbit_basis_of(g: NilElement) -> OrbitBasis:
     """Partition the triple basis into orbits of conjugation by g.

@@ -32,6 +32,7 @@ from .core import (
     collect,
     comm_gen_word,
     commutator_word,
+    element_to_dict,
     pairs,
     pure_gen_word,
     triples,
@@ -52,8 +53,6 @@ class RelationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        from .core import element_to_dict
-
         return {
             "suite": self.suite,
             "n": self.n,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .core import (
     BraidWord,
@@ -188,20 +187,21 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
 
 
 def torsion_spectrum(n: int) -> list[int]:
-    """All finite orders > 1 occurring on n strands, by brute-force partition search.
+    """All finite orders > 1 occurring on n strands.
 
     An order is the lcm of a multiset of parts > 1, each coprime to 6, whose
-    sum is at most n (fixed points fill the rest).
+    sum is at most n (fixed points fill the rest).  A repeated part leaves the
+    lcm as it is, so a subset sum over distinct parts finds every order:
+    reach[s] holds the lcms of the sets of parts summing to s.
     """
     if n < 1:
         raise DomainError("strand count must be at least 1")
-    parts = [p for p in range(5, n + 1) if math.gcd(p, 6) == 1]
-    found: set[int] = set()
-    for size in range(1, n // 5 + 1):
-        for combo in combinations_with_replacement(parts, size):
-            if sum(combo) <= n:
-                found.add(math.lcm(*combo))
-    return sorted(found)
+    reach: list[set[int]] = [{1}] + [set() for _ in range(n)]
+    for p in range(5, n + 1):
+        if math.gcd(p, 6) == 1:
+            for s in range(n, p - 1, -1):
+                reach[s] |= {math.lcm(x, p) for x in reach[s - p]}
+    return sorted(set().union(*reach[1:]))
 
 
 # ---------------------------------------------------------------------------

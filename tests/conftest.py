@@ -2,8 +2,10 @@
 
 The oracles are the strand-tracking normal form at level 1, the conjugation
 rules of one generator on one pair or triple, the eager letter-by-letter fold
-built on them, which relabels every graded entry on each letter, and the dense
-holonomy matrices with the CLI text they encode to.
+built on them, which relabels every graded entry on each letter, the bracket
+table of two pure generators with the pure-block merge that scans every
+resident against it, and the dense holonomy matrices with the CLI text they
+encode to.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from typing import Iterable
 
 from braidnil.core import (
     BraidWord,
@@ -204,6 +207,62 @@ def eager_fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
         else:
             del pure[(k, k + 1)]
     return image
+
+
+def _bracket(p: Pair, q: Pair):
+    """Coordinates of [A_p, A_q] at level 2: (triple, sign), or None when it vanishes.
+
+    Nonzero only when p and q share exactly one index.  With shared index s and
+    remaining indices u (from p) and v (from q), the sign is +1 for
+    (s middle, u < v) and (s extreme, u > v), else -1; the triple is sorted
+    {s, u, v}.  This encodes [A_{i,j}, A_{j,k}] = a_{i,j,k} together with
+    [A_{i,j}, A_{i,k}] = [A_{i,k}, A_{j,k}] = a_{i,j,k}^-1 and antisymmetry.
+    """
+    if p[0] in q:
+        s = p[0]
+        u = p[1]
+    elif p[1] in q:
+        s = p[1]
+        u = p[0]
+    else:
+        return None
+    v = q[0] + q[1] - s
+    if v == u or v == s:
+        return None  # shares both indices: [A_p, A_p^m] = 1
+    a, b, c = sorted((s, u, v))
+    if s == b:
+        sign = 1 if u < v else -1
+    else:
+        sign = 1 if u > v else -1
+    return (a, b, c), sign
+
+
+def scan_merge_pure_block(pure: dict[Pair, int], comm: dict[Triple, int],
+                           block: Iterable[tuple[Pair, int]]) -> None:
+    """Append a lex-ordered block of pure factors and restore lex order.
+
+    Each incoming factor q moves left past every resident factor p > q,
+    producing the correction e_p * e_q * [A_p, A_q].
+    """
+    incoming = list(block)
+    for q, eq in incoming:
+        if not eq:
+            continue
+        for p, ep in pure.items():
+            if p > q and ep:
+                hit = _bracket(p, q)
+                if hit is not None:
+                    t, s = hit
+                    c = comm.get(t, 0) + s * ep * eq
+                    if c:
+                        comm[t] = c
+                    else:
+                        comm.pop(t, None)
+        c = pure.get(q, 0) + eq
+        if c:
+            pure[q] = c
+        else:
+            pure.pop(q, None)
 
 
 def _inversion_sign(perm: list[int]) -> int:

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -122,6 +123,14 @@ def test_torsion_subcommands(capsys):
     residues = json.dumps({"n": 5, "residues": [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]})
     code, out, _ = run(capsys, "torsion", "--n", "5", "--residues", residues)
     assert json.loads(out)["order"] == 5
+
+
+def test_torsion_spectrum_at_80_strands_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "torsion", "--n", "80", "--spectrum")
+    assert time.perf_counter() - start < 1.0
+    spectrum = json.loads(out)["spectrum"]
+    assert code == 0 and len(spectrum) == 634 and spectrum[:4] == [5, 7, 11, 13]
 
 
 def test_conjugacy_cli(capsys):
@@ -252,6 +261,13 @@ def test_nesting_at_the_cap_still_parses(capsys):
 def test_non_ascii_digits_are_parse_errors(capsys, text):
     code, out, err = run(capsys, "collect", "--n", "4", text)
     assert code == 2 and out == "" and "parse error" in err
+
+
+@pytest.mark.parametrize("text, offset", [("s1\u3000s2 ü", 8), ("s1 \udcff", 3), ("(s1\u3000", 6)])
+def test_parse_errors_give_utf8_byte_offsets(capsys, text, offset):
+    # U+DCFF is how Python decodes the undecodable command-line byte 0xff
+    code, out, err = run(capsys, "collect", "--n", "3", text)
+    assert code == 2 and out == "" and f"(at byte {offset})" in err
 
 
 def lifted_digit_limit(fn):

@@ -18,7 +18,6 @@ from braidnil.core import (
     Permutation,
     PurePart,
     SignedTriple,
-    _bracket,
     collect,
     comm_conjugation_map,
     comm_gen,
@@ -41,7 +40,7 @@ from braidnil.core import (
     word_from_dict,
     word_to_dict,
 )
-from conftest import _pair_action, _triple_action, random_word
+from conftest import _bracket, _pair_action, _triple_action, random_word
 
 
 def delta5_word() -> BraidWord:

@@ -60,8 +60,9 @@ def test_syntax_error_offsets():
     assert exc.value.offset == 5
     with pytest.raises(ExpressionError):
         parse("(s1", 3)
-    # only ASCII digits: int() rejects '²' and reads '٣' as 3
-    for text, offset in (("s²", 1), ("s1^²", 3), ("s٣", 1)):
+    # only ASCII digits: int() rejects '²' and reads '٣' as 3; offsets count UTF-8 bytes,
+    # so 'ü' after the 3-byte U+3000 sits at byte 8, not at string index 6
+    for text, offset in (("s²", 1), ("s1^²", 3), ("s٣", 1), ("s1\u3000s2 ü", 8)):
         with pytest.raises(ExpressionError) as exc:
             parse(text, 4)
         assert exc.value.offset == offset

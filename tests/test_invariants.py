@@ -159,7 +159,8 @@ class TestOrbits:
     def test_transversal_hits_each_orbit_once(self):
         for n in range(5, 10):
             basis = orbit_partition(n)
-            hits = [basis.index_of(t)[0] for t in standard_transversal(n)]
+            orbit_of = {st.triple: i for i, orbit in enumerate(basis.orbits) for st in orbit}
+            hits = [orbit_of[t] for t in standard_transversal(n)]
             assert sorted(hits) == list(range(basis.count))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -210,6 +211,14 @@ class TestSpectrum:
     def test_monotone_in_strands(self):
         for n in range(1, 14):
             assert set(torsion_spectrum(n)) <= set(torsion_spectrum(n + 1))
+
+    def test_equals_brute_force_partition_search(self):
+        # every multiset of admissible parts fitting in n strands, as the search was first written
+        for n in range(1, 41):
+            parts = [p for p in range(5, n + 1) if math.gcd(p, 6) == 1]
+            found = {math.lcm(*combo) for size in range(1, n // 5 + 1)
+                     for combo in combinations_with_replacement(parts, size) if sum(combo) <= n}
+            assert torsion_spectrum(n) == sorted(found)
 
     def test_every_order_is_realised(self):
         for n in (5, 7, 11, 12, 13):
