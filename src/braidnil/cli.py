@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("torsion", help="torsion spectrum and finite-order constructions")
     _add_n(p)
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--spectrum", action="store_true", help="all finite orders > 1")
+    g.add_argument("--spectrum", action="store_true",
+                   help=f"all finite orders > 1 (n <= {torsion.SPECTRUM_MAX_N})")
     g.add_argument("--cycle-type", help="comma-separated parts, e.g. 5,7")
     g.add_argument("--residues", help='residue matrix JSON {"n":..,"residues":[[..],..]}')
 

@@ -17,7 +17,9 @@ where section(perm) is the positive braid lifting perm along its
 lexicographically smallest reduced word (any reduced word gives the same
 element, since the braid relations hold in the quotient).  Two elements are
 equal in the group iff all three components agree, so equality of values is
-canonical equality.
+canonical equality.  The public constructors of PurePart, CommPart and
+NilElement reject anything that is not canonical; the group law builds its
+results through the unchecked `_trusted`, since they are canonical already.
 
 Conventions, used consistently everywhere:
 
@@ -38,6 +40,10 @@ The group law is the letter fold `_fold` and the closed-form pure-block merge
 b's section, then merges b's pure block; inv merges a's pure factors reversed
 and inverted, then folds through the inverse section.  A letter costs work on
 the pairs at its two strands, a merged factor on the residents sharing an index.
+power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
+and returns a^r * (a^q)^s: a^r and a^q by squaring, then, since a^q is pure,
+the class-2 power law (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), where B(v)
+is the level-2 part of merging v onto itself.
 """
 
 from __future__ import annotations
@@ -170,13 +176,6 @@ class BraidWord:
         base = self if m >= 0 else self.inverse()
         return BraidWord(self.n, base.letters * abs(m))
 
-    def permutation(self) -> Permutation:
-        image = list(range(1, self.n + 1))
-        for k, _ in self.letters:
-            i, j = image.index(k), image.index(k + 1)
-            image[i], image[j] = k + 1, k
-        return Permutation(tuple(image))
-
 
 def commutator_word(u: BraidWord, v: BraidWord) -> BraidWord:
     """The word u v u^-1 v^-1."""
@@ -229,15 +228,41 @@ def _sort3(a: int, b: int, c: int) -> tuple[Triple, int]:
     return (a, b, c), sign
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already known to be canonical.
+
+    It skips __post_init__, so only code that builds canonical values by
+    construction (the group law, from_map) may call it.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class _Coordinates:
     """Finite integer exponent map on sorted index keys; entries are (*key, exponent), lex-sorted, none zero.
 
     A subclass supplies `_norm(key, n)`: the checked key, sorted, and the sign of the sort.
+    The constructor accepts canonical entries only; from_map canonicalises any others.
     """
 
     n: int
     entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not isinstance(self.entries, tuple):
+            raise DomainError(f"entries must be a tuple, got {type(self.entries).__name__}")
+        prev = None
+        for row in self.entries:
+            if not isinstance(row, tuple) or not row:
+                raise DomainError(f"invalid entry {row!r} for n={self.n}")
+            key, e = row[:-1], row[-1]
+            if self._norm(key, self.n) != (key, 1) or not isinstance(e, int) or e == 0 \
+                    or (prev is not None and key <= prev):
+                raise DomainError(f"entry {row!r} is not canonical for n={self.n}: keys must be sorted"
+                                  " and strictly increasing, exponents nonzero (from_map canonicalises)")
+            prev = key
 
     @classmethod
     def zero(cls, n: int):
@@ -251,7 +276,7 @@ class _Coordinates:
         for key, e in items:
             key, sign = cls._norm(key, n)
             acc[key] = acc.get(key, 0) + sign * e
-        return cls(n, tuple(key + (e,) for key, e in sorted(acc.items()) if e != 0))
+        return _trusted(cls, n=n, entries=tuple(key + (e,) for key, e in sorted(acc.items()) if e != 0))
 
     def as_map(self) -> dict[tuple[int, ...], int]:
         return {row[:-1]: row[-1] for row in self.entries}
@@ -306,6 +331,9 @@ class NilElement:
     comm: CommPart
 
     def __post_init__(self):
+        if not (isinstance(self.perm, Permutation) and isinstance(self.pure, PurePart)
+                and isinstance(self.comm, CommPart)):
+            raise DomainError("a NilElement is built from a Permutation, a PurePart and a CommPart")
         if not (self.perm.n == self.pure.n == self.comm.n == self.n):
             raise DomainError("inconsistent strand counts inside NilElement")
 
@@ -450,12 +478,11 @@ def _fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
 
 
 def _freeze(n: int, image: list[int], pure: dict[Pair, int], comm: dict[Triple, int]) -> NilElement:
-    return NilElement(
-        n,
-        Permutation(tuple(image)),
-        PurePart(n, tuple((i, j, e) for (i, j), e in sorted(pure.items()) if e != 0)),
-        CommPart(n, tuple((i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0)),
-    )
+    pure_rows = tuple((i, j, e) for (i, j), e in sorted(pure.items()) if e != 0)
+    comm_rows = tuple((i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0)
+    return _trusted(NilElement, n=n, perm=Permutation(tuple(image)),
+                    pure=_trusted(PurePart, n=n, entries=pure_rows),
+                    comm=_trusted(CommPart, n=n, entries=comm_rows))
 
 
 def _thaw(a: NilElement) -> tuple[list[int], dict[Pair, int], dict[Triple, int]]:
@@ -540,17 +567,44 @@ def inv(a: NilElement) -> NilElement:
 
 
 def power(a: NilElement, m: int) -> NilElement:
-    """Exponentiation by squaring; negative powers go through inv."""
+    """a^m as a^r * (a^q)^s, where q is the order of a's permutation and m = s*q + r, 0 <= r < q.
+
+    a^r and a^q come from one table of repeated squares.  a^q is pure, and in
+    class 2 a pure element's powers have a closed form (Hall-Petresco):
+    (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), with B(v) the level-2 part
+    of merging v onto itself.  So the cost is O(log q) products and one
+    merge, whatever m is.  For s = 1 a^q is returned as squaring built it,
+    so order() computes the real power.  Negative powers go through inv.
+    """
     if m < 0:
         return power(inv(a), -m)
-    acc = identity(a.n)
-    base = a
-    while m:
-        if m & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        m >>= 1
-    return acc
+    n = a.n
+    q = a.perm.order()
+    s, r = divmod(m, q)
+    squares = [a]  # squares[i] = a^(2^i)
+    for _ in range((q if s else r).bit_length() - 1):
+        squares.append(mul(squares[-1], squares[-1]))
+
+    def from_squares(e: int) -> NilElement:
+        acc = None
+        for i, x in enumerate(squares):
+            if e >> i & 1:
+                acc = x if acc is None else mul(acc, x)
+        return acc
+
+    if not s:
+        return from_squares(r) if r else identity(n)
+    aq = from_squares(q)
+    if s > 1:
+        _, v, w = _thaw(aq)
+        b: dict[Triple, int] = {}
+        _merge_pure_block(n, dict(v), b, v.items())
+        c2 = s * (s - 1) // 2
+        comm = {t: s * c for t, c in w.items()}
+        for t, c in b.items():
+            comm[t] = comm.get(t, 0) + c2 * c
+        aq = _freeze(n, list(range(1, n + 1)), {key: s * e for key, e in v.items()}, comm)
+    return mul(from_squares(r), aq) if r else aq
 
 
 def conj(g: NilElement, x: NilElement) -> NilElement:

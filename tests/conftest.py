@@ -1,35 +1,67 @@
 """Shared test helpers: random words and the independent oracles.
 
-The oracles are the strand-tracking normal form at level 1, the conjugation
-rules of one generator on one pair or triple, the eager letter-by-letter fold
-built on them, which relabels every graded entry on each letter, the bracket
-table of two pure generators with the pure-block merge that scans every
-resident against it, and the dense holonomy matrices with the CLI text they
-encode to.
+The oracles are the permutation of a word and the strand-tracking normal form
+at level 1, the conjugation rules of one generator on one pair or triple, the
+eager letter-by-letter fold built on them, which relabels every graded entry
+on each letter, the bracket table of two pure generators with the pure-block
+merge that scans every resident against it, power by plain squaring, and the
+dense holonomy matrices with the CLI text they encode to.
+
+With the CI environment variable set, Hypothesis runs derandomized and
+without its example database, so a failing CI run repeats exactly; per-test
+settings still apply.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from typing import Iterable
+
+from hypothesis import settings
 
 from braidnil.core import (
     BraidWord,
     NilElement,
     Pair,
+    Permutation,
     Triple,
     comm_conjugation_map,
+    identity,
+    inv,
+    mul,
     pairs,
     pure_conjugation_map,
     triples,
 )
+from braidnil.torsion import CompatibilitySystem
+
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
     length = rng.randint(0, max_len)
     return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
+
+
+def word_permutation(word: BraidWord) -> Permutation:
+    """The permutation of a word: the product of its letters' transpositions in reading order."""
+    image = list(range(1, word.n + 1))
+    for k, _ in word.letters:
+        i, j = image.index(k), image.index(k + 1)
+        image[i], image[j] = k + 1, k
+    return Permutation(tuple(image))
+
+
+def satisfies(system: CompatibilitySystem, residues: list[list[int]]) -> bool:
+    """Whether every residue row sums to its orbit's target in the order-n system."""
+    return len(residues) == len(system.targets) and all(
+        sum(row) == target for row, target in zip(residues, system.targets)
+    )
 
 
 def strand_tracking_normal_form(word: BraidWord):
@@ -263,6 +295,20 @@ def scan_merge_pure_block(pure: dict[Pair, int], comm: dict[Triple, int],
             pure[q] = c
         else:
             pure.pop(q, None)
+
+
+def square_power(a: NilElement, m: int) -> NilElement:
+    """Exponentiation by squaring; negative powers go through inv."""
+    if m < 0:
+        return square_power(inv(a), -m)
+    acc = identity(a.n)
+    base = a
+    while m:
+        if m & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        m >>= 1
+    return acc
 
 
 def _inversion_sign(perm: list[int]) -> int:

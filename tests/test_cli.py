@@ -32,7 +32,7 @@ from braidnil.core import (
     sigma,
 )
 from braidnil.expr import _MAX_NESTING
-from braidnil.torsion import delta, finite_order_element
+from braidnil.torsion import SPECTRUM_MAX_N, delta, finite_order_element
 from conftest import dense_holonomy, holonomy_json, holonomy_pretty, random_word
 
 
@@ -131,6 +131,13 @@ def test_torsion_spectrum_at_80_strands_is_fast(capsys):
     assert time.perf_counter() - start < 1.0
     spectrum = json.loads(out)["spectrum"]
     assert code == 0 and len(spectrum) == 634 and spectrum[:4] == [5, 7, 11, 13]
+
+
+def test_torsion_spectrum_past_its_bound_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "torsion", "--n", str(SPECTRUM_MAX_N + 1), "--spectrum")
+    assert time.perf_counter() - start < 0.2
+    assert code == 3 and out == "" and f"n <= {SPECTRUM_MAX_N}" in err
 
 
 def test_conjugacy_cli(capsys):

@@ -40,7 +40,7 @@ from braidnil.core import (
     word_from_dict,
     word_to_dict,
 )
-from conftest import _bracket, _pair_action, _triple_action, random_word
+from conftest import _bracket, _pair_action, _triple_action, random_word, word_permutation
 
 
 def delta5_word() -> BraidWord:
@@ -55,8 +55,9 @@ class TestPermutation:
 
     def test_word_permutation_is_a_homomorphism(self):
         w = BraidWord(3, ((1, 1), (2, 1)))
-        assert w.permutation().image == (3, 1, 2)
-        assert BraidWord(3, ((2, 1), (1, 1))).permutation().image == (2, 3, 1)
+        assert word_permutation(w).image == collect(w).perm.image == (3, 1, 2)
+        w = BraidWord(3, ((2, 1), (1, 1)))
+        assert word_permutation(w).image == collect(w).perm.image == (2, 3, 1)
 
     def test_inverse_and_order(self):
         p = Permutation((2, 3, 4, 5, 1))
@@ -124,8 +125,8 @@ class TestTitsLift:
         hits = 0
         while hits < 60:
             w = random_word(rng, 5, 10)
-            p = w.permutation()
-            q = random_word(rng, 5, 10).permutation()
+            p = word_permutation(w)
+            q = word_permutation(random_word(rng, 5, 10))
             if (p * q).inversions() == p.inversions() + q.inversions():
                 hits += 1
                 assert mul(collect(tits_lift(p)), collect(tits_lift(q))) == collect(tits_lift(p * q))
@@ -442,6 +443,41 @@ class TestCanonicalForm:
             part.from_map(5, {key: 1})
         with pytest.raises(DomainError):
             part.from_map(5, [(key, 1)])
+
+    def test_constructors_reject_non_canonical_entries(self):
+        with pytest.raises(DomainError):
+            PurePart(3, ((9, 9, 1),))
+        with pytest.raises(DomainError):
+            NilElement(3, Permutation.identity(3), PurePart(3, ((1, 2, 0),)), CommPart.zero(3))
+        with pytest.raises(DomainError):
+            PurePart(3, ((2, 3, 1), (1, 2, 1)))
+        with pytest.raises(DomainError):
+            CommPart(4, ((1, 3, 2, 1),))
+        with pytest.raises(DomainError):
+            PurePart(3, [(1, 2, 1)])
+        with pytest.raises(DomainError):
+            NilElement(4, Permutation.identity(4), PurePart.zero(3), CommPart.zero(4))
+        with pytest.raises(DomainError):
+            NilElement(3, Permutation.identity(3), CommPart.zero(3), PurePart.zero(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.sampled_from((PurePart, CommPart)), st.data())
+    def test_constructor_raises_or_equals_its_from_map_form(self, n, part, data):
+        width = 2 if part is PurePart else 3
+        index = st.integers(0, n + 1)
+        rows = data.draw(st.lists(st.tuples(*[index] * width, st.integers(-2, 2)), max_size=6).map(tuple))
+        try:
+            canonical = part.from_map(n, [(row[:-1], row[-1]) for row in rows])
+        except DomainError:
+            canonical = None
+        if canonical is None or canonical.entries != rows:
+            with pytest.raises(DomainError):
+                part(n, rows)
+        else:
+            assert part(n, rows) == canonical
+            e = NilElement(n, Permutation.identity(n), *(
+                (canonical, CommPart.zero(n)) if part is PurePart else (PurePart.zero(n), canonical)))
+            assert e.is_identity() == (not rows)
 
     def test_comm_gen_rejects_a_pair(self):
         with pytest.raises(DomainError):
