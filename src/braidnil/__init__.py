@@ -7,7 +7,6 @@ from .core import (
     NilElement,
     Permutation,
     PurePart,
-    SignedTriple,
     collect,
     comm_gen,
     comm_gen_word,

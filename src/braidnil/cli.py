@@ -280,7 +280,7 @@ def main(argv=None) -> int:
             basis = orbit_partition(args.n)
             if args.pretty:
                 for i, orbit in enumerate(basis.orbits):
-                    chain = " -> ".join("a[%d,%d,%d]" % st.triple for st in orbit)
+                    chain = " -> ".join("a[%d,%d,%d]" % t for t, _ in orbit)
                     print(f"orbit {i} (length {len(orbit)}): {chain}")
             else:
                 _print({
@@ -288,8 +288,8 @@ def main(argv=None) -> int:
                     "orbits": [
                         {
                             "length": len(orbit),
-                            "triples": [list(st.triple) for st in orbit],
-                            "signs": [st.sign for st in orbit],
+                            "triples": [list(t) for t, _ in orbit],
+                            "signs": [s for _, s in orbit],
                         }
                         for orbit in basis.orbits
                     ],

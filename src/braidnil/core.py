@@ -314,14 +314,6 @@ class CommPart(_Coordinates):
 
 
 @dataclass(frozen=True)
-class SignedTriple:
-    """A basis triple together with the sign its conjugate carries."""
-
-    triple: Triple
-    sign: int
-
-
-@dataclass(frozen=True)
 class NilElement:
     """Canonical normal form of a quotient-group element; equality is group equality."""
 
@@ -637,17 +629,17 @@ def pure_conjugation_map(perm: Permutation) -> dict[Pair, Pair]:
     return {(i, j): _norm_pair(inv_img[i - 1], inv_img[j - 1], perm.n) for i, j in pairs(perm.n)}
 
 
-def comm_conjugation_map(perm: Permutation) -> dict[Triple, SignedTriple]:
+def comm_conjugation_map(perm: Permutation) -> dict[Triple, tuple[Triple, int]]:
     """Signed triple relabelling induced by conjugation by an element with this permutation.
 
-    The triple t goes to sort(perm^-1(t)) with the sign of the sort, which is
+    The triple t goes to (sort(perm^-1(t)), sign of the sort), which is
     what the per-generator rule folded along any reduced word gives; the kernel of
     the permutation map acts trivially on level 2, so this is exact for every
     element with the given permutation.
     """
     inv_img = perm.inverse().image
     return {
-        (a, b, c): SignedTriple(*_sort3(inv_img[a - 1], inv_img[b - 1], inv_img[c - 1]))
+        (a, b, c): _sort3(inv_img[a - 1], inv_img[b - 1], inv_img[c - 1])
         for a, b, c in triples(perm.n)
     }
 

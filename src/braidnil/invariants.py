@@ -197,8 +197,8 @@ def holonomy_matrix(g: NilElement,
     pair_rows = tuple(pidx[pmap[p]] for p in pair_basis)
     cmap = comm_conjugation_map(g.perm)
     images = [cmap[t] for t in triple_basis]
-    triple_rows = tuple(tidx[st.triple] for st in images)
-    triple_signs = tuple(st.sign for st in images)
+    triple_rows = tuple(tidx[t] for t, _ in images)
+    triple_signs = tuple(s for _, s in images)
     det = _permutation_parity(pair_rows) * _permutation_parity(triple_rows) * math.prod(triple_signs)
     return HolonomyMatrix(n, pair_basis, triple_basis, pair_rows, triple_rows, triple_signs, det)
 

@@ -1,10 +1,11 @@
 """
-Orbits of the level-2 basis under conjugation by the standard cycle element.
+Signed orbits of the pair and triple bases under conjugation.
 
-The acting element on n strands is delta(0, n, n) (see torsion.py); its
-conjugation action permutes the basis triples with all signs +1, descending
-every index by one modulo n.  Orbits are reported with first-seen-lexicographic
-representatives: scan triples in lex order and walk each new orbit to closure.
+signed_orbits is the one orbit walk, with first-seen representatives:
+orbit_basis_of runs it over the triples in lex order, and the conjugacy
+witness of torsion.py over the pairs too.  The standard acting element on n
+strands is delta(0, n, n) (see torsion.py); its conjugation action permutes
+the basis triples with all signs +1, descending every index by one modulo n.
 When 3 divides n there is a single short orbit of length n/3, consisting of
 the equally-spaced triples; under first-seen ordering it is always listed
 last, since every other orbit owns a lex-smaller representative.
@@ -13,6 +14,7 @@ last, since every other orbit owns a lex-smaller representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .core import (
     CommPart,
@@ -20,25 +22,27 @@ from .core import (
     NilElement,
     Permutation,
     PurePart,
-    SignedTriple,
     Triple,
     comm_conjugation_map,
     identity,
     triples,
 )
 
+Key = tuple[int, ...]  # a pair or a triple
+Orbit = tuple[tuple[Key, int], ...]
+
 
 @dataclass(frozen=True)
 class OrbitBasis:
-    """The triple basis grouped into conjugation orbits of a fixed acting element.
+    """The pair or triple basis grouped into orbits of a signed action, as built by signed_orbits.
 
-    orbits[i][j] is the signed triple obtained by conjugating the i-th
-    representative j times by the acting element; for the standard cycle
-    element every sign is +1.
+    orbits[i][j] is (key, sign): the key reached from the i-th representative
+    after j steps, with the product of the signs met on the way; for the
+    standard cycle element every sign is +1.
     """
 
     n: int
-    orbits: tuple[tuple[SignedTriple, ...], ...]
+    orbits: tuple[Orbit, ...]
 
     @property
     def count(self) -> int:
@@ -47,40 +51,38 @@ class OrbitBasis:
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(o) for o in self.orbits)
 
-    def representatives(self) -> tuple[Triple, ...]:
-        return tuple(o[0].triple for o in self.orbits)
+    def representatives(self) -> tuple[Key, ...]:
+        return tuple(o[0][0] for o in self.orbits)
+
+
+def signed_orbits(keys: Iterable[Key], step: Callable[[Key], tuple[Key, int]]) -> tuple[Orbit, ...]:
+    """The orbits of a signed bijection of keys, each walked to closure from its first-seen key.
+
+    An orbit starts at the first key not yet seen, with sign 1; each further entry
+    is the step of its predecessor with the accumulated sign.  An orbit whose signs
+    multiply to -1 around the cycle raises DomainError.
+    """
+    seen: set[Key] = set()
+    orbits: list[Orbit] = []
+    for key in keys:
+        if key in seen:
+            continue
+        orbit = [(key, 1)]
+        cur, sign = step(key)
+        while cur != key:
+            orbit.append((cur, sign))
+            cur, s = step(cur)
+            sign *= s
+        if sign != 1:
+            raise DomainError(f"orbit of {key} closes with sign {sign}")
+        seen.update(k for k, _ in orbit)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 def orbit_basis_of(g: NilElement) -> OrbitBasis:
-    """Partition the triple basis into orbits of conjugation by g.
-
-    The action only depends on g's permutation.  Representatives are
-    first-seen in lex order; following entries are successive conjugates,
-    carrying the accumulated sign.
-    """
-    n = g.n
-    act = comm_conjugation_map(g.perm)
-    seen: set[Triple] = set()
-    orbits: list[tuple[SignedTriple, ...]] = []
-    for t in triples(n):
-        if t in seen:
-            continue
-        orbit = [SignedTriple(t, 1)]
-        seen.add(t)
-        cur, sign = t, 1
-        while True:
-            st = act[cur]
-            cur, sign = st.triple, sign * st.sign
-            if cur == t:
-                if sign != 1:
-                    # sign product around a cycle; cannot happen for the
-                    # standard cycle element, kept as a safety check
-                    raise DomainError(f"orbit of {t} closes with sign {sign}")
-                break
-            orbit.append(SignedTriple(cur, sign))
-            seen.add(cur)
-        orbits.append(tuple(orbit))
-    return OrbitBasis(n, tuple(orbits))
+    """The triple basis, in lex order, in signed orbits of conjugation by g; only g's permutation acts."""
+    return OrbitBasis(g.n, signed_orbits(triples(g.n), comm_conjugation_map(g.perm).__getitem__))
 
 
 def cycle_element(n: int) -> NilElement:
@@ -117,7 +119,7 @@ def orbit_partition(n: int) -> OrbitBasis:
         expected = [n] * ((n - 1) * (n - 2) // 6)
     if lengths != expected:
         raise DomainError(f"orbit lengths {lengths} differ from closed form {expected}")
-    if any(st.sign != 1 for orbit in basis.orbits for st in orbit):
+    if any(s != 1 for orbit in basis.orbits for _, s in orbit):
         raise DomainError("cycle-element orbits must have all signs +1")
     return basis
 
@@ -137,7 +139,13 @@ def standard_transversal(n: int) -> list[Triple]:
     return out
 
 
-def coefficients_by_orbit(basis: OrbitBasis, comm: CommPart) -> list[list[int]]:
-    """Read level-2 coordinates off in orbit layout: row i, column j for orbit i position j."""
-    cmap = comm.as_map()
-    return [[st.sign * cmap.get(st.triple, 0) for st in orbit] for orbit in basis.orbits]
+def coefficients_by_orbit(basis: OrbitBasis, part: PurePart | CommPart) -> list[list[int]]:
+    """Coordinates in orbit layout: row i, column j is the sign times the coefficient at orbit i position j."""
+    cmap = part.as_map()
+    return [[s * cmap.get(key, 0) for key, s in orbit] for orbit in basis.orbits]
+
+
+def part_from_orbits(cls: type[PurePart] | type[CommPart], basis: OrbitBasis, rows: list[list[int]]):
+    """The part of type cls with the given orbit layout; the inverse of coefficients_by_orbit."""
+    return cls.from_map(basis.n, ((key, s * x) for row, orbit in zip(rows, basis.orbits)
+                                  for x, (key, s) in zip(row, orbit)))

@@ -10,23 +10,23 @@ delta^n; blocks of such elements realise arbitrary admissible cycle types.
 
 Conjugacy of finite-order elements is decided by cycle type alone, and a
 witness is produced constructively: align the permutations, then solve one
-circulant difference system per conjugation orbit at level 1 and again at
-level 2.  Each system x_{j} - x_{j-1} = r_j around an orbit cycle is solvable
-exactly when the r_j sum to zero, which the finite-order hypothesis
-guarantees; the free variable per orbit is pinned to 0 at the representative.
+circulant system x_{j+1} - x_j = r_j per conjugation orbit (_solve_level), at
+level 1 and again at level 2.  It is solvable exactly when the r_j sum to zero,
+which the finite-order hypothesis guarantees; the free variable per orbit is
+pinned to x_0 = 0 at the representative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     BraidWord,
     CommPart,
     DomainError,
     NilElement,
-    Pair,
     Permutation,
     PurePart,
     _trusted,
@@ -39,7 +39,8 @@ from .core import (
     power,
     pure_conjugation_map,
 )
-from .orbits import coefficients_by_orbit, orbit_basis_of, orbit_partition
+from .orbits import (OrbitBasis, coefficients_by_orbit, orbit_basis_of, orbit_partition, part_from_orbits,
+                     signed_orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +81,8 @@ def delta_power_coefficients(n: int) -> tuple[CommPart, list[int]]:
     e = power(delta(0, n, n), n)
     if not (e.perm.is_identity() and e.pure.is_zero()):
         raise DomainError("cycle element power left the level-2 kernel; engine inconsistency")
-    basis = orbit_partition(n)
-    rows = coefficients_by_orbit(basis, e.comm)
     constants = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(coefficients_by_orbit(orbit_partition(n), e.comm)):
         if any(c != row[0] for c in row):
             raise DomainError(f"orbit {i} coefficients {row} are not constant")
         constants.append(row[0])
@@ -108,8 +107,7 @@ def finite_order_element(n: int, residues: list[list[int]]) -> NilElement:
     basis = orbit_partition(n)
     if len(residues) != basis.count or any(len(row) != len(orb) for row, orb in zip(residues, basis.orbits)):
         raise DomainError(f"residue matrix shape does not match the {basis.count} orbits of n={n}")
-    theta = CommPart.from_map(n, ((st.triple, st.sign * x) for row, orbit in zip(residues, basis.orbits)
-                                  for x, st in zip(row, orbit)))
+    theta = part_from_orbits(CommPart, basis, residues)
     return mul(NilElement(n, Permutation.identity(n), PurePart.zero(n), theta), delta(0, n, n))
 
 
@@ -241,22 +239,20 @@ def conjugating_permutation(pa: Permutation, pb: Permutation) -> Permutation:
     return Permutation(tuple(image))
 
 
-def _solve_circulant(rows: list[list[int]]) -> list[list[int]] | None:
-    """Solve x_{j+1} - x_j = r_j around each cyclic row; None when a row sum is nonzero.
+def _solve_level(basis: OrbitBasis, want: PurePart | CommPart, have: PurePart | CommPart):
+    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit; None if some row r sums to nonzero.
 
-    The row sum is the obstruction: summing the differences around the cycle
-    gives zero.  The representative is pinned to x_0 = 0, so the solution is
-    the prefix-sum vector of the row.
+    Rows r and x are the orbit layouts of want - have and of the result, so x
+    is the prefix sum of r.  The differences around an orbit cycle sum to zero,
+    so the row sum is the obstruction.
     """
-    out = []
-    for row in rows:
-        if sum(row) != 0:
+    xs = []
+    for w, h in zip(coefficients_by_orbit(basis, want), coefficients_by_orbit(basis, have)):
+        r = [u - v for u, v in zip(w, h)]
+        if sum(r) != 0:
             return None
-        x = [0] * len(row)
-        for j in range(1, len(row)):
-            x[j] = x[j - 1] + row[j - 1]
-        out.append(x)
-    return out
+        xs.append(list(accumulate(r[:-1], initial=0)))
+    return part_from_orbits(type(want), basis, xs)
 
 
 def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement | None:
@@ -279,50 +275,24 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement | None:
     if a1.perm != b.perm:
         return None
 
-    # (2) level-1 circulant systems: orbits of the pair relabelling map
+    # (2) level-1 circulant systems over the pair orbits, where every sign is +1
     pmap = pure_conjugation_map(b.perm)
-    diff = {p: 0 for p in pairs(n)}
-    for i, j, e in b.pure.entries:
-        diff[(i, j)] += e
-    for i, j, e in a1.pure.entries:
-        diff[(i, j)] -= e
-    seen: set[Pair] = set()
-    x_pure: dict[Pair, int] = {}
-    for p0 in pairs(n):
-        if p0 in seen:
-            continue
-        orbit = [p0]
-        seen.add(p0)
-        cur = pmap[p0]
-        while cur != p0:
-            orbit.append(cur)
-            seen.add(cur)
-            cur = pmap[cur]
-        sol = _solve_circulant([[diff[p] for p in orbit]])
-        if sol is None:
-            return None
-        for p, v in zip(orbit, sol[0]):
-            if v:
-                x_pure[p] = v
-    g2 = NilElement(n, Permutation.identity(n), PurePart.from_map(n, x_pure), zero_c)
+    level1 = _solve_level(OrbitBasis(n, signed_orbits(pairs(n), lambda p: (pmap[p], 1))), b.pure, a1.pure)
+    if level1 is None:
+        return None
+    g2 = NilElement(n, Permutation.identity(n), level1, zero_c)
     a2 = conj(g2, a1)
     if a2.perm != b.perm or a2.pure != b.pure:
         return None
 
-    # (3) level-2 circulant systems in the orbit basis of conjugation by b
+    # (3) level-2 circulant systems in the signed triple orbits of conjugation by b
     try:
         basis = orbit_basis_of(b)
     except DomainError:
         return None
-    target = CommPart.from_map(
-        n,
-        list(b.comm.as_map().items()) + [(t, -c) for t, c in a2.comm.as_map().items()],
-    )
-    sol = _solve_circulant(coefficients_by_orbit(basis, target))
-    if sol is None:
+    level2 = _solve_level(basis, b.comm, a2.comm)
+    if level2 is None:
         return None
-    level2 = CommPart.from_map(n, ((st.triple, st.sign * v) for row, orbit in zip(sol, basis.orbits)
-                                   for v, st in zip(row, orbit)))
     g3 = NilElement(n, Permutation.identity(n), zero_p, level2)
 
     g = mul(g3, mul(g2, g1))

@@ -339,11 +339,11 @@ def dense_holonomy(g: NilElement, pair_basis=None, triple_basis=None) -> dict:
     m2 = [[0] * len(triple_basis) for _ in triple_basis]
     perm2 = [0] * len(triple_basis)
     for t, col in tidx.items():
-        st = cmap[t]
-        row = tidx[st.triple]
-        m2[row][col] = st.sign
+        u, s = cmap[t]
+        row = tidx[u]
+        m2[row][col] = s
         perm2[col] = row
-    signs = math.prod(cmap[t].sign for t in triple_basis)
+    signs = math.prod(cmap[t][1] for t in triple_basis)
     return {
         "n": n,
         "pair_basis": [list(p) for p in pair_basis],

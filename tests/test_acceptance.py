@@ -130,10 +130,10 @@ def test_c06_orbit_partitions():
     for n, lengths in expected_lengths.items():
         basis = orbit_partition(n)
         assert list(basis.lengths()) == lengths, n
-        assert all(st.sign == 1 for orbit in basis.orbits for st in orbit)
+        assert all(s == 1 for orbit in basis.orbits for _, s in orbit)
     five = orbit_partition(5)
-    assert [st.triple for st in five.orbits[0]] == [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5), (2, 3, 4)]
-    assert [st.triple for st in five.orbits[1]] == [(1, 2, 4), (1, 3, 5), (2, 4, 5), (1, 3, 4), (2, 3, 5)]
+    assert [t for t, _ in five.orbits[0]] == [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5), (2, 3, 4)]
+    assert [t for t, _ in five.orbits[1]] == [(1, 2, 4), (1, 3, 5), (2, 4, 5), (1, 3, 4), (2, 3, 5)]
 
 
 @criterion(7, "presentation suites report zero failures (n = 3, 4, 5; four subgroups)")

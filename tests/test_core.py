@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from itertools import permutations as all_permutations
 
@@ -17,7 +18,6 @@ from braidnil.core import (
     NilElement,
     Permutation,
     PurePart,
-    SignedTriple,
     collect,
     comm_conjugation_map,
     comm_gen,
@@ -172,6 +172,22 @@ def level2(n: int, mapping) -> NilElement:
     return NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.from_map(n, mapping))
 
 
+@st.composite
+def element_tuples(draw, count=2):
+    """count elements collected from random words at one strand count, with extra graded noise."""
+    n = draw(st.integers(2, 10))
+    letters = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=30)
+    keys = list(pairs(n)) + list(triples(n))
+    out = []
+    for _ in range(count):
+        noise = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=12))
+        graded = NilElement(n, Permutation.identity(n),
+                            PurePart.from_map(n, {k: e for k, e in noise.items() if len(k) == 2}),
+                            CommPart.from_map(n, {k: e for k, e in noise.items() if len(k) == 3}))
+        out.append(mul(collect(BraidWord(n, tuple(draw(letters)))), graded))
+    return tuple(out)
+
+
 class TestGeneratorConjugation:
     def test_pair_rule_second_index_descends(self):
         assert _pair_action(1, 3, 2, 1) == ((1, 2), ((1, 2, 3), -1))
@@ -203,21 +219,21 @@ class TestGeneratorConjugation:
     def test_triple_rule_examples(self):
         t = (1, 2, 3)
         assert conj(sigma(5, 3), comm_gen(5, t)) == conj(sigma(5, 3, -1), comm_gen(5, t))
-        assert comm_conjugation_map(Permutation.transposition(5, 3))[t] == SignedTriple((1, 2, 4), 1)
-        assert comm_conjugation_map(Permutation.transposition(5, 2))[t] == SignedTriple((1, 2, 3), -1)
-        assert comm_conjugation_map(Permutation.transposition(5, 1))[(2, 3, 5)] == SignedTriple((1, 3, 5), 1)
+        assert comm_conjugation_map(Permutation.transposition(5, 3))[t] == ((1, 2, 4), 1)
+        assert comm_conjugation_map(Permutation.transposition(5, 2))[t] == ((1, 2, 3), -1)
+        assert comm_conjugation_map(Permutation.transposition(5, 1))[(2, 3, 5)] == ((1, 3, 5), 1)
 
     def test_triple_round_trip_and_engine_agreement(self):
         for n in (3, 4, 5):
             for k in range(1, n):
                 act = comm_conjugation_map(Permutation.transposition(n, k))
                 for t in triples(n):
-                    st = act[t]
-                    back = act[st.triple]
-                    assert back.triple == t and back.sign * st.sign == 1
-                    assert _triple_action(t, k) == (st.triple, st.sign)
+                    u, s = act[t]
+                    back, back_sign = act[u]
+                    assert back == t and back_sign * s == 1
+                    assert _triple_action(t, k) == (u, s)
                     for eps in (1, -1):
-                        assert conj(sigma(n, k, eps), comm_gen(n, t)) == level2(n, {st.triple: st.sign})
+                        assert conj(sigma(n, k, eps), comm_gen(n, t)) == level2(n, {u: s})
 
 
 class TestGroupLaw:
@@ -291,6 +307,12 @@ class TestGroupLaw:
             assert conj(g, conj(h, x)) == conj(mul(g, h), x)
             assert conj(identity(5), x) == x
 
+    @settings(max_examples=60, deadline=None)
+    @given(element_tuples(3))
+    def test_conj_is_a_left_action_on_random_elements(self, ghx):
+        g, h, x = ghx
+        assert conj(g, conj(h, x)) == conj(mul(g, h), x)
+
     def test_conjugation_of_basis_depends_only_on_permutation(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -338,7 +360,7 @@ class TestFaithfulness:
             for image in all_permutations(range(1, n + 1)):
                 perm = Permutation(image)
                 act = comm_conjugation_map(perm)
-                if all(st.triple == t and st.sign == 1 for t, st in act.items()):
+                if all(u == t and s == 1 for t, (u, s) in act.items()):
                     trivial.append(perm)
             assert trivial == [Permutation.identity(n)]
 
@@ -362,6 +384,20 @@ class TestJson:
         assert dumps_canonical(element_to_dict(e)) == (
             '{"comm":[[1,2,4,1]],"n":5,"perm":[1,2,3,4,5],"pure":[[1,2,1],[3,5,-2]]}'
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(element_tuples(1), st.integers(0, 40).map(lambda k: 10 ** k + 3), st.sampled_from((1, -1)))
+    def test_element_json_round_trip(self, xs, big, sign):
+        x = xs[0]
+        for e in (x, mul(x, power(pure_gen(x.n, 1, 2), sign * big))):
+            assert element_from_dict(json.loads(dumps_canonical(element_to_dict(e)))) == e
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10).flatmap(lambda n: st.builds(
+        BraidWord, st.just(n), st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))),
+                                        max_size=30).map(tuple))))
+    def test_word_json_round_trip(self, w):
+        assert word_from_dict(json.loads(dumps_canonical(word_to_dict(w)))) == w
 
     def test_malformed_element_rejected(self):
         with pytest.raises(DomainError):
@@ -391,22 +427,6 @@ class TestImmutability:
             e.perm.image = (1, 2, 3)
 
 
-@st.composite
-def element_pairs(draw):
-    """Two elements collected from random words at one strand count, with extra graded noise."""
-    n = draw(st.integers(2, 10))
-    letters = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=30)
-    keys = list(pairs(n)) + list(triples(n))
-    out = []
-    for _ in range(2):
-        noise = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=12))
-        graded = NilElement(n, Permutation.identity(n),
-                            PurePart.from_map(n, {k: e for k, e in noise.items() if len(k) == 2}),
-                            CommPart.from_map(n, {k: e for k, e in noise.items() if len(k) == 3}))
-        out.append(mul(collect(BraidWord(n, tuple(draw(letters)))), graded))
-    return tuple(out)
-
-
 class TestCanonicalForm:
     """Outputs of the group law are canonical: sorted in-range keys, no zero, and stable round trips."""
 
@@ -423,7 +443,7 @@ class TestCanonicalForm:
         assert element_from_dict(element_to_dict(e)) == e
 
     @settings(max_examples=80, deadline=None)
-    @given(element_pairs(), st.integers(-4, 6))
+    @given(element_tuples(), st.integers(-4, 6))
     def test_group_law_outputs_are_canonical(self, xy, m):
         x, y = xy
         for e in (x, mul(x, y), inv(x), power(x, m), conj(y, x)):

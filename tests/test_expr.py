@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidnil.core import DomainError, collect, comm_gen, identity, mul, power, pure_gen, sigma
 from braidnil.expr import ExpressionError, format_terms, parse
@@ -82,6 +84,28 @@ def test_format_round_trip():
         expr = parse(text, 5)
         again = parse(format_terms(expr.terms), 5)
         assert again.element() == expr.element()
+
+
+def well_formed_expressions(n: int):
+    """Expression text valid on n strands: atoms with in-range distinct indices, powers on both sides of 64, groups."""
+    indices = lambda k: st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    term = st.builds("{}{}".format, st.one_of(
+        st.builds("{}{}".format, st.sampled_from("sS"), st.integers(1, n - 1)),
+        indices(2).map(lambda p: "A[{},{}]".format(*p)),
+        indices(3).map(lambda t: "a[{},{},{}]".format(*t)),
+    ), st.one_of(st.just(""), st.integers(-100, 100).map("^{}".format)))
+    return st.recursive(term, lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map(" ".join),
+        st.builds("({})^{}".format, st.lists(inner, max_size=4).map(" ".join), st.integers(-9, 9)),
+    ), max_leaves=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), well_formed_expressions(n))))
+def test_format_round_trip_on_generated_expressions(case):
+    n, text = case
+    expr = parse(text, n)
+    assert parse(format_terms(expr.terms), n).element() == expr.element()
 
 
 def test_generator_runs_equal_atom_by_atom_products():

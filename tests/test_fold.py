@@ -84,7 +84,7 @@ def test_comm_conjugation_map_equals_the_generator_fold():
                 for k in reversed(word):
                     cur, s = _triple_action(cur, k)
                     sign *= s
-                assert (act[t].triple, act[t].sign) == (cur, sign)
+                assert act[t] == (cur, sign)
 
 
 def test_reduced_word_cache_is_bounded():

@@ -134,14 +134,14 @@ class TestOrbits:
 
     def test_five_strand_chains(self):
         basis = orbit_partition(5)
-        assert [st.triple for st in basis.orbits[0]] == [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5), (2, 3, 4)]
-        assert [st.triple for st in basis.orbits[1]] == [(1, 2, 4), (1, 3, 5), (2, 4, 5), (1, 3, 4), (2, 3, 5)]
+        assert [t for t, _ in basis.orbits[0]] == [(1, 2, 3), (1, 2, 5), (1, 4, 5), (3, 4, 5), (2, 3, 4)]
+        assert [t for t, _ in basis.orbits[1]] == [(1, 2, 4), (1, 3, 5), (2, 4, 5), (1, 3, 4), (2, 3, 5)]
 
     def test_six_strand_short_orbit(self):
         basis = orbit_partition(6)
         assert sorted(basis.lengths()) == [2, 6, 6, 6]
         assert basis.lengths()[-1] == 2
-        assert {st.triple for st in basis.orbits[-1]} == {(1, 3, 5), (2, 4, 6)}
+        assert {t for t, _ in basis.orbits[-1]} == {(1, 3, 5), (2, 4, 6)}
 
     def test_seven_strands(self):
         basis = orbit_partition(7)
@@ -152,14 +152,14 @@ class TestOrbits:
             d = cycle_element(n)
             basis = orbit_partition(n)
             for orbit in basis.orbits:
-                for st, nxt in zip(orbit, orbit[1:] + orbit[:1]):
-                    assert st.sign == 1
-                    assert conj(d, comm_gen(n, st.triple)) == comm_gen(n, nxt.triple)
+                for (t, s), (nxt, _) in zip(orbit, orbit[1:] + orbit[:1]):
+                    assert s == 1
+                    assert conj(d, comm_gen(n, t)) == comm_gen(n, nxt)
 
     def test_transversal_hits_each_orbit_once(self):
         for n in range(5, 10):
             basis = orbit_partition(n)
-            orbit_of = {st.triple: i for i, orbit in enumerate(basis.orbits) for st in orbit}
+            orbit_of = {t: i for i, orbit in enumerate(basis.orbits) for t, _ in orbit}
             hits = [orbit_of[t] for t in standard_transversal(n)]
             assert sorted(hits) == list(range(basis.count))
 

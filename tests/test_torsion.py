@@ -82,7 +82,7 @@ class TestDeltaPower:
             basis = orbit_partition(n)
             cmap = comm.as_map()
             for constant, orbit in zip(m, basis.orbits):
-                assert all(cmap.get(st.triple, 0) == constant for st in orbit)
+                assert all(cmap.get(t, 0) == constant for t, _ in orbit)
 
     def test_even_strand_counts_rejected(self):
         with pytest.raises(DomainError):
