@@ -39,7 +39,7 @@ from .invariants import (
     lcs_rank,
     orientability_check,
 )
-from .orbits import OrbitBasis, cycle_element, orbit_basis_of, orbit_partition, standard_transversal
+from .orbits import OrbitBasis, cycle_element, orbit_basis_of, orbit_partition
 from .presentations import (
     RelationReport,
     SUBGROUPS,
@@ -49,8 +49,6 @@ from .presentations import (
     subgroup_presentation,
 )
 from .torsion import (
-    CompatibilitySystem,
-    compatibility_system,
     compatible_residues,
     conjugacy_decide,
     conjugacy_witness,

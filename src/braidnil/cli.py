@@ -268,8 +268,7 @@ def main(argv=None) -> int:
         elif args.command == "delta":
             _print(element_to_dict(torsion.delta(args.r, args.k, args.n)))
         elif args.command == "delta-pow":
-            comm, constants = torsion.delta_power_coefficients(args.n)
-            basis = orbit_partition(args.n)
+            basis, comm, constants = torsion.delta_power_coefficients(args.n)
             _print({
                 "n": args.n,
                 "comm": [[i, j, k, c] for i, j, k, c in comm.entries],
@@ -308,7 +307,11 @@ def main(argv=None) -> int:
         elif args.command == "conjugacy":
             a = _element_arg(args.left, args.n)
             b = _element_arg(args.right, args.n)
-            same = torsion.conjugacy_decide(a, b)
+            # conjugacy_witness decides on its way and raises unless the inputs are conjugate
+            if args.mode == "decide":
+                same, g = torsion.conjugacy_decide(a, b), None
+            else:
+                same, g = True, torsion.conjugacy_witness(a, b)
             doc = {
                 "n": args.n,
                 "conjugate": same,
@@ -317,16 +320,11 @@ def main(argv=None) -> int:
             }
             if args.n < 5:
                 print("note: conjugacy criterion is outside its proven range for n < 5", file=sys.stderr)
-            if args.mode == "decide":
-                _print(doc)
-                return 0
-            if not same:
-                raise DomainError("witness requires conjugate inputs (equal cycle types)")
-            g = torsion.conjugacy_witness(a, b)
-            if g is None:
-                print("witness construction failed verification", file=sys.stderr)
-                return 1
-            doc["witness"] = element_to_dict(g)
+            if args.mode == "witness":
+                if g is None:
+                    print("witness construction failed verification", file=sys.stderr)
+                    return 1
+                doc["witness"] = element_to_dict(g)
             _print(doc)
             return 0
         elif args.command == "holonomy":

@@ -113,11 +113,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.image))
 
-    def inversions(self) -> int:
-        """Coxeter length: the number of out-of-order pairs."""
-        img = self.image
-        return sum(1 for i, j in combinations(range(self.n), 2) if img[i] > img[j])
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its minimum, ordered by minimum."""
         seen = [False] * (self.n + 1)

@@ -194,22 +194,3 @@ def parse(text: str, n: int) -> Expression:
     terms = _parse_terms(sc, 0)
     _validate(terms, n)
     return Expression(n, text, terms)
-
-
-def format_terms(terms: tuple) -> str:
-    """Canonical text for a parsed expression; parse(format(e)) gives the same element."""
-    chunks = []
-    for atom, exponent in terms:
-        kind = atom[0]
-        if kind == "gen":
-            body = f"s{atom[1]}"
-            if atom[2] == -1:
-                exponent = -exponent
-        elif kind == "pure":
-            body = f"A[{atom[1]},{atom[2]}]"
-        elif kind == "comm":
-            body = f"a[{atom[1]},{atom[2]},{atom[3]}]"
-        else:
-            body = f"({format_terms(atom[1])})"
-        chunks.append(body if exponent == 1 else f"{body}^{exponent}")
-    return " ".join(chunks)

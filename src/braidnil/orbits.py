@@ -22,7 +22,6 @@ from .core import (
     NilElement,
     Permutation,
     PurePart,
-    Triple,
     comm_conjugation_map,
     identity,
     triples,
@@ -124,21 +123,6 @@ def orbit_partition(n: int) -> OrbitBasis:
     return basis
 
 
-def standard_transversal(n: int) -> list[Triple]:
-    """The closed-form transversal of the cycle-element orbits.
-
-    With n = 3q + r the set consists of the triples (1, j, k) for
-    2 <= j <= q+1 (q when r = 0) and 2j-1 <= k <= n-(j-1), plus the
-    equally-spaced triple (1, n/3+1, 2n/3+1) when r = 0.
-    """
-    q, r = divmod(n, 3)
-    top = q + 1 if r != 0 else q
-    out = [(1, j, k) for j in range(2, top + 1) for k in range(2 * j - 1, n - j + 2)]
-    if r == 0:
-        out.append((1, n // 3 + 1, 2 * n // 3 + 1))
-    return out
-
-
 def coefficients_by_orbit(basis: OrbitBasis, part: PurePart | CommPart) -> list[list[int]]:
     """Coordinates in orbit layout: row i, column j is the sign times the coefficient at orbit i position j."""
     cmap = part.as_map()
@@ -146,6 +130,9 @@ def coefficients_by_orbit(basis: OrbitBasis, part: PurePart | CommPart) -> list[
 
 
 def part_from_orbits(cls: type[PurePart] | type[CommPart], basis: OrbitBasis, rows: list[list[int]]):
-    """The part of type cls with the given orbit layout; the inverse of coefficients_by_orbit."""
+    """The part of type cls with the given orbit layout; the inverse of coefficients_by_orbit.
+
+    Zero cells are skipped, so a sparse layout costs its nonzero cells.
+    """
     return cls.from_map(basis.n, ((key, s * x) for row, orbit in zip(rows, basis.orbits)
-                                  for x, (key, s) in zip(row, orbit)))
+                                  for x, (key, s) in zip(row, orbit) if x))

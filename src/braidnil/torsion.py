@@ -7,19 +7,21 @@ orders divisible by 2 or 3 never occur.  Finite-order elements are built as
 theta * delta where delta is the standard mixed-sign cycle word and theta is a
 level-2 correction whose orbit row sums must cancel the coefficients of
 delta^n; blocks of such elements realise arbitrary admissible cycle types.
+delta_power_coefficients returns the orbit basis it reads those coefficients
+in, so a construction walks the cycle-element orbits once for the targets.
 
 Conjugacy of finite-order elements is decided by cycle type alone, and a
-witness is produced constructively: align the permutations, then solve one
-circulant system x_{j+1} - x_j = r_j per conjugation orbit (_solve_level), at
-level 1 and again at level 2.  It is solvable exactly when the r_j sum to zero,
-which the finite-order hypothesis guarantees; the free variable per orbit is
-pinned to x_0 = 0 at the representative.
+witness is produced constructively, deciding conjugacy on the way: align the
+permutations, then solve one circulant system x_{j+1} - x_j = r_j per
+conjugation orbit (_solve_level), at level 1 and again at level 2.  It is
+solvable exactly when the r_j sum to zero, which the finite-order hypothesis
+guarantees; the free variable per orbit is pinned to x_0 = 0 at the
+representative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (
@@ -68,25 +70,27 @@ def delta(r: int, k: int, n: int) -> NilElement:
     return collect(delta_word(r, k, n))
 
 
-def delta_power_coefficients(n: int) -> tuple[CommPart, list[int]]:
+def delta_power_coefficients(n: int) -> tuple[OrbitBasis, CommPart, list[int]]:
     """Level-2 coordinates of the n-th power of the cycle element, n odd.
 
     The power has identity permutation and zero level-1 part, and its level-2
-    coefficients are constant along each conjugation orbit; returns those
-    coordinates together with the per-orbit constants, in orbit order.  For
-    even n the power never lies in the level-2 kernel.
+    coefficients are constant along each conjugation orbit.  Returns the orbit
+    basis orbit_partition(n) the constants are read in, the coordinates, and
+    the per-orbit constants in that basis's orbit order.  For even n the power
+    never lies in the level-2 kernel.
     """
     if n % 2 == 0:
         raise DomainError("for even n no power of the cycle element enters the level-2 kernel")
     e = power(delta(0, n, n), n)
     if not (e.perm.is_identity() and e.pure.is_zero()):
         raise DomainError("cycle element power left the level-2 kernel; engine inconsistency")
+    basis = orbit_partition(n)
     constants = []
-    for i, row in enumerate(coefficients_by_orbit(orbit_partition(n), e.comm)):
+    for i, row in enumerate(coefficients_by_orbit(basis, e.comm)):
         if any(c != row[0] for c in row):
             raise DomainError(f"orbit {i} coefficients {row} are not constant")
         constants.append(row[0])
-    return e.comm, constants
+    return basis, e.comm, constants
 
 
 # ---------------------------------------------------------------------------
@@ -111,30 +115,13 @@ def finite_order_element(n: int, residues: list[list[int]]) -> NilElement:
     return mul(NilElement(n, Permutation.identity(n), PurePart.zero(n), theta), delta(0, n, n))
 
 
-@dataclass(frozen=True)
-class CompatibilitySystem:
-    """Per-orbit row targets characterising the order-n residue assignments.
-
-    An assignment gives an order-n element exactly when every row of residues
-    sums to the orbit's target, which is minus the corresponding coefficient
-    of the n-th power of the cycle element.
-    """
-
-    n: int
-    targets: tuple[int, ...]
-
-
-def compatibility_system(n: int) -> CompatibilitySystem:
-    """The order-n condition on residue rows, computed from the cycle-element power."""
-    _, constants = delta_power_coefficients(n)
-    return CompatibilitySystem(n, tuple(-m for m in constants))
-
-
 def compatible_residues(n: int) -> list[list[int]]:
-    """The canonical residue matrix meeting the order-n condition: first column only."""
-    system = compatibility_system(n)
-    basis = orbit_partition(n)
-    return [[t] + [0] * (len(orb) - 1) for t, orb in zip(system.targets, basis.orbits)]
+    """The canonical residue matrix meeting the order-n condition: first column only.
+
+    Row i is minus the i-th constant of delta_power_coefficients(n), then zeros.
+    """
+    basis, _, constants = delta_power_coefficients(n)
+    return [[-m] + [0] * (len(orb) - 1) for m, orb in zip(constants, basis.orbits)]
 
 
 def shift_embed(elem: NilElement, offset: int, n: int) -> NilElement:
@@ -258,14 +245,15 @@ def _solve_level(basis: OrbitBasis, want: PurePart | CommPart, have: PurePart | 
 def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement | None:
     """An explicit g with conj(g, a) = b, or None when no witness is found.
 
-    Requires conjugacy_decide(a, b) to hold.  Steps: (1) conjugate a by the
+    Raises DomainError unless conjugacy_decide(a, b) holds, so a caller
+    needs no separate decision.  Steps: (1) conjugate a by the
     lift of a permutation aligning the cycles; (2) match the level-1 parts by
     solving circulant systems over the pair orbits of the common permutation;
     (3) match the level-2 parts likewise over the signed triple orbits.  The
     returned element is verified by direct multiplication first.
     """
     if not conjugacy_decide(a, b):
-        raise DomainError("inputs are not conjugate (cycle types differ)")
+        raise DomainError("witness requires conjugate inputs (equal cycle types)")
     n = a.n
     zero_p, zero_c = PurePart.zero(n), CommPart.zero(n)
 

@@ -1,4 +1,6 @@
-"""Shared test helpers: random words and the independent oracles.
+"""Shared test helpers: random words, call counters, the independent oracles,
+and the helpers only tests read (expression formatting, Coxeter length, the
+closed-form orbit transversal).
 
 The oracles are the permutation of a word and the strand-tracking normal form
 at level 1, the conjugation rules of one generator on one pair or triple, the
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import random
+from itertools import combinations
 from typing import Iterable
 
 from hypothesis import settings
@@ -36,7 +39,6 @@ from braidnil.core import (
     pure_conjugation_map,
     triples,
 )
-from braidnil.torsion import CompatibilitySystem
 
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
@@ -48,6 +50,23 @@ def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
     return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
 
 
+def counted(monkeypatch, owner, name):
+    """Replace owner.name (a module function or a static method) by a wrapper counting its calls.
+
+    Returns the one-cell list holding the running count.
+    """
+    calls = [0]
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    static = isinstance(vars(owner).get(name), staticmethod)
+    monkeypatch.setattr(owner, name, staticmethod(wrapper) if static else wrapper)
+    return calls
+
+
 def word_permutation(word: BraidWord) -> Permutation:
     """The permutation of a word: the product of its letters' transpositions in reading order."""
     image = list(range(1, word.n + 1))
@@ -57,11 +76,48 @@ def word_permutation(word: BraidWord) -> Permutation:
     return Permutation(tuple(image))
 
 
-def satisfies(system: CompatibilitySystem, residues: list[list[int]]) -> bool:
+def inversions(image) -> int:
+    """Coxeter length of a permutation image: the number of out-of-order pairs."""
+    return sum(1 for i, j in combinations(range(len(image)), 2) if image[i] > image[j])
+
+
+def satisfies(targets: tuple[int, ...], residues: list[list[int]]) -> bool:
     """Whether every residue row sums to its orbit's target in the order-n system."""
-    return len(residues) == len(system.targets) and all(
-        sum(row) == target for row, target in zip(residues, system.targets)
-    )
+    return len(residues) == len(targets) and all(sum(row) == target for row, target in zip(residues, targets))
+
+
+def format_terms(terms: tuple) -> str:
+    """Canonical text for a parsed expression; parse(format(e)) gives the same element."""
+    chunks = []
+    for atom, exponent in terms:
+        kind = atom[0]
+        if kind == "gen":
+            body = f"s{atom[1]}"
+            if atom[2] == -1:
+                exponent = -exponent
+        elif kind == "pure":
+            body = f"A[{atom[1]},{atom[2]}]"
+        elif kind == "comm":
+            body = f"a[{atom[1]},{atom[2]},{atom[3]}]"
+        else:
+            body = f"({format_terms(atom[1])})"
+        chunks.append(body if exponent == 1 else f"{body}^{exponent}")
+    return " ".join(chunks)
+
+
+def standard_transversal(n: int) -> list[Triple]:
+    """The closed-form transversal of the cycle-element orbits.
+
+    With n = 3q + r the set consists of the triples (1, j, k) for
+    2 <= j <= q+1 (q when r = 0) and 2j-1 <= k <= n-(j-1), plus the
+    equally-spaced triple (1, n/3+1, 2n/3+1) when r = 0.
+    """
+    q, r = divmod(n, 3)
+    top = q + 1 if r != 0 else q
+    out = [(1, j, k) for j in range(2, top + 1) for k in range(2 * j - 1, n - j + 2)]
+    if r == 0:
+        out.append((1, n // 3 + 1, 2 * n // 3 + 1))
+    return out
 
 
 def strand_tracking_normal_form(word: BraidWord):
@@ -312,8 +368,7 @@ def square_power(a: NilElement, m: int) -> NilElement:
 
 
 def _inversion_sign(perm: list[int]) -> int:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
+    return -1 if inversions(perm) % 2 else 1
 
 
 def dense_holonomy(g: NilElement, pair_basis=None, triple_basis=None) -> dict:

@@ -22,6 +22,7 @@ from braidnil.cli import main
 from braidnil.core import (
     collect,
     comm_gen,
+    dumps_canonical,
     element_from_dict,
     element_to_dict,
     identity,
@@ -32,8 +33,8 @@ from braidnil.core import (
     sigma,
 )
 from braidnil.expr import _MAX_NESTING
-from braidnil.torsion import SPECTRUM_MAX_N, delta, finite_order_element
-from conftest import dense_holonomy, holonomy_json, holonomy_pretty, random_word
+from braidnil.torsion import SPECTRUM_MAX_N, delta, element_with_cycle_type, finite_order_element
+from conftest import counted, dense_holonomy, holonomy_json, holonomy_pretty, random_word
 
 
 def run(capsys, *argv):
@@ -159,6 +160,40 @@ def test_small_n_conjugacy_is_flagged(capsys):
     assert code == 0
     assert json.loads(out)["proven_range"] is False
     assert "proven range" in err
+
+
+def test_witness_of_different_cycle_types_exits_3(capsys):
+    a, b = (dumps_canonical(element_to_dict(element_with_cycle_type(10, parts))) for parts in ([5], [5, 5]))
+    code, out, err = run(capsys, "conjugacy", "witness", "--n", "10", a, b)
+    assert (code, out, err) == (3, "", "domain error: witness requires conjugate inputs (equal cycle types)\n")
+
+
+def test_witness_of_infinite_order_inputs_exits_3(capsys):
+    code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", "s1", "s1")
+    assert (code, out, err) == (3, "", "domain error: conjugacy decision requires finite-order inputs\n")
+
+
+def test_small_n_witness_is_flagged(capsys):
+    code, out, err = run(capsys, "conjugacy", "witness", "--n", "3", "", "")
+    assert code == 0
+    assert err == "note: conjugacy criterion is outside its proven range for n < 5\n"
+    assert out == ('{"conjugate":true,"cycle_types":[[1,1,1],[1,1,1]],"n":3,"proven_range":false,'
+                   '"witness":{"comm":[],"n":3,"perm":[1,2,3],"pure":[]}}\n')
+
+
+def test_a_witness_request_decides_conjugacy_once(capsys, monkeypatch):
+    calls = counted(monkeypatch, braidnil.torsion, "order")
+    a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
+    code, out, _ = run(capsys, "conjugacy", "witness", "--n", "5", a, f"s2 ({a}) s2^-1")
+    assert code == 0 and "witness" in json.loads(out)
+    assert calls[0] == 2
+
+
+def test_delta_pow_builds_one_orbit_basis(capsys, monkeypatch):
+    calls = counted(monkeypatch, braidnil.orbits, "orbit_basis_of")
+    code, out, _ = run(capsys, "delta-pow", "--n", "7")
+    assert code == 0 and len(json.loads(out)["orbit_representatives"]) == 5
+    assert calls[0] == 1
 
 
 def test_holonomy_paper_basis(capsys):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnil.core import DomainError, collect, comm_gen, identity, mul, power, pure_gen, sigma
-from braidnil.expr import ExpressionError, format_terms, parse
+from braidnil.expr import ExpressionError, parse
 from braidnil.torsion import delta, delta_word
+from conftest import format_terms
 
 
 def test_cycle_word_expression():

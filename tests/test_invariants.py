@@ -29,8 +29,8 @@ from braidnil.invariants import (
     lcs_rank,
     orientability_check,
 )
-from braidnil.orbits import cycle_element, orbit_partition, standard_transversal
-from conftest import dense_holonomy, random_word
+from braidnil.orbits import cycle_element, orbit_partition
+from conftest import dense_holonomy, random_word, standard_transversal
 
 
 def newton_extrapolate(samples: list[int], start: int, x: int) -> Fraction:

@@ -8,8 +8,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from braidnil import orbits
 from braidnil.core import (
     BraidWord,
+    CommPart,
     DomainError,
     collect,
     comm_gen,
@@ -23,7 +25,6 @@ from braidnil.core import (
 )
 from braidnil.orbits import orbit_partition
 from braidnil.torsion import (
-    compatibility_system,
     compatible_residues,
     conjugacy_decide,
     conjugacy_witness,
@@ -36,7 +37,7 @@ from braidnil.torsion import (
     shift_embed,
     torsion_spectrum,
 )
-from conftest import random_word, satisfies
+from conftest import counted, random_word, satisfies
 
 
 class TestDelta:
@@ -67,19 +68,20 @@ class TestDelta:
 
 class TestDeltaPower:
     def test_three_strands(self):
-        comm, m = delta_power_coefficients(3)
+        _, comm, m = delta_power_coefficients(3)
         assert comm.as_map() == {(1, 2, 3): -1}
         assert m == [-1]
 
     def test_five_strands(self):
-        comm, m = delta_power_coefficients(5)
+        _, comm, m = delta_power_coefficients(5)
         assert m == [0, -1]
         assert comm.as_map() == {t: -1 for t in ((1, 2, 4), (1, 3, 5), (2, 4, 5), (1, 3, 4), (2, 3, 5))}
 
     def test_constancy_along_orbits(self):
         for n in (3, 5, 7, 9):
-            comm, m = delta_power_coefficients(n)
+            returned, comm, m = delta_power_coefficients(n)
             basis = orbit_partition(n)
+            assert returned == basis
             cmap = comm.as_map()
             for constant, orbit in zip(m, basis.orbits):
                 assert all(cmap.get(t, 0) == constant for t, _ in orbit)
@@ -132,12 +134,13 @@ class TestFiniteOrderConstruction:
         # random residue assignments have order n exactly when the row-sum
         # system is satisfied
         rng = random.Random(61)
-        system = compatibility_system(5)
-        assert system.targets == (0, 1)
+        _, _, m = delta_power_coefficients(5)
+        targets = tuple(-c for c in m)
+        assert targets == (0, 1)
         for _ in range(25):
             residues = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(2)]
             e = finite_order_element(5, residues)
-            if satisfies(system, residues):
+            if satisfies(targets, residues):
                 assert order(e) == 5
             else:
                 assert order(e) is None
@@ -194,6 +197,16 @@ class TestCycleTypes:
             for j in range(5):
                 e = mul(power(x, i), power(y, j))
                 assert order(e) == (1 if i == j == 0 else 5)
+
+    def test_a_block_builds_at_most_two_orbit_bases(self, monkeypatch):
+        calls = counted(monkeypatch, orbits, "orbit_basis_of")
+        assert order(element_with_cycle_type(11, [11])) == 11
+        assert calls[0] <= 2
+
+    def test_a_first_column_residue_matrix_normalises_only_its_nonzero_cells(self, monkeypatch):
+        calls = counted(monkeypatch, CommPart, "_norm")
+        element_with_cycle_type(23, [23])
+        assert calls[0] <= 30
 
     def test_invalid_parts(self):
         with pytest.raises(DomainError):
