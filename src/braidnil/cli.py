@@ -35,12 +35,17 @@ from .expr import ExpressionError, parse
 from .orbits import orbit_partition
 
 
+def _json_arg(text: str, what: str):
+    """A JSON argument; malformed or too deeply nested text is a DomainError "bad <what> JSON: ..."."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DomainError(f"bad {what} JSON: {exc}") from exc
+
+
 def _element_arg(text: str, n: int) -> NilElement:
     if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad element JSON: {exc}") from exc
+        data = _json_arg(text, "element")
         if "word" in data:
             w = word_from_dict(data)
             if w.n != n:
@@ -208,12 +213,12 @@ def _cmd_torsion(args) -> int:
             "element": element_to_dict(e),
         })
         return 0
+    data = _json_arg(args.residues, "residue")
     try:
-        data = json.loads(args.residues)
         rows = [[json_int(x) for x in row] for row in data["residues"]]
         if json_int(data.get("n", args.n)) != args.n:
             raise DomainError("residue matrix strand count disagrees with --n")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"bad residue JSON: {exc}") from exc
     e = torsion.finite_order_element(args.n, rows)
     q = order(e)

@@ -36,10 +36,13 @@ Every value here is immutable and every function is pure; the only cache is
 the bounded one on the reduced-word lift, keyed by the permutation alone.
 
 The group law is the letter fold `_fold` and the closed-form pure-block merge
-`_merge_pure_block`: collect folds a word; mul folds a's graded part through
+`_merge_pure_block`.  Both work on one level-1 state, the strand adjacency
+nbr: nbr[u][v] = nbr[v][u] is the exponent on A[u,v], never zero, and row 0
+stays empty.  `_thaw` builds it from a normal form, `_freeze` sorts it back
+into pure entries.  collect folds a word; mul folds a's graded part through
 b's section, then merges b's pure block; inv merges a's pure factors reversed
-and inverted, then folds through the inverse section.  A letter costs work on
-the pairs at its two strands, a merged factor on the residents sharing an index.
+and inverted, then folds through the inverse section.  A letter costs the
+degree of its two strands, a merged factor the degree of its two indices.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, then, since a^q is pure,
 the class-2 power law (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), where B(v)
@@ -387,36 +390,33 @@ def tits_lift(perm: Permutation) -> BraidWord:
 # Collection: the group law on normal forms
 # ---------------------------------------------------------------------------
 
-def _fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
-          letters: Sequence[Letter]) -> tuple[list[int], dict[Pair, int], dict[Triple, int]]:
-    """Multiply the state (image, pure, comm) on the right by the letters, in order.
+def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
+          letters: Sequence[Letter]) -> tuple[list[int], list[dict[int, int]], dict[Triple, int]]:
+    """Multiply the state (image, nbr, comm) on the right by the letters, in order.
 
     A letter s_k^eps conjugates the graded parts through s_k^-eps, then is
     absorbed into the section or deposits A[k,k+1]^eps at the head of the pure
     product, with the class-2 corrections [X^a, Y^b] = a*b*[X, Y].
 
-    Frame invariant: pure and comm stay keyed by the strand labels they had
+    Frame invariant: nbr and comm stay keyed by the strand labels they had
     when the fold started, lab[x] is the starting label now at slot x and pos
     its inverse; an entry stored under starting labels sits at their current
     slots, with the sign of the sort.  So a letter only swaps lab[k], lab[k+1],
     and each other slot x, with e_a, e_b the exponents on {lab[x], lab[k]} and
     {lab[x], lab[k+1]}, adds e_a*e_b - (e_a if eps = +1 else e_b), plus
     eps*(e_a - e_b) on a deposit when x < k, at the slot triple sort(x, k, k+1).
-    Only labels paired with lab[k] or lab[k+1] contribute, so a letter costs
-    their pure degree.  One signed relabel to the final frame ends the fold.
-    comm is consumed; the new image, pure and comm are returned.
+    Only labels adjacent to lab[k] or lab[k+1] contribute, so a letter costs
+    their degree.  One signed relabel to the final frame ends the fold.
+    nbr and comm are consumed; the new image, nbr and comm are returned.
     """
     if not letters:
-        return image, pure, comm
+        return image, nbr, comm
     n = len(image)
     lab = list(range(n + 1))  # 1-based slots and labels; index 0 unused
     pos = list(range(n + 1))
     where = [0] * (n + 1)  # where[v]: the index of the value v in the one-line image
     for i, v in enumerate(image):
         where[v] = i
-    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]  # nbr[u][v]: exponent on {u, v}
-    for (i, j), e in pure.items():
-        nbr[i][j] = nbr[j][i] = e
     for k, eps in letters:
         la, lb = lab[k], lab[k + 1]
         na, nb = nbr[la], nbr[lb]
@@ -447,13 +447,6 @@ def _fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
                 na[lb] = nb[la] = e
             else:
                 del na[lb], nb[la]
-    out_pure = {}
-    for u in range(1, n + 1):
-        x = pos[u]
-        for v, e in nbr[u].items():
-            if u < v:
-                y = pos[v]
-                out_pure[(x, y) if x < y else (y, x)] = e
     out_comm = {}
     for (u, v, w), c in comm.items():
         t, s = _sort3(pos[u], pos[v], pos[w])
@@ -461,23 +454,26 @@ def _fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
     out_image = [0] * n
     for v in range(1, n + 1):
         out_image[where[v]] = v
-    return out_image, out_pure, out_comm
+    out_nbr: list[dict[int, int]] = [{} for _ in lab]
+    for u, row in enumerate(nbr):
+        for v, e in row.items():
+            out_nbr[pos[u]][pos[v]] = e
+    return out_image, out_nbr, out_comm
 
 
-def _freeze(n: int, image: list[int], pure: dict[Pair, int], comm: dict[Triple, int]) -> NilElement:
-    pure_rows = tuple((i, j, e) for (i, j), e in sorted(pure.items()) if e != 0)
-    comm_rows = tuple((i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0)
+def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int]) -> NilElement:
+    pure_rows = tuple(sorted([(u, v, e) for u, row in enumerate(nbr) for v, e in row.items() if u < v]))
+    comm_rows = tuple([(i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0])
     return _trusted(NilElement, n=n, perm=Permutation(tuple(image)),
                     pure=_trusted(PurePart, n=n, entries=pure_rows),
                     comm=_trusted(CommPart, n=n, entries=comm_rows))
 
 
-def _thaw(a: NilElement) -> tuple[list[int], dict[Pair, int], dict[Triple, int]]:
-    return (
-        list(a.perm.image),
-        {(i, j): e for i, j, e in a.pure.entries},
-        {(i, j, k): c for i, j, k, c in a.comm.entries},
-    )
+def _thaw(a: NilElement) -> tuple[list[int], list[dict[int, int]], dict[Triple, int]]:
+    nbr: list[dict[int, int]] = [{} for _ in range(a.n + 1)]
+    for i, j, e in a.pure.entries:
+        nbr[i][j] = nbr[j][i] = e
+    return list(a.perm.image), nbr, {(i, j, k): c for i, j, k, c in a.comm.entries}
 
 
 def collect(word: BraidWord) -> NilElement:
@@ -486,25 +482,20 @@ def collect(word: BraidWord) -> NilElement:
     This is a homomorphism: collect(u * v) = mul(collect(u), collect(v)).
     """
     n = word.n
-    return _freeze(n, *_fold(list(range(1, n + 1)), {}, {}, word.letters))
+    return _freeze(n, *_fold(list(range(1, n + 1)), [{} for _ in range(n + 1)], {}, word.letters))
 
 
-def _merge_pure_block(n: int, pure: dict[Pair, int], comm: dict[Triple, int],
-                      block: Iterable[tuple[Pair, int]]) -> None:
-    """Append a block of pure factors to the lex-ordered product and restore lex order.
+def _merge_pure_block(nbr: list[dict[int, int]], comm: dict[Triple, int],
+                      block: Iterable[tuple[int, int, int]]) -> None:
+    """Append a block of pure factors A[i,j]^e, as rows (i, j, e) with i < j and e != 0, and restore lex order.
 
     Each incoming A[i,j]^e moves left past the residents A_p, p > (i,j), with
     the correction e * e_p * [A_p, A[i,j]], nonzero only for p sharing one
     index: A[x,j] for i < x < j adds e * e_(x,j) to a[i,x,j], and A[i,x], A[j,x]
     for x > j add e * (e_(i,x) - e_(j,x)) to a[i,j,x].  So a factor costs the
-    resident degree of its two indices.
+    degree of its two indices in nbr, which it updates in place with comm.
     """
-    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]  # nbr[u][v]: exponent on {u, v}
-    for (u, v), d in pure.items():
-        nbr[u][v] = nbr[v][u] = d
-    for (i, j), e in block:
-        if not e:
-            continue
+    for i, j, e in block:
         ni, nj = nbr[i], nbr[j]
         for x in ni.keys() | nj.keys():
             if x > j:
@@ -521,36 +512,31 @@ def _merge_pure_block(n: int, pure: dict[Pair, int], comm: dict[Triple, int],
                     del comm[t]
         c = ni.get(j, 0) + e
         if c:
-            pure[(i, j)] = ni[j] = nj[i] = c
+            ni[j] = nj[i] = c
         else:
-            del pure[(i, j)], ni[j], nj[i]
+            del ni[j], nj[i]
 
 
 def mul(a: NilElement, b: NilElement) -> NilElement:
     """Group multiplication of normal forms."""
     if a.n != b.n:
         raise DomainError("cannot multiply elements on different strand counts")
-    image, pure, comm = _fold(*_thaw(a), [(k, 1) for k in _lex_reduced_word(b.perm.image)])
-    _merge_pure_block(a.n, pure, comm, (((i, j), e) for i, j, e in b.pure.entries))
+    image, nbr, comm = _fold(*_thaw(a), [(k, 1) for k in _lex_reduced_word(b.perm.image)])
+    _merge_pure_block(nbr, comm, b.pure.entries)
     for i, j, k, c in b.comm.entries:
-        t = (i, j, k)
-        cc = comm.get(t, 0) + c
-        if cc:
-            comm[t] = cc
-        else:
-            comm.pop(t, None)
-    return _freeze(a.n, image, pure, comm)
+        comm[(i, j, k)] = comm.get((i, j, k), 0) + c  # _freeze drops the zeros
+    return _freeze(a.n, image, nbr, comm)
 
 
 def inv(a: NilElement) -> NilElement:
     """Group inverse: fold comm^-1 * pure^-1 * section^-1 back into normal form."""
     n = a.n
-    pure: dict[Pair, int] = {}
+    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]
     comm = {(i, j, k): -c for i, j, k, c in a.comm.entries}
     # the inverse of the lex-ordered pure product is the reversed product of inverses
-    _merge_pure_block(n, pure, comm, (((i, j), -e) for i, j, e in reversed(a.pure.entries)))
+    _merge_pure_block(nbr, comm, ((i, j, -e) for i, j, e in reversed(a.pure.entries)))
     word = reversed(_lex_reduced_word(a.perm.image))
-    return _freeze(n, *_fold(list(range(1, n + 1)), pure, comm, [(k, -1) for k in word]))
+    return _freeze(n, *_fold(list(range(1, n + 1)), nbr, comm, [(k, -1) for k in word]))
 
 
 def power(a: NilElement, m: int) -> NilElement:
@@ -583,14 +569,12 @@ def power(a: NilElement, m: int) -> NilElement:
         return from_squares(r) if r else identity(n)
     aq = from_squares(q)
     if s > 1:
-        _, v, w = _thaw(aq)
+        image, nbr, w = _thaw(aq)
         b: dict[Triple, int] = {}
-        _merge_pure_block(n, dict(v), b, v.items())
-        c2 = s * (s - 1) // 2
-        comm = {t: s * c for t, c in w.items()}
-        for t, c in b.items():
-            comm[t] = comm.get(t, 0) + c2 * c
-        aq = _freeze(n, list(range(1, n + 1)), {key: s * e for key, e in v.items()}, comm)
+        _merge_pure_block(nbr, b, aq.pure.entries)  # v merged onto itself: nbr holds 2v, b holds B(v)
+        for t in w.keys() | b.keys():
+            w[t] = s * w.get(t, 0) + s * (s - 1) // 2 * b.get(t, 0)
+        aq = _freeze(n, image, [{x: e * s // 2 for x, e in row.items()} for row in nbr], w)
     return mul(from_squares(r), aq) if r else aq
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     DomainError,
@@ -133,13 +134,13 @@ class RankTable:
 
 
 def dimension_table(n_max: int, k_max: int) -> RankTable:
-    """Dimensions for 3 <= n <= n_max and 2 <= k <= k_max."""
+    """Dimensions for 3 <= n <= n_max and 2 <= k <= k_max; each n is a running sum of its ranks."""
     if n_max < 3 or k_max < 2:
         raise DomainError("table bounds must be at least n=3, k=2")
     return RankTable(tuple(
-        (n, k, hirsch_length(n, k))
+        (n, k, dim)
         for n in range(3, n_max + 1)
-        for k in range(2, k_max + 1)
+        for k, dim in zip(range(2, k_max + 1), accumulate(lcs_rank(n, q) for q in range(1, k_max)))
     ))
 
 

@@ -23,7 +23,6 @@ from .core import (
     Permutation,
     PurePart,
     comm_conjugation_map,
-    identity,
     triples,
 )
 
@@ -94,8 +93,6 @@ def cycle_element(n: int) -> NilElement:
     """
     if n < 1:
         raise DomainError("strand count must be at least 1")
-    if n == 1:
-        return identity(1)
     perm = Permutation(tuple(range(2, n + 1)) + (1,))
     return NilElement(n, perm, PurePart.zero(n), CommPart.zero(n))
 

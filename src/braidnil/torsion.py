@@ -8,7 +8,7 @@ theta * delta where delta is the standard mixed-sign cycle word and theta is a
 level-2 correction whose orbit row sums must cancel the coefficients of
 delta^n; blocks of such elements realise arbitrary admissible cycle types.
 delta_power_coefficients returns the orbit basis it reads those coefficients
-in, so a construction walks the cycle-element orbits once for the targets.
+in, so a construction walks the cycle-element orbits once, for both uses.
 
 Conjugacy of finite-order elements is decided by cycle type alone, and a
 witness is produced constructively, deciding conjugacy on the way: align the
@@ -108,11 +108,22 @@ def finite_order_element(n: int, residues: list[list[int]]) -> NilElement:
     """
     if n < 5 or math.gcd(n, 6) != 1:
         raise DomainError(f"strand count must be coprime to 6 and >= 5, got {n}")
-    basis = orbit_partition(n)
+    return _theta_delta(orbit_partition(n), residues)
+
+
+def _theta_delta(basis: OrbitBasis, residues: list[list[int]]) -> NilElement:
+    """theta * delta on basis.n strands, with theta read in the orbit layout of basis = orbit_partition(n)."""
+    n = basis.n
     if len(residues) != basis.count or any(len(row) != len(orb) for row, orb in zip(residues, basis.orbits)):
         raise DomainError(f"residue matrix shape does not match the {basis.count} orbits of n={n}")
     theta = part_from_orbits(CommPart, basis, residues)
     return mul(NilElement(n, Permutation.identity(n), PurePart.zero(n), theta), delta(0, n, n))
+
+
+def _compatible(n: int) -> tuple[OrbitBasis, list[list[int]]]:
+    """orbit_partition(n) and the first-column residue matrix in its layout."""
+    basis, _, constants = delta_power_coefficients(n)
+    return basis, [[-m] + [0] * (len(orb) - 1) for m, orb in zip(constants, basis.orbits)]
 
 
 def compatible_residues(n: int) -> list[list[int]]:
@@ -120,8 +131,7 @@ def compatible_residues(n: int) -> list[list[int]]:
 
     Row i is minus the i-th constant of delta_power_coefficients(n), then zeros.
     """
-    basis, _, constants = delta_power_coefficients(n)
-    return [[-m] + [0] * (len(orb) - 1) for m, orb in zip(constants, basis.orbits)]
+    return _compatible(n)[1]
 
 
 def shift_embed(elem: NilElement, offset: int, n: int) -> NilElement:
@@ -160,7 +170,7 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
             continue
         if p < 5 or math.gcd(p, 6) != 1:
             raise DomainError(f"cycle length {p} is not realisable (must be 1 or coprime to 6)")
-        block = finite_order_element(p, compatible_residues(p))
+        block = _theta_delta(*_compatible(p))  # one orbit basis for the constants and theta
         result = mul(result, shift_embed(block, offset, n))
         offset += p
     return result

@@ -1,13 +1,15 @@
-"""Shared test helpers: random words, call counters, the independent oracles,
-and the helpers only tests read (expression formatting, Coxeter length, the
-closed-form orbit transversal).
+"""Shared test helpers: random words, the Hypothesis element strategy, call
+counters, the independent oracles, and the helpers only tests read
+(expression formatting, Coxeter length, the closed-form orbit transversal).
 
 The oracles are the permutation of a word and the strand-tracking normal form
 at level 1, the conjugation rules of one generator on one pair or triple, the
 eager letter-by-letter fold built on them, which relabels every graded entry
 on each letter, the bracket table of two pure generators with the pure-block
 merge that scans every resident against it, power by plain squaring, and the
-dense holonomy matrices with the CLI text they encode to.
+dense holonomy matrices with the CLI text they encode to.  The fold and merge
+oracles keep level 1 as a pair dict; pair_dict and adjacency convert to and
+from the strand adjacency of the group law.
 
 With the CI environment variable set, Hypothesis runs derandomized and
 without its example database, so a failing CI run repeats exactly; per-test
@@ -24,13 +26,17 @@ from itertools import combinations
 from typing import Iterable
 
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from braidnil.core import (
     BraidWord,
+    CommPart,
     NilElement,
     Pair,
     Permutation,
+    PurePart,
     Triple,
+    collect,
     comm_conjugation_map,
     identity,
     inv,
@@ -50,6 +56,21 @@ def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
     return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
 
 
+@st.composite
+def elements(draw, n=None, pure_only=False):
+    """A collected random word times random graded noise; with pure_only, the noise alone (q = 1)."""
+    n = draw(st.integers(1, 9)) if n is None else n
+    keys = list(pairs(n)) + list(triples(n))
+    noise = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=12)) if keys else {}
+    graded = NilElement(n, Permutation.identity(n),
+                        PurePart.from_map(n, {k: e for k, e in noise.items() if len(k) == 2}),
+                        CommPart.from_map(n, {k: e for k, e in noise.items() if len(k) == 3}))
+    if pure_only or n == 1:
+        return graded
+    letters = draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=3 * n))
+    return mul(collect(BraidWord(n, tuple(letters))), graded)
+
+
 def counted(monkeypatch, owner, name):
     """Replace owner.name (a module function or a static method) by a wrapper counting its calls.
 
@@ -65,6 +86,19 @@ def counted(monkeypatch, owner, name):
     static = isinstance(vars(owner).get(name), staticmethod)
     monkeypatch.setattr(owner, name, staticmethod(wrapper) if static else wrapper)
     return calls
+
+
+def pair_dict(nbr: list[dict[int, int]]) -> dict[Pair, int]:
+    """The pure exponents of a strand adjacency as the pair dict the oracles read."""
+    return {(u, v): e for u, row in enumerate(nbr) for v, e in row.items() if u < v}
+
+
+def adjacency(n: int, pure: dict[Pair, int]) -> list[dict[int, int]]:
+    """The strand adjacency of a pair dict: nbr[u][v] = nbr[v][u] = pure[(u, v)], row 0 empty."""
+    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for (u, v), e in pure.items():
+        nbr[u][v] = nbr[v][u] = e
+    return nbr
 
 
 def word_permutation(word: BraidWord) -> Permutation:

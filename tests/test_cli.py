@@ -294,6 +294,18 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert code == 2 and "nested deeper" in err
 
 
+@pytest.mark.parametrize("depth", [1000, 100000])
+@pytest.mark.parametrize("argv, wrap, what", [
+    pytest.param(["collect", "--n", "3"], '{{"a":{}}}', "element", id="element"),
+    pytest.param(["torsion", "--n", "5", "--residues"], '{{"residues":{}}}', "residue", id="residues"),
+])
+def test_deeply_nested_json_is_a_domain_error(capsys, depth, argv, wrap, what):
+    code, out, err = run(capsys, *argv, wrap.format("[" * depth + "]" * depth))
+    assert code == 3 and out == "" and err.startswith("domain error: ") and "Traceback" not in err
+    if depth > 1000:  # past every interpreter's recursion limit, so the decoder itself gives up
+        assert err.startswith(f"domain error: bad {what} JSON: ")
+
+
 def test_nesting_at_the_cap_still_parses(capsys):
     expected = run(capsys, "collect", "--n", "3", "s1")
     assert run(capsys, "collect", "--n", "3", "(" * _MAX_NESTING + "s1" + ")" * _MAX_NESTING) == expected

@@ -19,7 +19,7 @@ from braidnil.core import (
     mul,
     triples,
 )
-from conftest import _triple_action, eager_fold, random_word
+from conftest import _triple_action, adjacency, eager_fold, pair_dict, random_word
 
 
 def letters(n: int, max_size: int):
@@ -35,10 +35,11 @@ def states_and_letters(draw):
 
 
 def eager(state, word):
-    image, pure, comm = _thaw(state)
+    image, nbr, comm = _thaw(state)
+    pure = pair_dict(nbr)
     for k, eps in word:
         image = eager_fold(image, pure, comm, k, eps)
-    return _freeze(state.n, image, pure, comm)
+    return _freeze(state.n, image, adjacency(state.n, pure), comm)
 
 
 @settings(max_examples=300, deadline=None)

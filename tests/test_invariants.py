@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnil import invariants
 from braidnil.core import (
     BraidWord,
     DomainError,
@@ -30,7 +31,7 @@ from braidnil.invariants import (
     orientability_check,
 )
 from braidnil.orbits import cycle_element, orbit_partition
-from conftest import dense_holonomy, random_word, standard_transversal
+from conftest import counted, dense_holonomy, random_word, standard_transversal
 
 
 def newton_extrapolate(samples: list[int], start: int, x: int) -> Fraction:
@@ -113,6 +114,15 @@ class TestDimensions:
         rows = {2: [3, 6, 10, 15], 3: [4, 10, 20, 35], 4: [6, 20, 50, 105], 5: [9, 41, 131, 336]}
         for k, expected in rows.items():
             assert [t.entry(n, k) for n in (3, 4, 5, 6)] == expected
+
+    def test_each_cell_computes_one_rank(self, monkeypatch):
+        calls = counted(monkeypatch, invariants, "lcs_rank")
+        for n_max, k_max in ((3, 2), (6, 5), (9, 12)):
+            start = calls[0]
+            t = dimension_table(n_max, k_max)
+            assert calls[0] - start == (n_max - 2) * (k_max - 1) == len(t.entries)
+        assert [d for n, k, d in dimension_table(9, 12).entries] == \
+            [hirsch_length(n, k) for n in range(3, 10) for k in range(2, 13)]
 
     def test_render_and_rows(self):
         t = dimension_table(4, 3)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnil.core import BraidWord, _merge_pure_block, collect, identity, inv, mul, pairs, triples
-from conftest import scan_merge_pure_block
+from conftest import adjacency, pair_dict, scan_merge_pure_block
 
 EXPONENTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
@@ -17,6 +15,16 @@ def merged(merge, pure, comm, block):
     pure, comm = dict(pure), dict(comm)
     merge(pure, comm, block)
     return pure, comm
+
+
+def adjacency_merge(n: int):
+    """_merge_pure_block on the adjacency of a pair dict, written back in the oracle's pair-dict form."""
+    def merge(pure, comm, block):
+        nbr = adjacency(n, pure)
+        _merge_pure_block(nbr, comm, [(i, j, e) for (i, j), e in block])
+        pure.clear()
+        pure.update(pair_dict(nbr))
+    return merge
 
 
 @st.composite
@@ -53,7 +61,7 @@ def merge_cases(draw):
 @given(merge_cases())
 def test_closed_form_merge_equals_scan_oracle(case):
     n, pure, comm, block, cancel, comm_cancels = case
-    got = merged(partial(_merge_pure_block, n), pure, comm, block)
+    got = merged(adjacency_merge(n), pure, comm, block)
     assert got == merged(scan_merge_pure_block, pure, comm, block)
     assert not cancel & got[0].keys()
     assert not (comm_cancels and got[1])
@@ -61,7 +69,7 @@ def test_closed_form_merge_equals_scan_oracle(case):
 
 def test_cancellation_to_zero_in_pure_and_comm():
     # A[1,2] moves left past A[2,3]: [A[2,3], A[1,2]] = a[1,2,3]^-1 meets the resident a[1,2,3]
-    for merge in (scan_merge_pure_block, partial(_merge_pure_block, 4)):
+    for merge in (scan_merge_pure_block, adjacency_merge(4)):
         assert merged(merge, {(1, 2): -1, (2, 3): 1}, {(1, 2, 3): 1}, [((1, 2), 1)]) == ({(2, 3): 1}, {})
 
 
@@ -69,7 +77,7 @@ def test_every_bracket_family_is_met():
     # A[2,4] moves past A[3,4], A[2,5], A[4,5] with a bracket and past A[3,5] without;
     # A[1,4], A[2,3], A[1,5] precede it, so it does not move past them
     pure = {(3, 4): 5, (2, 5): 7, (4, 5): 11, (1, 4): 13, (2, 3): 17, (1, 5): 19, (3, 5): 23}
-    got = merged(partial(_merge_pure_block, 5), pure, {}, [((2, 4), 2)])
+    got = merged(adjacency_merge(5), pure, {}, [((2, 4), 2)])
     assert got == merged(scan_merge_pure_block, pure, {}, [((2, 4), 2)])
     assert got[1] == {(2, 3, 4): 2 * 5, (2, 4, 5): 2 * (7 - 11)}
 

@@ -15,26 +15,9 @@ from braidnil.core import (
     identity,
     inv,
     mul,
-    pairs,
     power,
-    triples,
 )
-from conftest import square_power
-
-
-@st.composite
-def elements(draw, n=None, pure_only=False):
-    """A collected random word times random graded noise; with pure_only, the noise alone (q = 1)."""
-    n = draw(st.integers(1, 9)) if n is None else n
-    keys = list(pairs(n)) + list(triples(n))
-    noise = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=12)) if keys else {}
-    graded = NilElement(n, Permutation.identity(n),
-                        PurePart.from_map(n, {k: e for k, e in noise.items() if len(k) == 2}),
-                        CommPart.from_map(n, {k: e for k, e in noise.items() if len(k) == 3}))
-    if pure_only or n == 1:
-        return graded
-    letters = draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=3 * n))
-    return mul(collect(BraidWord(n, tuple(letters))), graded)
+from conftest import elements, square_power
 
 
 def same_n_elements(count: int):

@@ -203,6 +203,11 @@ class TestCycleTypes:
         assert order(element_with_cycle_type(11, [11])) == 11
         assert calls[0] <= 2
 
+    def test_a_block_builds_one_orbit_basis(self, monkeypatch):
+        calls = counted(monkeypatch, orbits, "orbit_basis_of")
+        element_with_cycle_type(11, [11])
+        assert calls[0] == 1
+
     def test_a_first_column_residue_matrix_normalises_only_its_nonzero_cells(self, monkeypatch):
         calls = counted(monkeypatch, CommPart, "_norm")
         element_with_cycle_type(23, [23])
