@@ -156,6 +156,8 @@ class BraidWord:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("strand count must be at least 1")
         for k, eps in self.letters:
             if not 1 <= k <= self.n - 1:
                 raise DomainError(f"generator index {k} out of range for n={self.n}")
@@ -321,6 +323,8 @@ class NilElement:
     comm: CommPart
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError("strand count must be at least 1")
         if not (isinstance(self.perm, Permutation) and isinstance(self.pure, PurePart)
                 and isinstance(self.comm, CommPart)):
             raise DomainError("a NilElement is built from a Permutation, a PurePart and a CommPart")
@@ -332,8 +336,6 @@ class NilElement:
 
 
 def identity(n: int) -> NilElement:
-    if n < 1:
-        raise DomainError("strand count must be at least 1")
     return NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.zero(n))
 
 
@@ -464,7 +466,7 @@ def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
 def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int]) -> NilElement:
     pure_rows = tuple(sorted([(u, v, e) for u, row in enumerate(nbr) for v, e in row.items() if u < v]))
     comm_rows = tuple([(i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0])
-    return _trusted(NilElement, n=n, perm=Permutation(tuple(image)),
+    return _trusted(NilElement, n=n, perm=_trusted(Permutation, image=tuple(image)),
                     pure=_trusted(PurePart, n=n, entries=pure_rows),
                     comm=_trusted(CommPart, n=n, entries=comm_rows))
 

@@ -91,8 +91,6 @@ def cycle_element(n: int) -> NilElement:
     action factors through the permutation, so this lift serves for all n,
     even ones included.
     """
-    if n < 1:
-        raise DomainError("strand count must be at least 1")
     perm = Permutation(tuple(range(2, n + 1)) + (1,))
     return NilElement(n, perm, PurePart.zero(n), CommPart.zero(n))
 

@@ -24,6 +24,7 @@ Suites:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .core import (
     BraidWord,
@@ -66,13 +67,17 @@ class RelationReport:
         }
 
 
-def _run(suite: str, n: int, relations: list[tuple[str, BraidWord, BraidWord]]) -> RelationReport:
-    failures = []
-    for rid, lhs, rhs in relations:
+Relation = tuple[str, BraidWord, BraidWord]
+
+
+def _run(suite: str, n: int, relations: Iterable[Relation]) -> RelationReport:
+    """Collect both sides of each relation as it arrives, keeping only the failures and the count."""
+    failures, total = [], 0
+    for total, (rid, lhs, rhs) in enumerate(relations, 1):
         le, re = collect(lhs), collect(rhs)
         if le != re:
             failures.append((rid, le, re))
-    return RelationReport(suite, n, len(relations), tuple(failures))
+    return RelationReport(suite, n, total, tuple(failures))
 
 
 def _empty(n: int) -> BraidWord:
@@ -93,23 +98,26 @@ def pure_presentation(n: int) -> RelationReport:
     """
     if n < 3:
         raise DomainError("pure presentation needs at least 3 strands")
-    rels: list[tuple[str, BraidWord, BraidWord]] = []
+    return _run("pn3", n, _pure_relations(n))
+
+
+def _pure_relations(n: int) -> Iterator[Relation]:
     trips = list(triples(n))
     prs = list(pairs(n))
     for a in range(len(trips)):
         for b in range(a + 1, len(trips)):
-            rels.append((
+            yield (
                 f"central[a{trips[a]},a{trips[b]}]",
                 commutator_word(comm_gen_word(n, trips[a]), comm_gen_word(n, trips[b])),
                 _empty(n),
-            ))
+            )
     for t in trips:
         for p in prs:
-            rels.append((
+            yield (
                 f"central[a{t},A{p}]",
                 commutator_word(comm_gen_word(n, t), pure_gen_word(n, *p)),
                 _empty(n),
-            ))
+            )
     for p in prs:
         for q in prs:
             lhs = commutator_word(pure_gen_word(n, *p), pure_gen_word(n, *q))
@@ -126,8 +134,7 @@ def pure_presentation(n: int) -> RelationReport:
                 else:
                     sign = 1 if u > v else -1
                 rhs = comm_gen_word(n, t) if sign == 1 else comm_gen_word(n, t).inverse()
-            rels.append((f"pair-table[A{p},A{q}]", lhs, rhs))
-    return _run("pn3", n, rels)
+            yield f"pair-table[A{p},A{q}]", lhs, rhs
 
 
 def braid_presentation(n: int) -> RelationReport:
@@ -139,16 +146,19 @@ def braid_presentation(n: int) -> RelationReport:
     """
     if n < 3:
         raise DomainError("braid presentation needs at least 3 strands")
-    rels: list[tuple[str, BraidWord, BraidWord]] = []
+    return _run("bn3", n, _braid_relations(n))
+
+
+def _braid_relations(n: int) -> Iterator[Relation]:
     for i in range(1, n - 1):
         for j in range(i + 2, n):
-            rels.append((f"commuting[{i},{j}]", _gen(n, i) * _gen(n, j), _gen(n, j) * _gen(n, i)))
+            yield f"commuting[{i},{j}]", _gen(n, i) * _gen(n, j), _gen(n, j) * _gen(n, i)
     for i in range(1, n - 1):
-        rels.append((
+        yield (
             f"braid[{i}]",
             _gen(n, i + 1) * _gen(n, i) * _gen(n, i + 1),
             _gen(n, i) * _gen(n, i + 1) * _gen(n, i),
-        ))
+        )
     for k in range(1, n):
         for (i, j) in pairs(n):
             lhs = _gen(n, k) * pure_gen_word(n, i, j) * _gen(n, k, -1)
@@ -160,7 +170,7 @@ def braid_presentation(n: int) -> RelationReport:
                 a = k + 1 if i == k else k if i == k + 1 else i
                 b = k + 1 if j == k else k if j == k + 1 else j
                 rhs = pure_gen_word(n, a, b)
-            rels.append((f"action-pair[k={k},A({i},{j})]", lhs, rhs))
+            yield f"action-pair[k={k},A({i},{j})]", lhs, rhs
         for t in triples(n):
             lhs = _gen(n, k) * comm_gen_word(n, t) * _gen(n, k, -1)
             image = sorted(k + 1 if x == k else k if x == k + 1 else x for x in t)
@@ -168,8 +178,7 @@ def braid_presentation(n: int) -> RelationReport:
             rhs = comm_gen_word(n, tuple(image))
             if flip:
                 rhs = rhs.inverse()
-            rels.append((f"action-triple[k={k},a{t}]", lhs, rhs))
-    return _run("bn3", n, rels)
+            yield f"action-triple[k={k},a{t}]", lhs, rhs
 
 
 SUBGROUPS = ("trivial", "order2", "order3", "s3")

@@ -237,30 +237,33 @@ def conjugating_permutation(pa: Permutation, pb: Permutation) -> Permutation:
 
 
 def _solve_level(basis: OrbitBasis, want: PurePart | CommPart, have: PurePart | CommPart):
-    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit; None if some row r sums to nonzero.
+    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit.
 
     Rows r and x are the orbit layouts of want - have and of the result, so x
     is the prefix sum of r.  The differences around an orbit cycle sum to zero,
-    so the row sum is the obstruction.
+    so a nonzero row sum is the obstruction: it raises DomainError naming the
+    level, the orbit and the sum.
     """
     xs = []
-    for w, h in zip(coefficients_by_orbit(basis, want), coefficients_by_orbit(basis, have)):
+    for i, (w, h) in enumerate(zip(coefficients_by_orbit(basis, want), coefficients_by_orbit(basis, have))):
         r = [u - v for u, v in zip(w, h)]
-        if sum(r) != 0:
-            return None
+        if sum(r):
+            level = "level 1 (pair orbits)" if type(want) is PurePart else "level 2 (triple orbits)"
+            raise DomainError(f"witness {level} failed: orbit {i} at {basis.orbits[i][0][0]} has row sum {sum(r)}")
         xs.append(list(accumulate(r[:-1], initial=0)))
     return part_from_orbits(type(want), basis, xs)
 
 
-def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement | None:
-    """An explicit g with conj(g, a) = b, or None when no witness is found.
+def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
+    """An explicit g with conj(g, a) = b.
 
     Raises DomainError unless conjugacy_decide(a, b) holds, so a caller
     needs no separate decision.  Steps: (1) conjugate a by the
     lift of a permutation aligning the cycles; (2) match the level-1 parts by
     solving circulant systems over the pair orbits of the common permutation;
-    (3) match the level-2 parts likewise over the signed triple orbits.  The
-    returned element is verified by direct multiplication first.
+    (3) match the level-2 parts likewise over the signed triple orbits; (4)
+    verify g by direct multiplication.  A stage that fails raises DomainError
+    naming it, as does orbit_basis_of for a triple orbit closing with sign -1.
     """
     if not conjugacy_decide(a, b):
         raise DomainError("witness requires conjugate inputs (equal cycle types)")
@@ -271,27 +274,18 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement | None:
     g1 = NilElement(n, conjugating_permutation(a.perm, b.perm), zero_p, zero_c)
     a1 = conj(g1, a)
     if a1.perm != b.perm:
-        return None
+        raise DomainError(f"witness permutation alignment failed: got {list(a1.perm.image)}, want {list(b.perm.image)}")
 
     # (2) level-1 circulant systems over the pair orbits, where every sign is +1
     pmap = pure_conjugation_map(b.perm)
     level1 = _solve_level(OrbitBasis(n, signed_orbits(pairs(n), lambda p: (pmap[p], 1))), b.pure, a1.pure)
-    if level1 is None:
-        return None
     g2 = NilElement(n, Permutation.identity(n), level1, zero_c)
-    a2 = conj(g2, a1)
-    if a2.perm != b.perm or a2.pure != b.pure:
-        return None
 
     # (3) level-2 circulant systems in the signed triple orbits of conjugation by b
-    try:
-        basis = orbit_basis_of(b)
-    except DomainError:
-        return None
-    level2 = _solve_level(basis, b.comm, a2.comm)
-    if level2 is None:
-        return None
+    level2 = _solve_level(orbit_basis_of(b), b.comm, conj(g2, a1).comm)
     g3 = NilElement(n, Permutation.identity(n), zero_p, level2)
 
     g = mul(g3, mul(g2, g1))
-    return g if conj(g, a) == b else None
+    if conj(g, a) != b:
+        raise DomainError("witness final check failed: conj(g, a) differs from b")
+    return g

@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidnil
-from braidnil import presentations
+from braidnil import orbits, presentations, torsion
 from braidnil.cli import main
 from braidnil.core import (
+    Permutation,
     collect,
     comm_gen,
     dumps_canonical,
@@ -28,11 +29,14 @@ from braidnil.core import (
     identity,
     inv,
     mul,
+    pairs,
     power,
     pure_gen,
     sigma,
+    triples,
 )
 from braidnil.expr import _MAX_NESTING
+from braidnil.orbits import OrbitBasis
 from braidnil.torsion import SPECTRUM_MAX_N, delta, element_with_cycle_type, finite_order_element
 from conftest import counted, dense_holonomy, holonomy_json, holonomy_pretty, random_word
 
@@ -126,6 +130,23 @@ def test_torsion_subcommands(capsys):
     assert json.loads(out)["order"] == 5
 
 
+@pytest.mark.parametrize("parts", ["", ","])
+def test_an_empty_cycle_type_is_the_identity(capsys, parts):
+    code, out, err = run(capsys, "torsion", "--n", "5", "--cycle-type", parts)
+    assert (code, err) == (0, "")
+    assert out == '{"element":{"comm":[],"n":5,"perm":[1,2,3,4,5],"pure":[]},"n":5,"order":1,"parts":[]}\n'
+
+
+@pytest.mark.parametrize("residues, stderr", [
+    pytest.param('{"n":7,"residues":[]}', "residue matrix strand count disagrees with --n", id="strand-count"),
+    pytest.param('{"n":5}', "bad residue JSON: 'residues'", id="missing-key"),
+    pytest.param('{"n":5,"residues":7}', "bad residue JSON: 'int' object is not iterable", id="not-a-list"),
+])
+def test_bad_residue_json_exits_3(capsys, residues, stderr):
+    code, out, err = run(capsys, "torsion", "--n", "5", "--residues", residues)
+    assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
+
+
 def test_torsion_spectrum_at_80_strands_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "torsion", "--n", "80", "--spectrum")
@@ -181,6 +202,31 @@ def test_small_n_witness_is_flagged(capsys):
                    '"witness":{"comm":[],"n":3,"perm":[1,2,3],"pure":[]}}\n')
 
 
+@pytest.mark.parametrize("module, name, fake, stage", [
+    # the aligning conjugator is the identity, so a keeps its permutation
+    pytest.param(torsion, "conjugating_permutation", lambda pa, pb: Permutation.identity(pa.n),
+                 "witness permutation alignment failed: got [2, 3, 4, 5, 1], want [3, 4, 2, 5, 1]",
+                 id="alignment"),
+    # every pair and every triple is its own orbit, so a row sum is a bare coefficient difference
+    pytest.param(torsion, "pure_conjugation_map", lambda perm: {p: p for p in pairs(perm.n)},
+                 "witness level 1 (pair orbits) failed: orbit 0 at (1, 2) has row sum -1", id="level-1-row-sum"),
+    pytest.param(torsion, "orbit_basis_of", lambda g: OrbitBasis(g.n, tuple(((t, 1),) for t in triples(g.n))),
+                 "witness level 2 (triple orbits) failed: orbit 1 at (1, 2, 4) has row sum -3",
+                 id="level-2-row-sum"),
+    # every triple is fixed with sign -1, so no triple orbit closes
+    pytest.param(orbits, "comm_conjugation_map", lambda perm: {t: (t, -1) for t in triples(perm.n)},
+                 "orbit of (1, 2, 3) closes with sign -1", id="level-2-sign-closure"),
+    # the product drops the level-1 and permutation factors
+    pytest.param(torsion, "mul", lambda x, y: x, "witness final check failed: conj(g, a) differs from b",
+                 id="final-check"),
+])
+def test_a_failed_witness_stage_exits_3_naming_it(capsys, monkeypatch, module, name, fake, stage):
+    monkeypatch.setattr(module, name, fake)
+    a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
+    code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", a, f"A[1,2] s2 ({a}) s2^-1 A[1,2]^-1")
+    assert (code, out, err) == (3, "", f"domain error: {stage}\n")
+
+
 def test_a_witness_request_decides_conjugacy_once(capsys, monkeypatch):
     calls = counted(monkeypatch, braidnil.torsion, "order")
     a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
@@ -223,6 +269,11 @@ def test_holonomy_paper_basis_equals_the_dense_oracle(capsys):
         assert run(capsys, "holonomy", "--n", "3", expr, "--paper-basis", "--pretty") == (0, holonomy_pretty(doc), "")
 
 
+def test_paper_basis_off_three_strands_exits_3(capsys):
+    code, out, err = run(capsys, "holonomy", "--n", "4", "s1", "--paper-basis")
+    assert (code, out, err) == (3, "", "domain error: --paper-basis is only defined for n=3\n")
+
+
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_holonomy_memory_stays_bounded(pretty):
     # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB
@@ -257,6 +308,27 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "pn3", "--n", "3")
     assert code == 1
     assert json.loads(out)["reports"][0]["failed"] == 1
+
+
+@pytest.mark.parametrize("suite", ["pn3", "bn3", "fulltwist"])
+def test_verify_without_n_exits_3(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite)
+    assert (code, out, err) == (3, "", f"domain error: --n is required for suite {suite}\n")
+
+
+def test_collect_pretty(capsys):
+    code, out, err = run(capsys, "collect", "--n", "3", "--pretty", "s1 A[1,3] a[1,2,3]")
+    assert (code, out, err) == (0, "perm=[2, 1, 3] A[1,3]^1 a[1,2,3]^1\n", "")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("command, arg", [
+    pytest.param("collect", '{{"n":{n},"word":[]}}', id="word"),
+    pytest.param("order", '{{"n":{n},"perm":[]}}', id="element"),
+])
+def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
+    code, out, err = run(capsys, command, "--n", n, arg.format(n=n))
+    assert (code, out, err) == (3, "", "domain error: strand count must be at least 1\n")
 
 
 def test_parse_error_exit_code(capsys):

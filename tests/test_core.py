@@ -417,6 +417,15 @@ class TestDegenerateStrandCounts:
         assert mul(s, s) == pure_gen(2, 1, 2)
         assert list(triples(2)) == []
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_constructors_reject_fewer_than_one_strand(self, n):
+        with pytest.raises(DomainError, match="^strand count must be at least 1$"):
+            BraidWord(n, ())
+        with pytest.raises(DomainError, match="^strand count must be at least 1$"):
+            NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.zero(n))
+        with pytest.raises(DomainError, match="^strand count must be at least 1$"):
+            identity(n)
+
 
 class TestImmutability:
     def test_values_are_frozen(self):
@@ -498,6 +507,19 @@ class TestCanonicalForm:
             e = NilElement(n, Permutation.identity(n), *(
                 (canonical, CommPart.zero(n)) if part is PurePart else (PurePart.zero(n), canonical)))
             assert e.is_identity() == (not rows)
+
+    def test_the_group_law_runs_no_permutation_check(self, monkeypatch):
+        # the fold keeps the image a permutation, so results are built unchecked
+        rng = random.Random(67)
+        word = random_word(rng, 6, 30)
+        x, y = collect(random_word(rng, 6, 30)), collect(random_word(rng, 6, 30))
+        expected = (collect(word), mul(x, y), inv(x))
+
+        def checked(self):
+            raise AssertionError(f"checked Permutation {self.image}")
+
+        monkeypatch.setattr(Permutation, "__post_init__", checked)
+        assert (collect(word), mul(x, y), inv(x)) == expected
 
     def test_comm_gen_rejects_a_pair(self):
         with pytest.raises(DomainError):

@@ -48,7 +48,8 @@ def test_an_orbit_closing_with_sign_minus_one_raises():
 def test_level_solver_rejects_a_nonzero_row_sum_at_level_one():
     five_cycle = Permutation((2, 3, 4, 5, 1))
     basis = pair_orbits(five_cycle)
-    assert _solve_level(basis, PurePart.from_map(5, {(1, 2): 1}), PurePart.zero(5)) is None
+    with pytest.raises(DomainError, match=r"^witness level 1 \(pair orbits\) failed: orbit 0 at \(1, 2\) has row sum 1$"):
+        _solve_level(basis, PurePart.from_map(5, {(1, 2): 1}), PurePart.zero(5))
     # the same entry against itself leaves every row at zero
     one = PurePart.from_map(5, {(1, 2): 1})
     assert _solve_level(basis, one, one) == PurePart.zero(5)
@@ -56,8 +57,11 @@ def test_level_solver_rejects_a_nonzero_row_sum_at_level_one():
 
 def test_level_solver_rejects_a_nonzero_row_sum_at_level_two():
     basis = orbit_partition(5)
-    assert _solve_level(basis, CommPart.from_map(5, {(1, 2, 3): 1}), CommPart.zero(5)) is None
-    assert _solve_level(basis, CommPart.zero(5), CommPart.from_map(5, {(1, 2, 4): -2})) is None
+    # orbit_partition(5) has two orbits, from (1, 2, 3) and from (1, 2, 4)
+    with pytest.raises(DomainError, match=r"^witness level 2 \(triple orbits\) failed: orbit 0 at \(1, 2, 3\) has row sum 1$"):
+        _solve_level(basis, CommPart.from_map(5, {(1, 2, 3): 1}), CommPart.zero(5))
+    with pytest.raises(DomainError, match=r"^witness level 2 \(triple orbits\) failed: orbit 1 at \(1, 2, 4\) has row sum 2$"):
+        _solve_level(basis, CommPart.zero(5), CommPart.from_map(5, {(1, 2, 4): -2}))
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,18 @@ def test_braid_presentation_relation_count(n):
     braid = n - 2
     actions = (n - 1) * (math.comb(n, 2) + math.comb(n, 3))
     assert braid_presentation(n).total == commuting + braid + actions
+
+
+@pytest.mark.parametrize("suite, n", [(pure_presentation, 6), (braid_presentation, 9)])
+def test_suites_hold_one_relation_at_a_time(suite, n):
+    # building all 715 and 988 relations before collecting any peaked at 2.2 and 2.3 MiB
+    tracemalloc.start()
+    try:
+        report = suite(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and peak < 2**20
 
 
 @pytest.mark.parametrize("subgroup", SUBGROUPS)
