@@ -243,7 +243,8 @@ def _trusted(cls, **fields):
 class _Coordinates:
     """Finite integer exponent map on sorted index keys; entries are (*key, exponent), lex-sorted, none zero.
 
-    A subclass supplies `_norm(key, n)`: the checked key, sorted, and the sign of the sort.
+    A subclass supplies `keys(n)`, its canonical keys in lex order; `_sort(*key)`, the
+    unchecked canonical key with its sign (the key symmetry); and `_norm(key, n)`, the same checked.
     The constructor accepts canonical entries only; from_map canonicalises any others.
     """
 
@@ -290,6 +291,12 @@ class PurePart(_Coordinates):
     """Exponents on the pure generators A[i,j]; entries are (i, j, exponent), lex-sorted."""
 
     entries: tuple[tuple[int, int, int], ...]
+    keys = staticmethod(pairs)
+
+    @staticmethod
+    def _sort(i: int, j: int) -> tuple[Pair, int]:
+        """A[j,i] = A[i,j], so the sign is always +1."""
+        return ((i, j) if i < j else (j, i)), 1
 
     @staticmethod
     def _norm(key: Pair, n: int) -> tuple[Pair, int]:
@@ -303,6 +310,8 @@ class CommPart(_Coordinates):
     """Exponents on the basis commutators a[i,j,k]; entries are (i, j, k, exponent), lex-sorted."""
 
     entries: tuple[tuple[int, int, int, int], ...]
+    keys = staticmethod(triples)
+    _sort = staticmethod(_sort3)
 
     @staticmethod
     def _norm(t: Iterable[int], n: int) -> tuple[Triple, int]:
@@ -597,32 +606,23 @@ def order(a: NilElement):
 
 
 # ---------------------------------------------------------------------------
-# Conjugation action maps (they only depend on the permutation)
+# The conjugation action on both levels (it only depends on the permutation)
 # ---------------------------------------------------------------------------
 
-def pure_conjugation_map(perm: Permutation) -> dict[Pair, Pair]:
-    """Pair relabelling induced by conjugation by any element with this permutation.
+def conjugation_map(perm: Permutation,
+                    cls: type[PurePart] | type[CommPart]) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """Signed relabelling of cls's keys induced by conjugation by any element with this permutation.
 
-    Conjugation by g sends A[i,j] to A at the images of i, j under the inverse
-    permutation of g, up to a central level-2 factor.
+    A key goes to cls's sorted form of its image under the inverse permutation,
+    with that form's sign: +1 for a pair, the sign of the sort for a triple.  This
+    is what the per-generator rules folded along any reduced word give, up to a
+    central level-2 factor on a pair; the kernel of the permutation map acts
+    trivially on level 2, so the map is exact for every element with this
+    permutation.
     """
-    inv_img = perm.inverse().image
-    return {(i, j): _norm_pair(inv_img[i - 1], inv_img[j - 1], perm.n) for i, j in pairs(perm.n)}
-
-
-def comm_conjugation_map(perm: Permutation) -> dict[Triple, tuple[Triple, int]]:
-    """Signed triple relabelling induced by conjugation by an element with this permutation.
-
-    The triple t goes to (sort(perm^-1(t)), sign of the sort), which is
-    what the per-generator rule folded along any reduced word gives; the kernel of
-    the permutation map acts trivially on level 2, so this is exact for every
-    element with the given permutation.
-    """
-    inv_img = perm.inverse().image
-    return {
-        (a, b, c): _sort3(inv_img[a - 1], inv_img[b - 1], inv_img[c - 1])
-        for a, b, c in triples(perm.n)
-    }
+    at = ((0,) + perm.inverse().image).__getitem__
+    sort = cls._sort
+    return {key: sort(*map(at, key)) for key in cls.keys(perm.n)}
 
 
 # ---------------------------------------------------------------------------

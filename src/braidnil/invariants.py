@@ -11,15 +11,15 @@ The Hirsch length of the class-(k-1) quotient, which is the dimension of the
 ambient almost-crystallographic group, is the sum of the first k-1 ranks.
 
 Holonomy matrices record the conjugation action of an element on the two
-graded lattices: an unsigned permutation on pair coordinates and a signed
-permutation on triple coordinates.  Both blocks are stored as signed
-permutations, O(C(n,3)) integers rather than O(C(n,3)^2) matrix cells; the
-dense matrix exists only as combined_matrix's view, and the CLI splices its
-text rows straight from the permutations.  Determinant +1 on every
-generator of a finite quotient group is the orientability criterion for the
-corresponding infra-nilmanifold.  Bases are lexicographic unless an explicit
-order is passed (the 3-strand regression uses the ordering of the source
-matrices).
+graded lattices, core.conjugation_map at each level: all signs are +1 on
+pair coordinates, and the triple coordinates carry the signs of the sort.
+Both blocks are stored as signed permutations, O(C(n,3)) integers rather
+than O(C(n,3)^2) matrix cells; the dense matrix exists only as
+combined_matrix's view, and the CLI splices its text rows straight from the
+permutations.  Determinant +1 on every generator of a finite quotient group
+is the orientability criterion for the corresponding infra-nilmanifold.
+Bases are lexicographic unless an explicit order is passed (the 3-strand
+regression uses the ordering of the source matrices).
 """
 
 from __future__ import annotations
@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (
+    CommPart,
     DomainError,
     NilElement,
     Pair,
+    PurePart,
     Triple,
-    comm_conjugation_map,
-    pairs,
-    pure_conjugation_map,
-    triples,
+    conjugation_map,
 )
 
 __all__ = [
@@ -185,23 +184,24 @@ class HolonomyMatrix:
 def holonomy_matrix(g: NilElement,
                     pair_basis: tuple[Pair, ...] | None = None,
                     triple_basis: tuple[Triple, ...] | None = None) -> HolonomyMatrix:
-    """The graded conjugation action of g, which only depends on its permutation."""
-    n = g.n
-    pair_basis = tuple(pairs(n)) if pair_basis is None else tuple(pair_basis)
-    triple_basis = tuple(triples(n)) if triple_basis is None else tuple(triple_basis)
-    pidx = {p: i for i, p in enumerate(pair_basis)}
-    tidx = {t: i for i, t in enumerate(triple_basis)}
-    if len(pidx) != math.comb(n, 2) or len(tidx) != math.comb(n, 3):
-        raise DomainError("basis orders must enumerate every pair / triple exactly once")
+    """The graded conjugation action of g, which only depends on its permutation.
 
-    pmap = pure_conjugation_map(g.perm)
-    pair_rows = tuple(pidx[pmap[p]] for p in pair_basis)
-    cmap = comm_conjugation_map(g.perm)
-    images = [cmap[t] for t in triple_basis]
-    triple_rows = tuple(tidx[t] for t, _ in images)
-    triple_signs = tuple(s for _, s in images)
-    det = _permutation_parity(pair_rows) * _permutation_parity(triple_rows) * math.prod(triple_signs)
-    return HolonomyMatrix(n, pair_basis, triple_basis, pair_rows, triple_rows, triple_signs, det)
+    Each basis order must be a rearrangement of the canonical pair or triple
+    keys; anything else raises DomainError.
+    """
+    blocks, det = [], 1
+    for cls, basis in ((PurePart, pair_basis), (CommPart, triple_basis)):
+        act = conjugation_map(g.perm, cls)
+        basis = tuple(act) if basis is None else tuple(basis)
+        idx = {key: i for i, key in enumerate(basis)}
+        if len(idx) != len(basis) or idx.keys() != act.keys():
+            raise DomainError("basis orders must enumerate every pair / triple exactly once")
+        images = [act[key] for key in basis]
+        rows, signs = tuple(idx[key] for key, _ in images), tuple(s for _, s in images)
+        det *= _permutation_parity(rows) * math.prod(signs)
+        blocks.append((basis, rows, signs))
+    (pair_basis, pair_rows, _), (triple_basis, triple_rows, triple_signs) = blocks
+    return HolonomyMatrix(g.n, pair_basis, triple_basis, pair_rows, triple_rows, triple_signs, det)
 
 
 def combined_matrix(h: HolonomyMatrix) -> tuple[tuple[int, ...], ...]:

@@ -2,13 +2,14 @@
 Signed orbits of the pair and triple bases under conjugation.
 
 signed_orbits is the one orbit walk, with first-seen representatives:
-orbit_basis_of runs it over the triples in lex order, and the conjugacy
-witness of torsion.py over the pairs too.  The standard acting element on n
-strands is delta(0, n, n) (see torsion.py); its conjugation action permutes
-the basis triples with all signs +1, descending every index by one modulo n.
-When 3 divides n there is a single short orbit of length n/3, consisting of
-the equally-spaced triples; under first-seen ordering it is always listed
-last, since every other orbit owns a lex-smaller representative.
+orbit_basis_of runs it over the pairs or the triples in lex order, stepping
+by core.conjugation_map, for both levels of the conjugacy witness of
+torsion.py.  The standard acting element on n strands is delta(0, n, n) (see
+torsion.py); its conjugation action permutes the basis triples with all
+signs +1, descending every index by one modulo n.  When 3 divides n there is
+a single short orbit of length n/3, consisting of the equally-spaced
+triples; under first-seen ordering it is always listed last, since every
+other orbit owns a lex-smaller representative.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .core import (
     NilElement,
     Permutation,
     PurePart,
-    comm_conjugation_map,
-    triples,
+    conjugation_map,
 )
 
 Key = tuple[int, ...]  # a pair or a triple
@@ -78,9 +78,9 @@ def signed_orbits(keys: Iterable[Key], step: Callable[[Key], tuple[Key, int]]) -
     return tuple(orbits)
 
 
-def orbit_basis_of(g: NilElement) -> OrbitBasis:
-    """The triple basis, in lex order, in signed orbits of conjugation by g; only g's permutation acts."""
-    return OrbitBasis(g.n, signed_orbits(triples(g.n), comm_conjugation_map(g.perm).__getitem__))
+def orbit_basis_of(g: NilElement, cls: type[PurePart] | type[CommPart]) -> OrbitBasis:
+    """cls's key basis, in lex order, in signed orbits of conjugation by g; only g's permutation acts."""
+    return OrbitBasis(g.n, signed_orbits(cls.keys(g.n), conjugation_map(g.perm, cls).__getitem__))
 
 
 def cycle_element(n: int) -> NilElement:
@@ -105,7 +105,7 @@ def orbit_partition(n: int) -> OrbitBasis:
     """
     if n < 3:
         raise DomainError("orbit partition needs at least 3 strands")
-    basis = orbit_basis_of(cycle_element(n))
+    basis = orbit_basis_of(cycle_element(n), CommPart)
     lengths = sorted(basis.lengths())
     if n % 3 == 0:
         expected = sorted([n] * (n * (n - 3) // 6) + [n // 3])

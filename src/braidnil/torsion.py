@@ -37,12 +37,9 @@ from .core import (
     identity,
     mul,
     order,
-    pairs,
     power,
-    pure_conjugation_map,
 )
-from .orbits import (OrbitBasis, coefficients_by_orbit, orbit_basis_of, orbit_partition, part_from_orbits,
-                     signed_orbits)
+from .orbits import OrbitBasis, coefficients_by_orbit, orbit_basis_of, orbit_partition, part_from_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +233,23 @@ def conjugating_permutation(pa: Permutation, pb: Permutation) -> Permutation:
     return Permutation(tuple(image))
 
 
-def _solve_level(basis: OrbitBasis, want: PurePart | CommPart, have: PurePart | CommPart):
-    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit.
+def _solve_level(b: NilElement, want: PurePart | CommPart, have: PurePart | CommPart):
+    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit of conjugation by b.
 
     Rows r and x are the orbit layouts of want - have and of the result, so x
     is the prefix sum of r.  The differences around an orbit cycle sum to zero,
-    so a nonzero row sum is the obstruction: it raises DomainError naming the
-    level, the orbit and the sum.
+    so a nonzero row sum is the obstruction.  It raises DomainError naming the
+    level and either the orbit and its row sum or the orbit that closes with sign -1.
     """
+    level = "level 1 (pair orbits)" if type(want) is PurePart else "level 2 (triple orbits)"
+    try:
+        basis = orbit_basis_of(b, type(want))
+    except DomainError as err:
+        raise DomainError(f"witness {level} failed: {err}") from err
     xs = []
     for i, (w, h) in enumerate(zip(coefficients_by_orbit(basis, want), coefficients_by_orbit(basis, have))):
         r = [u - v for u, v in zip(w, h)]
         if sum(r):
-            level = "level 1 (pair orbits)" if type(want) is PurePart else "level 2 (triple orbits)"
             raise DomainError(f"witness {level} failed: orbit {i} at {basis.orbits[i][0][0]} has row sum {sum(r)}")
         xs.append(list(accumulate(r[:-1], initial=0)))
     return part_from_orbits(type(want), basis, xs)
@@ -260,10 +261,9 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
     Raises DomainError unless conjugacy_decide(a, b) holds, so a caller
     needs no separate decision.  Steps: (1) conjugate a by the
     lift of a permutation aligning the cycles; (2) match the level-1 parts by
-    solving circulant systems over the pair orbits of the common permutation;
-    (3) match the level-2 parts likewise over the signed triple orbits; (4)
-    verify g by direct multiplication.  A stage that fails raises DomainError
-    naming it, as does orbit_basis_of for a triple orbit closing with sign -1.
+    solving circulant systems over the pair orbits of conjugation by b; (3)
+    match the level-2 parts likewise over its signed triple orbits; (4) verify
+    g by direct multiplication.  A stage that fails raises DomainError naming it.
     """
     if not conjugacy_decide(a, b):
         raise DomainError("witness requires conjugate inputs (equal cycle types)")
@@ -276,14 +276,11 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
     if a1.perm != b.perm:
         raise DomainError(f"witness permutation alignment failed: got {list(a1.perm.image)}, want {list(b.perm.image)}")
 
-    # (2) level-1 circulant systems over the pair orbits, where every sign is +1
-    pmap = pure_conjugation_map(b.perm)
-    level1 = _solve_level(OrbitBasis(n, signed_orbits(pairs(n), lambda p: (pmap[p], 1))), b.pure, a1.pure)
-    g2 = NilElement(n, Permutation.identity(n), level1, zero_c)
+    # (2) level-1 circulant systems over the pair orbits of conjugation by b, where every sign is +1
+    g2 = NilElement(n, Permutation.identity(n), _solve_level(b, b.pure, a1.pure), zero_c)
 
-    # (3) level-2 circulant systems in the signed triple orbits of conjugation by b
-    level2 = _solve_level(orbit_basis_of(b), b.comm, conj(g2, a1).comm)
-    g3 = NilElement(n, Permutation.identity(n), zero_p, level2)
+    # (3) level-2 circulant systems over the signed triple orbits of conjugation by b
+    g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b, b.comm, conj(g2, a1).comm))
 
     g = mul(g3, mul(g2, g1))
     if conj(g, a) != b:

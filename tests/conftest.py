@@ -37,12 +37,11 @@ from braidnil.core import (
     PurePart,
     Triple,
     collect,
-    comm_conjugation_map,
+    conjugation_map,
     identity,
     inv,
     mul,
     pairs,
-    pure_conjugation_map,
     triples,
 )
 
@@ -417,14 +416,14 @@ def dense_holonomy(g: NilElement, pair_basis=None, triple_basis=None) -> dict:
     triple_basis = list(triples(n)) if triple_basis is None else list(triple_basis)
     pidx = {p: i for i, p in enumerate(pair_basis)}
     tidx = {t: i for i, t in enumerate(triple_basis)}
-    pmap = pure_conjugation_map(g.perm)
+    pmap = conjugation_map(g.perm, PurePart)
     m1 = [[0] * len(pair_basis) for _ in pair_basis]
     perm1 = [0] * len(pair_basis)
     for p, col in pidx.items():
-        row = pidx[pmap[p]]
+        row = pidx[pmap[p][0]]
         m1[row][col] = 1
         perm1[col] = row
-    cmap = comm_conjugation_map(g.perm)
+    cmap = conjugation_map(g.perm, CommPart)
     m2 = [[0] * len(triple_basis) for _ in triple_basis]
     perm2 = [0] * len(triple_basis)
     for t, col in tidx.items():

@@ -21,15 +21,16 @@ from braidnil import orbits, presentations, torsion
 from braidnil.cli import main
 from braidnil.core import (
     Permutation,
+    PurePart,
     collect,
     comm_gen,
+    conjugation_map,
     dumps_canonical,
     element_from_dict,
     element_to_dict,
     identity,
     inv,
     mul,
-    pairs,
     power,
     pure_gen,
     sigma,
@@ -207,15 +208,20 @@ def test_small_n_witness_is_flagged(capsys):
     pytest.param(torsion, "conjugating_permutation", lambda pa, pb: Permutation.identity(pa.n),
                  "witness permutation alignment failed: got [2, 3, 4, 5, 1], want [3, 4, 2, 5, 1]",
                  id="alignment"),
-    # every pair and every triple is its own orbit, so a row sum is a bare coefficient difference
-    pytest.param(torsion, "pure_conjugation_map", lambda perm: {p: p for p in pairs(perm.n)},
+    # every pair, and at level 2 every triple, is its own orbit, so a row sum is a bare coefficient difference
+    pytest.param(orbits, "conjugation_map", lambda perm, cls: {k: (k, 1) for k in cls.keys(perm.n)},
                  "witness level 1 (pair orbits) failed: orbit 0 at (1, 2) has row sum -1", id="level-1-row-sum"),
-    pytest.param(torsion, "orbit_basis_of", lambda g: OrbitBasis(g.n, tuple(((t, 1),) for t in triples(g.n))),
+    pytest.param(torsion, "orbit_basis_of",
+                 lambda g, cls: orbits.orbit_basis_of(g, cls) if cls is PurePart
+                 else OrbitBasis(g.n, tuple(((t, 1),) for t in triples(g.n))),
                  "witness level 2 (triple orbits) failed: orbit 1 at (1, 2, 4) has row sum -3",
                  id="level-2-row-sum"),
     # every triple is fixed with sign -1, so no triple orbit closes
-    pytest.param(orbits, "comm_conjugation_map", lambda perm: {t: (t, -1) for t in triples(perm.n)},
-                 "orbit of (1, 2, 3) closes with sign -1", id="level-2-sign-closure"),
+    pytest.param(orbits, "conjugation_map",
+                 lambda perm, cls: conjugation_map(perm, cls) if cls is PurePart
+                 else {t: (t, -1) for t in triples(perm.n)},
+                 "witness level 2 (triple orbits) failed: orbit of (1, 2, 3) closes with sign -1",
+                 id="level-2-sign-closure"),
     # the product drops the level-1 and permutation factors
     pytest.param(torsion, "mul", lambda x, y: x, "witness final check failed: conj(g, a) differs from b",
                  id="final-check"),

@@ -19,10 +19,10 @@ from braidnil.core import (
     Permutation,
     PurePart,
     collect,
-    comm_conjugation_map,
     comm_gen,
     commutator_word,
     conj,
+    conjugation_map,
     dumps_canonical,
     element_from_dict,
     element_to_dict,
@@ -219,14 +219,14 @@ class TestGeneratorConjugation:
     def test_triple_rule_examples(self):
         t = (1, 2, 3)
         assert conj(sigma(5, 3), comm_gen(5, t)) == conj(sigma(5, 3, -1), comm_gen(5, t))
-        assert comm_conjugation_map(Permutation.transposition(5, 3))[t] == ((1, 2, 4), 1)
-        assert comm_conjugation_map(Permutation.transposition(5, 2))[t] == ((1, 2, 3), -1)
-        assert comm_conjugation_map(Permutation.transposition(5, 1))[(2, 3, 5)] == ((1, 3, 5), 1)
+        assert conjugation_map(Permutation.transposition(5, 3), CommPart)[t] == ((1, 2, 4), 1)
+        assert conjugation_map(Permutation.transposition(5, 2), CommPart)[t] == ((1, 2, 3), -1)
+        assert conjugation_map(Permutation.transposition(5, 1), CommPart)[(2, 3, 5)] == ((1, 3, 5), 1)
 
     def test_triple_round_trip_and_engine_agreement(self):
         for n in (3, 4, 5):
             for k in range(1, n):
-                act = comm_conjugation_map(Permutation.transposition(n, k))
+                act = conjugation_map(Permutation.transposition(n, k), CommPart)
                 for t in triples(n):
                     u, s = act[t]
                     back, back_sign = act[u]
@@ -359,7 +359,7 @@ class TestFaithfulness:
             trivial = []
             for image in all_permutations(range(1, n + 1)):
                 perm = Permutation(image)
-                act = comm_conjugation_map(perm)
+                act = conjugation_map(perm, CommPart)
                 if all(u == t and s == 1 for t, (u, s) in act.items()):
                     trivial.append(perm)
             assert trivial == [Permutation.identity(n)]

@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from braidnil.core import (
     BraidWord,
+    CommPart,
     Permutation,
+    PurePart,
     _fold,
     _freeze,
     _lex_reduced_word,
     _thaw,
     collect,
-    comm_conjugation_map,
+    conjugation_map,
     mul,
+    pairs,
     triples,
 )
-from conftest import _triple_action, adjacency, eager_fold, pair_dict, random_word
+from conftest import _pair_action, _triple_action, adjacency, eager_fold, pair_dict, random_word
 
 
 def letters(n: int, max_size: int):
@@ -71,7 +74,12 @@ def test_collect_is_a_homomorphism_on_long_words():
         assert mul(collect(u), collect(v)) == collect(u * v)
 
 
-def test_comm_conjugation_map_equals_the_generator_fold():
+def test_conjugation_map_equals_the_generator_fold_at_both_levels():
+    """Both levels fold the per-generator rules along the reversed lex reduced word.
+
+    A pair's level-2 correction is dropped, since the map is the action on the
+    graded piece; every pair sign is +1.
+    """
     rng = random.Random(23)
     for n in range(3, 13):
         for _ in range(4):
@@ -79,7 +87,12 @@ def test_comm_conjugation_map_equals_the_generator_fold():
             rng.shuffle(image)
             perm = Permutation(tuple(image))
             word = _lex_reduced_word(perm.image)
-            act = comm_conjugation_map(perm)
+            pact, act = conjugation_map(perm, PurePart), conjugation_map(perm, CommPart)
+            for p in pairs(n):
+                cur = p
+                for k in reversed(word):
+                    cur, _ = _pair_action(*cur, k, 1)
+                assert pact[p] == (cur, 1)
             for t in triples(n):
                 cur, sign = t, 1
                 for k in reversed(word):

@@ -234,6 +234,17 @@ class TestHolonomy:
         with pytest.raises(DomainError):
             holonomy_matrix(sigma(3, 1), pair_basis=((1, 2), (1, 3)))
 
+    @pytest.mark.parametrize("bases", [
+        # a repeated key with the right number of distinct keys
+        {"pair_basis": ((1, 2), (1, 2), (1, 3), (2, 3))},
+        {"triple_basis": ((1, 2, 3), (1, 2, 3))},
+        # every pair once, but one written out of order
+        {"pair_basis": ((2, 1), (1, 3), (2, 3))},
+    ])
+    def test_a_basis_that_is_no_rearrangement_of_the_keys_is_rejected(self, bases):
+        with pytest.raises(DomainError, match="^basis orders must enumerate every pair / triple exactly once$"):
+            holonomy_matrix(sigma(3, 1), **bases)
+
     def test_combined_matrix_equals_the_dense_oracle(self):
         rng = random.Random(41)
         for n in range(2, 8):

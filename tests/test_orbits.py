@@ -9,20 +9,24 @@ from hypothesis import strategies as st
 from braidnil.core import (
     CommPart,
     DomainError,
+    NilElement,
     Permutation,
     PurePart,
-    comm_conjugation_map,
+    conjugation_map,
     pairs,
-    pure_conjugation_map,
     triples,
 )
-from braidnil.orbits import OrbitBasis, coefficients_by_orbit, orbit_partition, part_from_orbits, signed_orbits
+from braidnil.orbits import (OrbitBasis, coefficients_by_orbit, cycle_element, orbit_basis_of, part_from_orbits,
+                             signed_orbits)
 from braidnil.torsion import _solve_level
 
 
+def lift(perm: Permutation) -> NilElement:
+    return NilElement(perm.n, perm, PurePart.zero(perm.n), CommPart.zero(perm.n))
+
+
 def pair_orbits(perm: Permutation) -> OrbitBasis:
-    pmap = pure_conjugation_map(perm)
-    return OrbitBasis(perm.n, signed_orbits(pairs(perm.n), lambda p: (pmap[p], 1)))
+    return orbit_basis_of(lift(perm), PurePart)
 
 
 def closing_signs(keys, step) -> list[int]:
@@ -46,22 +50,21 @@ def test_an_orbit_closing_with_sign_minus_one_raises():
 
 
 def test_level_solver_rejects_a_nonzero_row_sum_at_level_one():
-    five_cycle = Permutation((2, 3, 4, 5, 1))
-    basis = pair_orbits(five_cycle)
+    five_cycle = lift(Permutation((2, 3, 4, 5, 1)))
     with pytest.raises(DomainError, match=r"^witness level 1 \(pair orbits\) failed: orbit 0 at \(1, 2\) has row sum 1$"):
-        _solve_level(basis, PurePart.from_map(5, {(1, 2): 1}), PurePart.zero(5))
+        _solve_level(five_cycle, PurePart.from_map(5, {(1, 2): 1}), PurePart.zero(5))
     # the same entry against itself leaves every row at zero
     one = PurePart.from_map(5, {(1, 2): 1})
-    assert _solve_level(basis, one, one) == PurePart.zero(5)
+    assert _solve_level(five_cycle, one, one) == PurePart.zero(5)
 
 
 def test_level_solver_rejects_a_nonzero_row_sum_at_level_two():
-    basis = orbit_partition(5)
-    # orbit_partition(5) has two orbits, from (1, 2, 3) and from (1, 2, 4)
+    # the triple orbits of the 5-cycle, as in orbit_partition(5), start at (1, 2, 3) and at (1, 2, 4)
+    cycle = cycle_element(5)
     with pytest.raises(DomainError, match=r"^witness level 2 \(triple orbits\) failed: orbit 0 at \(1, 2, 3\) has row sum 1$"):
-        _solve_level(basis, CommPart.from_map(5, {(1, 2, 3): 1}), CommPart.zero(5))
+        _solve_level(cycle, CommPart.from_map(5, {(1, 2, 3): 1}), CommPart.zero(5))
     with pytest.raises(DomainError, match=r"^witness level 2 \(triple orbits\) failed: orbit 1 at \(1, 2, 4\) has row sum 2$"):
-        _solve_level(basis, CommPart.zero(5), CommPart.from_map(5, {(1, 2, 4): -2}))
+        _solve_level(cycle, CommPart.zero(5), CommPart.from_map(5, {(1, 2, 4): -2}))
 
 
 @st.composite
@@ -73,9 +76,8 @@ def permutations(draw):
 @settings(max_examples=150, deadline=None)
 @given(permutations())
 def test_walker_covers_each_key_once_stepping_with_the_accumulated_sign(perm):
-    pmap = pure_conjugation_map(perm)
-    for keys, step in ((list(pairs(perm.n)), lambda p: (pmap[p], 1)),
-                       (list(triples(perm.n)), comm_conjugation_map(perm).__getitem__)):
+    for keys, cls in ((list(pairs(perm.n)), PurePart), (list(triples(perm.n)), CommPart)):
+        step = conjugation_map(perm, cls).__getitem__
         if any(s != 1 for s in closing_signs(keys, step)):
             with pytest.raises(DomainError):
                 signed_orbits(keys, step)
@@ -127,5 +129,5 @@ def test_level_solver_solves_the_forward_difference_recurrence(perm, data):
         rows.append(x[at:at + length])
         at += length
     diffs = [[row[(j + 1) % len(row)] - row[j] for j in range(len(row))] for row in rows]
-    solved = _solve_level(basis, part_from_orbits(PurePart, basis, diffs), PurePart.zero(perm.n))
+    solved = _solve_level(lift(perm), part_from_orbits(PurePart, basis, diffs), PurePart.zero(perm.n))
     assert coefficients_by_orbit(basis, solved) == [[v - row[0] for v in row] for row in rows]
