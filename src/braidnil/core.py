@@ -18,8 +18,11 @@ lexicographically smallest reduced word (any reduced word gives the same
 element, since the braid relations hold in the quotient).  Two elements are
 equal in the group iff all three components agree, so equality of values is
 canonical equality.  The public constructors of PurePart, CommPart and
-NilElement reject anything that is not canonical; the group law builds its
-results through the unchecked `_trusted`, since they are canonical already.
+NilElement reject anything that is not canonical, and take ints only; the
+group law builds its results through the unchecked `_trusted`, since they are
+canonical already.  PurePart and CommPart are one coordinate type, differing
+only in arity, key name and sort sign; it owns the one key check `_norm` and
+the key symmetry `_sort`.
 
 Conventions, used consistently everywhere:
 
@@ -78,21 +81,12 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
+        if any(type(v) is not int for v in self.image) or sorted(self.image) != list(range(1, self.n + 1)):
             raise DomainError(f"not a permutation of 1..{len(self.image)}: {self.image}")
 
     @staticmethod
     def identity(n: int) -> Permutation:
         return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, k: int) -> Permutation:
-        """The adjacent transposition (k, k+1) in S_n."""
-        if not 1 <= k <= n - 1:
-            raise DomainError(f"transposition index {k} out of range for n={n}")
-        image = list(range(1, n + 1))
-        image[k - 1], image[k] = k + 1, k
-        return Permutation(tuple(image))
 
     @property
     def n(self) -> int:
@@ -184,16 +178,22 @@ def commutator_word(u: BraidWord, v: BraidWord) -> BraidWord:
 
 def pure_gen_word(n: int, i: int, j: int) -> BraidWord:
     """Defining word of the pure generator: s_{j-1} .. s_{i+1} s_i^2 s_{i+1}^-1 .. s_{j-1}^-1."""
-    i, j = _norm_pair(i, j, n)
+    (i, j), _ = PurePart._norm((i, j), n)
+    return _pure_word(n, i, j)
+
+
+def _pure_word(n: int, i: int, j: int) -> BraidWord:
+    """pure_gen_word of a pair already checked and sorted."""
     head = [(k, 1) for k in range(j - 1, i, -1)]
     tail = [(k, -1) for k in range(i + 1, j)]
     return BraidWord(n, tuple(head + [(i, 1), (i, 1)] + tail))
 
 
 def comm_gen_word(n: int, triple: Triple) -> BraidWord:
-    """Defining word of the basis commutator a[i,j,k] = [A[i,j], A[j,k]]."""
-    i, j, k = sorted(triple)
-    return commutator_word(pure_gen_word(n, i, j), pure_gen_word(n, j, k))
+    """Defining word of a[i,j,k] = [A[i,j], A[j,k]] for sorted indices; an odd order gives its inverse."""
+    (i, j, k), sign = CommPart._norm(triple, n)
+    word = commutator_word(_pure_word(n, i, j), _pure_word(n, j, k))
+    return word if sign == 1 else word.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +208,6 @@ def pairs(n: int) -> Iterator[Pair]:
 def triples(n: int) -> Iterator[Triple]:
     """All triple keys (i, j, k), i < j < k, in lexicographic order."""
     return combinations(range(1, n + 1), 3)
-
-
-def _norm_pair(i: int, j: int, n: int) -> Pair:
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError(f"invalid pair ({i},{j}) for n={n}")
-    return (i, j) if i < j else (j, i)
 
 
 def _sort3(a: int, b: int, c: int) -> tuple[Triple, int]:
@@ -243,9 +237,10 @@ def _trusted(cls, **fields):
 class _Coordinates:
     """Finite integer exponent map on sorted index keys; entries are (*key, exponent), lex-sorted, none zero.
 
-    A subclass supplies `keys(n)`, its canonical keys in lex order; `_sort(*key)`, the
-    unchecked canonical key with its sign (the key symmetry); and `_norm(key, n)`, the same checked.
-    The constructor accepts canonical entries only; from_map canonicalises any others.
+    A subclass supplies, as plain class attributes, `arity` and `noun`, the length and name of a
+    key; `keys(n)`, its canonical keys in lex order; and `_sort(*key)`, the unchecked canonical key
+    with its sign (the key symmetry).  `_norm` checks a key.  The constructor accepts canonical
+    entries only, with int indices and exponents; from_map canonicalises any others.
     """
 
     n: int
@@ -259,11 +254,21 @@ class _Coordinates:
             if not isinstance(row, tuple) or not row:
                 raise DomainError(f"invalid entry {row!r} for n={self.n}")
             key, e = row[:-1], row[-1]
-            if self._norm(key, self.n) != (key, 1) or not isinstance(e, int) or e == 0 \
+            if self._norm(key, self.n) != (key, 1) or type(e) is not int or e == 0 \
                     or (prev is not None and key <= prev):
                 raise DomainError(f"entry {row!r} is not canonical for n={self.n}: keys must be sorted"
                                   " and strictly increasing, exponents nonzero (from_map canonicalises)")
             prev = key
+
+    @classmethod
+    def _norm(cls, key: Iterable[int], n: int) -> tuple[tuple[int, ...], int]:
+        """The canonical form of a key, with its sign: the key must be cls.arity distinct ints in 1..n."""
+        key = tuple(key)
+        if len(key) == cls.arity and all(type(x) is int for x in key):
+            canonical, sign = cls._sort(*key)  # sorted, so its ends bound the range
+            if 0 < canonical[0] and canonical[-1] <= n and len(set(canonical)) == cls.arity:
+                return canonical, sign
+        raise DomainError(f"invalid {cls.noun} {key} for n={n}")
 
     @classmethod
     def zero(cls, n: int):
@@ -276,6 +281,8 @@ class _Coordinates:
         items = mapping.items() if isinstance(mapping, dict) else mapping
         for key, e in items:
             key, sign = cls._norm(key, n)
+            if type(e) is not int:
+                raise DomainError(f"exponent {e!r} on {cls.noun} {key} is not an int")
             acc[key] = acc.get(key, 0) + sign * e
         return _trusted(cls, n=n, entries=tuple(key + (e,) for key, e in sorted(acc.items()) if e != 0))
 
@@ -290,7 +297,8 @@ class _Coordinates:
 class PurePart(_Coordinates):
     """Exponents on the pure generators A[i,j]; entries are (i, j, exponent), lex-sorted."""
 
-    entries: tuple[tuple[int, int, int], ...]
+    arity = 2
+    noun = "pair"
     keys = staticmethod(pairs)
 
     @staticmethod
@@ -298,28 +306,18 @@ class PurePart(_Coordinates):
         """A[j,i] = A[i,j], so the sign is always +1."""
         return ((i, j) if i < j else (j, i)), 1
 
-    @staticmethod
-    def _norm(key: Pair, n: int) -> tuple[Pair, int]:
-        if len(key) != 2:
-            raise DomainError(f"invalid pair {tuple(key)} for n={n}")
-        return _norm_pair(key[0], key[1], n), 1
-
 
 @dataclass(frozen=True)
 class CommPart(_Coordinates):
-    """Exponents on the basis commutators a[i,j,k]; entries are (i, j, k, exponent), lex-sorted."""
+    """Exponents on the basis commutators a[i,j,k]; entries are (i, j, k, exponent), lex-sorted.
 
-    entries: tuple[tuple[int, int, int, int], ...]
+    A key in any order is the sorted triple, with the sign of the sort.
+    """
+
+    arity = 3
+    noun = "triple"
     keys = staticmethod(triples)
     _sort = staticmethod(_sort3)
-
-    @staticmethod
-    def _norm(t: Iterable[int], n: int) -> tuple[Triple, int]:
-        """a[i,j,k] for any order of its indices: the sorted triple, with the sign of the sort."""
-        t = tuple(t)
-        if len(t) != 3 or len(set(t)) != 3 or not all(1 <= x <= n for x in t):
-            raise DomainError(f"invalid triple {t} for n={n}")
-        return _sort3(*t)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .core import BraidWord, DomainError, NilElement, collect, comm_gen, identity, mul, power, pure_gen, sigma
+from .core import (BraidWord, CommPart, DomainError, NilElement, PurePart, collect, comm_gen, identity, mul,
+                   power, pure_gen, sigma)
 
 
 class ExpressionError(ValueError):
@@ -33,8 +34,11 @@ class ExpressionError(ValueError):
         self.offset = offset
 
 
-# atoms: ("gen", k, eps) | ("pure", i, j) | ("comm", i, j, k) | ("group", terms)
+# atoms: ("gen", k, eps) | ("A", (i, j)) | ("a", (i, j, k)) | ("group", terms)
 # term: (atom, exponent)
+
+# the coordinate atoms by letter, with the coordinate type that gives the key's arity and checks it
+_COORDINATE_ATOMS = {"A": PurePart, "a": CommPart}
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class Expression:
     """A parsed element expression, bound to its strand count."""
 
     n: int
-    source: str
     terms: tuple
 
     def element(self) -> NilElement:
@@ -71,10 +74,10 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
             kind = atom[0]
             if kind == "gen":
                 base = sigma(n, atom[1], atom[2])
-            elif kind == "pure":
-                base = pure_gen(n, atom[1], atom[2])
-            elif kind == "comm":
-                base = comm_gen(n, (atom[1], atom[2], atom[3]))
+            elif kind == "A":
+                base = pure_gen(n, *atom[1])
+            elif kind == "a":
+                base = comm_gen(n, atom[1])
             else:
                 base = _eval_terms(atom[1], n)
             acc = mul(acc, base if exponent == 1 else power(base, exponent))
@@ -136,24 +139,15 @@ def _parse_terms(sc: _Scanner, depth: int) -> tuple:
             sc.pos += 1
             k = sc.integer()
             atom = ("gen", k, 1 if ch == "s" else -1)
-        elif ch == "A":
+        elif ch in _COORDINATE_ATOMS:
             sc.pos += 1
             sc.expect("[")
-            i = sc.integer()
-            sc.expect(",")
-            j = sc.integer()
+            key = [sc.integer()]
+            for _ in range(_COORDINATE_ATOMS[ch].arity - 1):
+                sc.expect(",")
+                key.append(sc.integer())
             sc.expect("]")
-            atom = ("pure", i, j)
-        elif ch == "a":
-            sc.pos += 1
-            sc.expect("[")
-            i = sc.integer()
-            sc.expect(",")
-            j = sc.integer()
-            sc.expect(",")
-            k = sc.integer()
-            sc.expect("]")
-            atom = ("comm", i, j, k)
+            atom = (ch, tuple(key))
         elif ch == "(":
             if depth == _MAX_NESTING:
                 raise sc.error(f"parentheses nested deeper than {_MAX_NESTING}", sc.pos)
@@ -176,10 +170,8 @@ def _validate(terms: tuple, n: int) -> None:
         if kind == "gen":
             if not 1 <= atom[1] <= n - 1:
                 raise DomainError(f"generator index {atom[1]} out of range for n={n}")
-        elif kind == "pure":
-            pure_gen(n, atom[1], atom[2])  # the coordinate types check their keys
-        elif kind == "comm":
-            comm_gen(n, atom[1:])
+        elif kind in _COORDINATE_ATOMS:
+            _COORDINATE_ATOMS[kind]._norm(atom[1], n)
         else:
             _validate(atom[1], n)
 
@@ -193,4 +185,4 @@ def parse(text: str, n: int) -> Expression:
     sc = _Scanner(text)
     terms = _parse_terms(sc, 0)
     _validate(terms, n)
-    return Expression(n, text, terms)
+    return Expression(n, terms)

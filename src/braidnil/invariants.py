@@ -18,8 +18,8 @@ than O(C(n,3)^2) matrix cells; the dense matrix exists only as
 combined_matrix's view, and the CLI splices its text rows straight from the
 permutations.  Determinant +1 on every generator of a finite quotient group
 is the orientability criterion for the corresponding infra-nilmanifold.
-Bases are lexicographic unless an explicit order is passed (the 3-strand
-regression uses the ordering of the source matrices).
+Bases are lexicographic, except that an explicit pair order may be passed
+(the 3-strand regression uses the ordering of the source matrices).
 """
 
 from __future__ import annotations
@@ -181,21 +181,20 @@ class HolonomyMatrix:
     det: int
 
 
-def holonomy_matrix(g: NilElement,
-                    pair_basis: tuple[Pair, ...] | None = None,
-                    triple_basis: tuple[Triple, ...] | None = None) -> HolonomyMatrix:
+def holonomy_matrix(g: NilElement, pair_basis: tuple[Pair, ...] | None = None) -> HolonomyMatrix:
     """The graded conjugation action of g, which only depends on its permutation.
 
-    Each basis order must be a rearrangement of the canonical pair or triple
-    keys; anything else raises DomainError.
+    The triple basis is the canonical lex order.  A pair basis order, if given,
+    must be a rearrangement of the canonical pair keys; anything else raises
+    DomainError.
     """
     blocks, det = [], 1
-    for cls, basis in ((PurePart, pair_basis), (CommPart, triple_basis)):
+    for cls, basis in ((PurePart, pair_basis), (CommPart, None)):
         act = conjugation_map(g.perm, cls)
         basis = tuple(act) if basis is None else tuple(basis)
         idx = {key: i for i, key in enumerate(basis)}
         if len(idx) != len(basis) or idx.keys() != act.keys():
-            raise DomainError("basis orders must enumerate every pair / triple exactly once")
+            raise DomainError("the pair basis order must enumerate every pair exactly once")
         images = [act[key] for key in basis]
         rows, signs = tuple(idx[key] for key, _ in images), tuple(s for _, s in images)
         det *= _permutation_parity(rows) * math.prod(signs)

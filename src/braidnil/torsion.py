@@ -241,7 +241,7 @@ def _solve_level(b: NilElement, want: PurePart | CommPart, have: PurePart | Comm
     so a nonzero row sum is the obstruction.  It raises DomainError naming the
     level and either the orbit and its row sum or the orbit that closes with sign -1.
     """
-    level = "level 1 (pair orbits)" if type(want) is PurePart else "level 2 (triple orbits)"
+    level = f"level {want.arity - 1} ({want.noun} orbits)"
     try:
         basis = orbit_basis_of(b, type(want))
     except DomainError as err:

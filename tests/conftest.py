@@ -1,6 +1,7 @@
 """Shared test helpers: random words, the Hypothesis element strategy, call
 counters, the independent oracles, and the helpers only tests read
-(expression formatting, Coxeter length, the closed-form orbit transversal).
+(expression formatting, adjacent transpositions, Coxeter length, the
+closed-form orbit transversal).
 
 The oracles are the permutation of a word and the strand-tracking normal form
 at level 1, the conjugation rules of one generator on one pair or triple, the
@@ -18,6 +19,7 @@ settings still apply.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -71,7 +73,7 @@ def elements(draw, n=None, pure_only=False):
 
 
 def counted(monkeypatch, owner, name):
-    """Replace owner.name (a module function or a static method) by a wrapper counting its calls.
+    """Replace owner.name (a module function, or a static or class method) by a wrapper counting its calls.
 
     Returns the one-cell list holding the running count.
     """
@@ -82,7 +84,8 @@ def counted(monkeypatch, owner, name):
         calls[0] += 1
         return fn(*args, **kwargs)
 
-    static = isinstance(vars(owner).get(name), staticmethod)
+    # getattr bound a class method to owner already, so the wrapper stays static for it too
+    static = isinstance(inspect.getattr_static(owner, name), (staticmethod, classmethod))
     monkeypatch.setattr(owner, name, staticmethod(wrapper) if static else wrapper)
     return calls
 
@@ -109,6 +112,13 @@ def word_permutation(word: BraidWord) -> Permutation:
     return Permutation(tuple(image))
 
 
+def transposition(n: int, k: int) -> Permutation:
+    """The adjacent transposition (k, k+1) in S_n."""
+    image = list(range(1, n + 1))
+    image[k - 1], image[k] = k + 1, k
+    return Permutation(tuple(image))
+
+
 def inversions(image) -> int:
     """Coxeter length of a permutation image: the number of out-of-order pairs."""
     return sum(1 for i, j in combinations(range(len(image)), 2) if image[i] > image[j])
@@ -128,10 +138,8 @@ def format_terms(terms: tuple) -> str:
             body = f"s{atom[1]}"
             if atom[2] == -1:
                 exponent = -exponent
-        elif kind == "pure":
-            body = f"A[{atom[1]},{atom[2]}]"
-        elif kind == "comm":
-            body = f"a[{atom[1]},{atom[2]},{atom[3]}]"
+        elif kind in ("A", "a"):
+            body = f"{kind}[{','.join(map(str, atom[1]))}]"
         else:
             body = f"({format_terms(atom[1])})"
         chunks.append(body if exponent == 1 else f"{body}^{exponent}")
@@ -404,7 +412,7 @@ def _inversion_sign(perm: list[int]) -> int:
     return -1 if inversions(perm) % 2 else 1
 
 
-def dense_holonomy(g: NilElement, pair_basis=None, triple_basis=None) -> dict:
+def dense_holonomy(g: NilElement, pair_basis=None) -> dict:
     """Dense oracle for the holonomy action: the CLI's JSON document as a dict.
 
     block1 and block2 are the full matrices, in column-is-image convention,
@@ -413,7 +421,7 @@ def dense_holonomy(g: NilElement, pair_basis=None, triple_basis=None) -> dict:
     """
     n = g.n
     pair_basis = list(pairs(n)) if pair_basis is None else list(pair_basis)
-    triple_basis = list(triples(n)) if triple_basis is None else list(triple_basis)
+    triple_basis = list(triples(n))
     pidx = {p: i for i, p in enumerate(pair_basis)}
     tidx = {t: i for i, t in enumerate(triple_basis)}
     pmap = conjugation_map(g.perm, PurePart)

@@ -342,6 +342,15 @@ def test_parse_error_exit_code(capsys):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("expression, stderr", [
+    ("A[1,1]", "invalid pair (1, 1) for n=3"),
+    ("a[1,1,2]", "invalid triple (1, 1, 2) for n=3"),
+])
+def test_a_bad_key_is_named_in_one_format_at_both_levels(capsys, expression, stderr):
+    code, out, err = run(capsys, "collect", "--n", "3", expression)
+    assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "collect", "--n", "5", "s9")
     assert code == 3 and "domain error" in err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from itertools import permutations as all_permutations
 
 import pytest
@@ -20,6 +21,7 @@ from braidnil.core import (
     PurePart,
     collect,
     comm_gen,
+    comm_gen_word,
     commutator_word,
     conj,
     conjugation_map,
@@ -40,7 +42,7 @@ from braidnil.core import (
     word_from_dict,
     word_to_dict,
 )
-from conftest import _bracket, _pair_action, _triple_action, inversions, random_word, word_permutation
+from conftest import _bracket, _pair_action, _triple_action, inversions, random_word, transposition, word_permutation
 
 
 def delta5_word() -> BraidWord:
@@ -77,7 +79,7 @@ class TestTitsLift:
     def test_transposition_lifts_to_single_letter(self):
         for n in (2, 3, 6):
             for k in range(1, n):
-                assert tits_lift(Permutation.transposition(n, k)).letters == ((k, 1),)
+                assert tits_lift(transposition(n, k)).letters == ((k, 1),)
 
     def test_three_cycle_unique_reduced_word(self):
         # the 3-cycle 1->2->3->1 has exactly one reduced word under the
@@ -219,14 +221,14 @@ class TestGeneratorConjugation:
     def test_triple_rule_examples(self):
         t = (1, 2, 3)
         assert conj(sigma(5, 3), comm_gen(5, t)) == conj(sigma(5, 3, -1), comm_gen(5, t))
-        assert conjugation_map(Permutation.transposition(5, 3), CommPart)[t] == ((1, 2, 4), 1)
-        assert conjugation_map(Permutation.transposition(5, 2), CommPart)[t] == ((1, 2, 3), -1)
-        assert conjugation_map(Permutation.transposition(5, 1), CommPart)[(2, 3, 5)] == ((1, 3, 5), 1)
+        assert conjugation_map(transposition(5, 3), CommPart)[t] == ((1, 2, 4), 1)
+        assert conjugation_map(transposition(5, 2), CommPart)[t] == ((1, 2, 3), -1)
+        assert conjugation_map(transposition(5, 1), CommPart)[(2, 3, 5)] == ((1, 3, 5), 1)
 
     def test_triple_round_trip_and_engine_agreement(self):
         for n in (3, 4, 5):
             for k in range(1, n):
-                act = conjugation_map(Permutation.transposition(n, k), CommPart)
+                act = conjugation_map(transposition(n, k), CommPart)
                 for t in triples(n):
                     u, s = act[t]
                     back, back_sign = act[u]
@@ -492,9 +494,8 @@ class TestCanonicalForm:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5), st.sampled_from((PurePart, CommPart)), st.data())
     def test_constructor_raises_or_equals_its_from_map_form(self, n, part, data):
-        width = 2 if part is PurePart else 3
         index = st.integers(0, n + 1)
-        rows = data.draw(st.lists(st.tuples(*[index] * width, st.integers(-2, 2)), max_size=6).map(tuple))
+        rows = data.draw(st.lists(st.tuples(*[index] * part.arity, st.integers(-2, 2)), max_size=6).map(tuple))
         try:
             canonical = part.from_map(n, [(row[:-1], row[-1]) for row in rows])
         except DomainError:
@@ -524,3 +525,26 @@ class TestCanonicalForm:
     def test_comm_gen_rejects_a_pair(self):
         with pytest.raises(DomainError):
             comm_gen(5, (1, 2))
+
+    @pytest.mark.parametrize("order", list(all_permutations((1, 2, 4))))
+    def test_a_generator_word_carries_the_sign_of_its_order(self, order):
+        assert collect(comm_gen_word(5, order)) == comm_gen(5, order)
+
+    @pytest.mark.parametrize("triple", [(1, 2), (1, 1, 2), (1, 2, 9)])
+    def test_a_bad_generator_word_key_names_its_triple(self, triple):
+        with pytest.raises(DomainError, match=f"^invalid triple {re.escape(str(triple))} for n=5$"):
+            comm_gen_word(5, triple)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: PurePart(3, ((1.0, 2, 1),)), id="float-index"),
+        pytest.param(lambda: PurePart(3, ((True, 2, 1),)), id="bool-index"),
+        pytest.param(lambda: PurePart(3, ((1, 2, True),)), id="bool-exponent"),
+        pytest.param(lambda: PurePart.from_map(3, {(1, 2): 2.5}), id="from-map-float-exponent"),
+        pytest.param(lambda: PurePart.from_map(3, {(1, 2): True}), id="from-map-bool-exponent"),
+        pytest.param(lambda: CommPart.from_map(3, {(1, 2.0, 3): 1}), id="from-map-float-index"),
+        pytest.param(lambda: Permutation((1.0, 2.0, 3.0)), id="float-image"),
+        pytest.param(lambda: Permutation((True, 2)), id="bool-image"),
+    ])
+    def test_only_ints_cross_the_value_boundary(self, build):
+        with pytest.raises(DomainError):
+            build()
