@@ -20,9 +20,11 @@ equal in the group iff all three components agree, so equality of values is
 canonical equality.  The public constructors of PurePart, CommPart and
 NilElement reject anything that is not canonical, and take ints only; the
 group law builds its results through the unchecked `_trusted`, since they are
-canonical already.  PurePart and CommPart are one coordinate type, differing
-only in arity, key name and sort sign; it owns the one key check `_norm` and
-the key symmetry `_sort`.
+canonical already; so do products, inverses and powers of BraidWords, whose
+letters the constructor checks.  Every strand count passes `_check_strands`.
+PurePart and CommPart are one coordinate type, differing only in arity, key
+name and sort sign; it owns the one key check `_norm` and the key symmetry
+`_sort`.
 
 Conventions, used consistently everywhere:
 
@@ -68,6 +70,26 @@ Letter = tuple[int, int]  # (generator index k, sign +1/-1)
 
 class DomainError(ValueError):
     """An index or argument outside the valid range for its strand count."""
+
+
+def _check_strands(n) -> None:
+    """The one strand-count rule: n is an int, at least 1."""
+    if type(n) is not int:
+        raise DomainError(f"strand count must be an int, got {n!r}")
+    if n < 1:
+        raise DomainError("strand count must be at least 1")
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass cls from fields already known to be valid.
+
+    It skips __post_init__, so only code that builds valid values by
+    construction may call it: the group law and from_map for normal forms, and
+    word concatenation, inversion and powers for braid words.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +172,24 @@ class BraidWord:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("strand count must be at least 1")
+        _check_strands(self.n)
         for k, eps in self.letters:
-            if not 1 <= k <= self.n - 1:
-                raise DomainError(f"generator index {k} out of range for n={self.n}")
-            if eps not in (1, -1):
-                raise DomainError(f"letter sign must be +1 or -1, got {eps}")
+            if type(k) is not int or not 1 <= k <= self.n - 1:
+                raise DomainError(f"generator index {k!r} out of range for n={self.n}")
+            if type(eps) is not int or eps not in (1, -1):
+                raise DomainError(f"letter sign must be +1 or -1, got {eps!r}")
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise DomainError("cannot concatenate words on different strand counts")
-        return BraidWord(self.n, self.letters + other.letters)
+        return _trusted(BraidWord, n=self.n, letters=self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple((k, -eps) for k, eps in reversed(self.letters)))
+        return _trusted(BraidWord, n=self.n, letters=tuple((k, -eps) for k, eps in reversed(self.letters)))
 
     def __pow__(self, m: int) -> BraidWord:
         base = self if m >= 0 else self.inverse()
-        return BraidWord(self.n, base.letters * abs(m))
+        return _trusted(BraidWord, n=self.n, letters=base.letters * abs(m))
 
 
 def commutator_word(u: BraidWord, v: BraidWord) -> BraidWord:
@@ -222,17 +243,6 @@ def _sort3(a: int, b: int, c: int) -> tuple[Triple, int]:
     return (a, b, c), sign
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass cls from fields already known to be canonical.
-
-    It skips __post_init__, so only code that builds canonical values by
-    construction (the group law, from_map) may call it.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class _Coordinates:
     """Finite integer exponent map on sorted index keys; entries are (*key, exponent), lex-sorted, none zero.
@@ -247,6 +257,7 @@ class _Coordinates:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_strands(self.n)
         if not isinstance(self.entries, tuple):
             raise DomainError(f"entries must be a tuple, got {type(self.entries).__name__}")
         prev = None
@@ -277,6 +288,7 @@ class _Coordinates:
     @classmethod
     def from_map(cls, n: int, mapping: dict | Iterable[tuple[tuple[int, ...], int]]):
         """Sum the exponents per key, with each key's sign, and drop the zeros."""
+        _check_strands(n)
         acc: dict[tuple[int, ...], int] = {}
         items = mapping.items() if isinstance(mapping, dict) else mapping
         for key, e in items:
@@ -330,8 +342,7 @@ class NilElement:
     comm: CommPart
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("strand count must be at least 1")
+        _check_strands(self.n)
         if not (isinstance(self.perm, Permutation) and isinstance(self.pure, PurePart)
                 and isinstance(self.comm, CommPart)):
             raise DomainError("a NilElement is built from a Permutation, a PurePart and a CommPart")

@@ -3,9 +3,11 @@ Machine verification of the presentations satisfied by the collection engine.
 
 Each suite expands both sides of every defining relation into literal braid
 words (generator letters only; pure and level-2 atoms are replaced by their
-defining words) and collects them.  A relation passes iff the two normal
-forms are identical, so a clean report certifies that the engine satisfies
-the presented group, relation instance by relation instance.
+defining words) and collects them.  The defining words come from one table
+per suite, `_generators`, which builds each of s_k, A[i,j] and a[i,j,k] once.
+A relation passes iff the two normal forms are identical, so a clean report
+certifies that the engine satisfies the presented group, relation instance by
+relation instance.
 
 Suites:
 
@@ -24,6 +26,7 @@ Suites:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import (
@@ -80,12 +83,12 @@ def _run(suite: str, n: int, relations: Iterable[Relation]) -> RelationReport:
     return RelationReport(suite, n, total, tuple(failures))
 
 
-def _empty(n: int) -> BraidWord:
-    return BraidWord(n, ())
-
-
-def _gen(n: int, k: int, eps: int = 1) -> BraidWord:
-    return BraidWord(n, ((k, eps),))
+def _generators(n: int) -> tuple[dict, dict, dict]:
+    """The defining words s[k], A[i, j] and a[i, j, k] on n strands, keyed by sorted indices."""
+    s = {k: BraidWord(n, ((k, 1),)) for k in range(1, n)}
+    A = {p: pure_gen_word(n, *p) for p in pairs(n)}
+    a = {t: comm_gen_word(n, t) for t in triples(n)}
+    return s, A, a
 
 
 def pure_presentation(n: int) -> RelationReport:
@@ -102,28 +105,19 @@ def pure_presentation(n: int) -> RelationReport:
 
 
 def _pure_relations(n: int) -> Iterator[Relation]:
-    trips = list(triples(n))
-    prs = list(pairs(n))
-    for a in range(len(trips)):
-        for b in range(a + 1, len(trips)):
-            yield (
-                f"central[a{trips[a]},a{trips[b]}]",
-                commutator_word(comm_gen_word(n, trips[a]), comm_gen_word(n, trips[b])),
-                _empty(n),
-            )
-    for t in trips:
-        for p in prs:
-            yield (
-                f"central[a{t},A{p}]",
-                commutator_word(comm_gen_word(n, t), pure_gen_word(n, *p)),
-                _empty(n),
-            )
-    for p in prs:
-        for q in prs:
-            lhs = commutator_word(pure_gen_word(n, *p), pure_gen_word(n, *q))
+    _, A, a = _generators(n)
+    one = BraidWord(n, ())
+    for t, u in combinations(a, 2):
+        yield f"central[a{t},a{u}]", commutator_word(a[t], a[u]), one
+    for t in a:
+        for p in A:
+            yield f"central[a{t},A{p}]", commutator_word(a[t], A[p]), one
+    for p in A:
+        for q in A:
+            lhs = commutator_word(A[p], A[q])
             shared = set(p) & set(q)
             if len(shared) != 1:
-                rhs = _empty(n)
+                rhs = one
             else:
                 s = shared.pop()
                 u = p[0] + p[1] - s
@@ -133,7 +127,7 @@ def _pure_relations(n: int) -> Iterator[Relation]:
                     sign = 1 if u < v else -1
                 else:
                     sign = 1 if u > v else -1
-                rhs = comm_gen_word(n, t) if sign == 1 else comm_gen_word(n, t).inverse()
+                rhs = a[t] if sign == 1 else a[t].inverse()
             yield f"pair-table[A{p},A{q}]", lhs, rhs
 
 
@@ -150,32 +144,29 @@ def braid_presentation(n: int) -> RelationReport:
 
 
 def _braid_relations(n: int) -> Iterator[Relation]:
+    s, A, a = _generators(n)
     for i in range(1, n - 1):
         for j in range(i + 2, n):
-            yield f"commuting[{i},{j}]", _gen(n, i) * _gen(n, j), _gen(n, j) * _gen(n, i)
+            yield f"commuting[{i},{j}]", s[i] * s[j], s[j] * s[i]
     for i in range(1, n - 1):
-        yield (
-            f"braid[{i}]",
-            _gen(n, i + 1) * _gen(n, i) * _gen(n, i + 1),
-            _gen(n, i) * _gen(n, i + 1) * _gen(n, i),
-        )
+        yield f"braid[{i}]", s[i + 1] * s[i] * s[i + 1], s[i] * s[i + 1] * s[i]
     for k in range(1, n):
-        for (i, j) in pairs(n):
-            lhs = _gen(n, k) * pure_gen_word(n, i, j) * _gen(n, k, -1)
+        for (i, j) in A:
+            lhs = s[k] * A[i, j] * s[k].inverse()
             if j == k + 1 and i < k:
-                rhs = pure_gen_word(n, i, j - 1) * comm_gen_word(n, (i, j - 1, j)).inverse()
+                rhs = A[i, j - 1] * a[i, j - 1, j].inverse()
             elif i == k + 1:
-                rhs = pure_gen_word(n, i - 1, j) * comm_gen_word(n, (i - 1, i, j)).inverse()
+                rhs = A[i - 1, j] * a[i - 1, i, j].inverse()
             else:
-                a = k + 1 if i == k else k if i == k + 1 else i
-                b = k + 1 if j == k else k if j == k + 1 else j
-                rhs = pure_gen_word(n, a, b)
+                x = k + 1 if i == k else k if i == k + 1 else i
+                y = k + 1 if j == k else k if j == k + 1 else j
+                rhs = A[min(x, y), max(x, y)]
             yield f"action-pair[k={k},A({i},{j})]", lhs, rhs
-        for t in triples(n):
-            lhs = _gen(n, k) * comm_gen_word(n, t) * _gen(n, k, -1)
+        for t in a:
+            lhs = s[k] * a[t] * s[k].inverse()
             image = sorted(k + 1 if x == k else k if x == k + 1 else x for x in t)
             flip = (k in t) and (k + 1 in t)
-            rhs = comm_gen_word(n, tuple(image))
+            rhs = a[tuple(image)]
             if flip:
                 rhs = rhs.inverse()
             yield f"action-triple[k={k},a{t}]", lhs, rhs
@@ -192,23 +183,22 @@ def subgroup_presentation(subgroup: str) -> RelationReport:
     alpha = s_2 s_1, beta = s_1 (full symmetric group).
     """
     n = 3
-    a = pure_gen_word(n, 1, 3)
-    b = pure_gen_word(n, 2, 3)
-    c = pure_gen_word(n, 1, 2)
-    d = commutator_word(c, b)
+    s, A, comm = _generators(n)
+    a, b, c, d = A[1, 3], A[2, 3], A[1, 2], comm[1, 2, 3]
+    one = BraidWord(n, ())
     base = [
         ("[b,a]=d", commutator_word(b, a), d),
         ("[c,a]=d^-1", commutator_word(c, a), d.inverse()),
         ("[c,b]=d", commutator_word(c, b), d),
-        ("[d,a]=1", commutator_word(d, a), _empty(n)),
-        ("[d,b]=1", commutator_word(d, b), _empty(n)),
-        ("[d,c]=1", commutator_word(d, c), _empty(n)),
+        ("[d,a]=1", commutator_word(d, a), one),
+        ("[d,b]=1", commutator_word(d, b), one),
+        ("[d,c]=1", commutator_word(d, c), one),
     ]
     cw = lambda g, x: g * x * g.inverse()
     if subgroup == "trivial":
         extra = []
     elif subgroup == "order2":
-        al = _gen(n, 1)
+        al = s[1]
         extra = [
             ("alpha^2=c", al * al, c),
             ("alpha d alpha^-1=d^-1", cw(al, d), d.inverse()),
@@ -217,7 +207,7 @@ def subgroup_presentation(subgroup: str) -> RelationReport:
             ("alpha c alpha^-1=c", cw(al, c), c),
         ]
     elif subgroup == "order3":
-        al = _gen(n, 2) * _gen(n, 1, -1)
+        al = s[2] * s[1].inverse()
         extra = [
             ("alpha^3=d^-1", al * al * al, d.inverse()),
             ("alpha d alpha^-1=d", cw(al, d), d),
@@ -226,8 +216,8 @@ def subgroup_presentation(subgroup: str) -> RelationReport:
             ("alpha c alpha^-1=a", cw(al, c), a),
         ]
     elif subgroup == "s3":
-        al = _gen(n, 2) * _gen(n, 1)
-        be = _gen(n, 1)
+        al = s[2] * s[1]
+        be = s[1]
         extra = [
             ("alpha^3=abc", al * al * al, a * b * c),
             ("beta^2=c", be * be, c),
@@ -251,9 +241,7 @@ def full_twist(n: int) -> RelationReport:
     if n < 2:
         raise DomainError("full twist needs at least 2 strands")
     lhs = BraidWord(n, tuple((k, 1) for k in range(1, n))) ** n
-    rhs = _empty(n)
-    for (i, j) in pairs(n):
-        rhs = rhs * pure_gen_word(n, i, j)
+    rhs = BraidWord(n, tuple(x for p in pairs(n) for x in pure_gen_word(n, *p).letters))
     report = _run("fulltwist", n, [(f"(s1..s{n-1})^{n}=prod A[i,j]", lhs, rhs)])
     # the explicit shape: exponent 1 on every pair, zero level-2 part
     e = collect(lhs)

@@ -544,7 +544,31 @@ class TestCanonicalForm:
         pytest.param(lambda: CommPart.from_map(3, {(1, 2.0, 3): 1}), id="from-map-float-index"),
         pytest.param(lambda: Permutation((1.0, 2.0, 3.0)), id="float-image"),
         pytest.param(lambda: Permutation((True, 2)), id="bool-image"),
+        pytest.param(lambda: collect(BraidWord(3, ((1.0, 1),))), id="word-float-index"),
+        pytest.param(lambda: BraidWord(3, ((True, 1),)), id="word-bool-index"),
+        pytest.param(lambda: BraidWord(3, ((1, True),)), id="word-bool-sign"),
+        pytest.param(lambda: BraidWord(3, ((1, 1.0),)), id="word-float-sign"),
+        pytest.param(lambda: BraidWord(True, ()), id="word-bool-strands"),
+        pytest.param(lambda: NilElement(True, Permutation((1,)), PurePart(True, ()), CommPart(True, ())),
+                     id="element-bool-strands"),
+        pytest.param(lambda: NilElement(True, Permutation((1,)), PurePart(1, ()), CommPart(1, ())),
+                     id="element-bool-strands-int-parts"),
+        pytest.param(lambda: PurePart(3.5, ()), id="pure-float-strands"),
+        pytest.param(lambda: CommPart.from_map(2.5, {}), id="from-map-float-strands"),
     ])
     def test_only_ints_cross_the_value_boundary(self, build):
         with pytest.raises(DomainError):
             build()
+
+    def test_derived_words_run_no_letter_check(self, monkeypatch):
+        # a word's letters are checked once, when it is built from outside the word type
+        w = BraidWord(4, ((1, 1), (3, -1), (2, 1)))
+        expected = (w * w, w.inverse(), w ** -3, w ** 2)
+
+        def checked(self):
+            raise AssertionError(f"checked BraidWord {self.letters}")
+
+        monkeypatch.setattr(BraidWord, "__post_init__", checked)
+        assert (w * w, w.inverse(), w ** -3, w ** 2) == expected
+        assert w.inverse().letters == ((2, -1), (3, 1), (1, -1))
+        assert (w ** -3).letters == w.inverse().letters * 3

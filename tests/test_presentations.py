@@ -7,9 +7,12 @@ import tracemalloc
 
 import pytest
 
+from braidnil import presentations
 from braidnil.core import DomainError
 from braidnil.presentations import (
     SUBGROUPS,
+    _braid_relations,
+    _pure_relations,
     braid_presentation,
     full_twist,
     pure_presentation,
@@ -23,13 +26,18 @@ def test_pure_presentation_passes(n):
     assert report.passed, report.failures[:3]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def letters_folded(relations):
+    return sum(len(lhs.letters) + len(rhs.letters) for _, lhs, rhs in relations)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_pure_presentation_relation_count(n):
     # centrality: triple-triple and triple-pair pairs; case table: all ordered
     # pair-pair instances
     b, p = math.comb(n, 3), math.comb(n, 2)
     report = pure_presentation(n)
     assert report.total == math.comb(b, 2) + b * p + p * p
+    assert letters_folded(_pure_relations(n)) == {3: 208, 4: 1600, 5: 7680, 6: 27720}[n]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -38,12 +46,32 @@ def test_braid_presentation_passes(n):
     assert report.passed, report.failures[:3]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_braid_presentation_relation_count(n):
     commuting = (n - 1) * (n - 2) // 2 - (n - 2)
     braid = n - 2
     actions = (n - 1) * (math.comb(n, 2) + math.comb(n, 3))
     assert braid_presentation(n).total == commuting + braid + actions
+    assert letters_folded(_braid_relations(n)) == {3: 102, 4: 492, 5: 1598, 6: 4138}[n]
+
+
+def test_a_wrong_generator_word_fails_exactly_the_relations_that_use_it(monkeypatch):
+    # each suite takes a[1,2,3] from its one generator table: a wrong sign on it
+    # breaks exactly the relations that read its sign, and no central relation
+    right = presentations.comm_gen_word
+
+    def planted(n, triple):
+        word = right(n, triple)
+        return word.inverse() if triple == (1, 2, 3) else word
+
+    monkeypatch.setattr(presentations, "comm_gen_word", planted)
+    pn3 = pure_presentation(4)
+    assert sorted(rid for rid, _, _ in pn3.failures) == sorted(
+        f"pair-table[A{p},A{q}]" for p in ((1, 2), (1, 3), (2, 3)) for q in ((1, 2), (1, 3), (2, 3)) if p != q)
+    assert [rid for rid, _, _ in braid_presentation(4).failures] == [
+        "action-pair[k=1,A(2,3)]", "action-pair[k=2,A(1,3)]",
+        "action-triple[k=3,a(1, 2, 3)]", "action-triple[k=3,a(1, 2, 4)]",
+    ]
 
 
 @pytest.mark.parametrize("suite, n", [(pure_presentation, 6), (braid_presentation, 9)])
