@@ -173,7 +173,12 @@ class BraidWord:
 
     def __post_init__(self):
         _check_strands(self.n)
-        for k, eps in self.letters:
+        if not isinstance(self.letters, tuple):
+            raise DomainError(f"letters must be a tuple of (generator, sign) pairs, got {type(self.letters).__name__}")
+        for letter in self.letters:
+            if type(letter) is not tuple or len(letter) != 2:
+                raise DomainError(f"letters must be a tuple of (generator, sign) pairs, got the letter {letter!r}")
+            k, eps = letter
             if type(k) is not int or not 1 <= k <= self.n - 1:
                 raise DomainError(f"generator index {k!r} out of range for n={self.n}")
             if type(eps) is not int or eps not in (1, -1):
@@ -496,13 +501,17 @@ def _thaw(a: NilElement) -> tuple[list[int], list[dict[int, int]], dict[Triple, 
     return list(a.perm.image), nbr, {(i, j, k): c for i, j, k, c in a.comm.entries}
 
 
+def _origin(n: int) -> tuple[list[int], list[dict[int, int]], dict[Triple, int]]:
+    """A fresh fold state of the identity on n strands."""
+    return list(range(1, n + 1)), [{} for _ in range(n + 1)], {}
+
+
 def collect(word: BraidWord) -> NilElement:
     """Fold a braid word into its canonical normal form.
 
     This is a homomorphism: collect(u * v) = mul(collect(u), collect(v)).
     """
-    n = word.n
-    return _freeze(n, *_fold(list(range(1, n + 1)), [{} for _ in range(n + 1)], {}, word.letters))
+    return _freeze(word.n, *_fold(*_origin(word.n), word.letters))
 
 
 def _merge_pure_block(nbr: list[dict[int, int]], comm: dict[Triple, int],

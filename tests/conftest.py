@@ -7,8 +7,9 @@ The oracles are the permutation of a word and the strand-tracking normal form
 at level 1, the conjugation rules of one generator on one pair or triple, the
 eager letter-by-letter fold built on them, which relabels every graded entry
 on each letter, the bracket table of two pure generators with the pure-block
-merge that scans every resident against it, power by plain squaring, and the
-dense holonomy matrices with the CLI text they encode to.  The fold and merge
+merge that scans every resident against it, power by plain squaring, the
+dense holonomy matrices with the CLI text they encode to, and the presentation
+check that collects both sides of every relation whole.  The fold and merge
 oracles keep level 1 as a pair dict; pair_dict and adjacency convert to and
 from the strand adjacency of the group law.
 
@@ -46,6 +47,7 @@ from braidnil.core import (
     pairs,
     triples,
 )
+from braidnil.presentations import RelationReport
 
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
@@ -406,6 +408,16 @@ def square_power(a: NilElement, m: int) -> NilElement:
         base = mul(base, base)
         m >>= 1
     return acc
+
+
+def whole_word_report(suite: str, n: int, relations) -> RelationReport:
+    """A suite's report with each relation's lhs, prefix * rest, and rhs collected whole and compared."""
+    failures, total = [], 0
+    for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
+        le, re = collect(prefix * rest), collect(rhs)
+        if le != re:
+            failures.append((rid, le, re))
+    return RelationReport(suite, n, total, tuple(failures))
 
 
 def _inversion_sign(perm: list[int]) -> int:

@@ -560,6 +560,11 @@ class TestCanonicalForm:
         with pytest.raises(DomainError):
             build()
 
+    @pytest.mark.parametrize("letters", [[(1, 1)], ((1,),), ((1, 1, 1),), (1, 1)], ids=repr)
+    def test_a_word_is_a_tuple_of_letter_pairs(self, letters):
+        with pytest.raises(DomainError, match="tuple of \\(generator, sign\\) pairs"):
+            BraidWord(3, letters)
+
     def test_derived_words_run_no_letter_check(self, monkeypatch):
         # a word's letters are checked once, when it is built from outside the word type
         w = BraidWord(4, ((1, 1), (3, -1), (2, 1)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from braidnil.core import (
     _fold,
     _freeze,
     _lex_reduced_word,
+    _origin,
     _thaw,
     collect,
     conjugation_map,
@@ -50,6 +52,20 @@ def eager(state, word):
 def test_fold_equals_eager_fold(case):
     state, word = case
     assert _freeze(state.n, *_fold(*_thaw(state), word)) == eager(state, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), *(letters(n, 30).map(tuple) for _ in range(3)))))
+def test_a_folded_prefix_continues_from_copies_of_its_state(case):
+    # the verify suites fold a shared prefix once and continue each relation from a copy of its state
+    n, u, v, w = case
+    shared = _fold(*_origin(n), u)
+    before = copy.deepcopy(shared)
+    for rest in (v, w):
+        image, nbr, comm = shared
+        continued = _freeze(n, *_fold(image, [dict(row) for row in nbr], dict(comm), rest))
+        assert continued == collect(BraidWord(n, u + rest))
+    assert shared == before
 
 
 def test_single_letters_of_both_signs_and_both_section_cases():

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from braidnil import presentations
-from braidnil.core import DomainError
+from braidnil.core import BraidWord, DomainError, identity, pairs, pure_gen_word
 from braidnil.presentations import (
     SUBGROUPS,
     _braid_relations,
@@ -18,6 +18,7 @@ from braidnil.presentations import (
     pure_presentation,
     subgroup_presentation,
 )
+from conftest import whole_word_report
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -27,7 +28,7 @@ def test_pure_presentation_passes(n):
 
 
 def letters_folded(relations):
-    return sum(len(lhs.letters) + len(rhs.letters) for _, lhs, rhs in relations)
+    return sum(len(prefix.letters) + len(rest.letters) + len(rhs.letters) for _, prefix, rest, rhs in relations)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -72,6 +73,61 @@ def test_a_wrong_generator_word_fails_exactly_the_relations_that_use_it(monkeypa
         "action-pair[k=1,A(2,3)]", "action-pair[k=2,A(1,3)]",
         "action-triple[k=3,a(1, 2, 3)]", "action-triple[k=3,a(1, 2, 4)]",
     ]
+
+
+def test_a_wrong_prefix_word_fails_only_its_own_relations(monkeypatch):
+    # A(1,3) is the shared prefix of a run of relations: the run's other relations
+    # must still pass, each from its own copy of the folded prefix
+    right = presentations.pure_gen_word
+
+    def planted(n, i, j):
+        word = right(n, i, j)
+        return word.inverse() if (i, j) == (1, 3) else word
+
+    monkeypatch.setattr(presentations, "pure_gen_word", planted)
+    assert sorted(rid for rid, _, _ in pure_presentation(4).failures) == sorted(
+        f"pair-table[A{p},A{q}]" for p, q in [
+            ((1, 2), (1, 3)), ((1, 3), (1, 2)), ((1, 3), (1, 4)), ((1, 3), (2, 3)),
+            ((1, 3), (3, 4)), ((1, 4), (1, 3)), ((2, 3), (1, 3)), ((3, 4), (1, 3))])
+    assert [rid for rid, _, _ in braid_presentation(4).failures] == [
+        "action-pair[k=1,A(1,3)]", "action-pair[k=1,A(2,3)]", "action-pair[k=2,A(1,2)]",
+        "action-pair[k=2,A(1,3)]", "action-pair[k=3,A(1,3)]", "action-pair[k=3,A(1,4)]",
+    ]
+
+
+def _suite_cases():
+    for n in (3, 4, 5, 6):
+        yield pytest.param(pure_presentation, n, id=f"pn3-{n}")
+        yield pytest.param(braid_presentation, n, id=f"bn3-{n}")
+    for subgroup in SUBGROUPS:
+        yield pytest.param(subgroup_presentation, subgroup, id=f"b3-{subgroup}")
+
+
+@pytest.mark.parametrize("suite, arg", _suite_cases())
+def test_the_prefix_fold_reports_as_whole_words_do(monkeypatch, suite, arg):
+    folded = suite(arg).to_dict()
+    monkeypatch.setattr(presentations, "_run", whole_word_report)
+    assert suite(arg).to_dict() == folded
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_full_twist_reports_as_whole_words_do(n):
+    one = BraidWord(n, ())
+    twist = BraidWord(n, tuple((k, 1) for k in range(1, n))) ** n
+    product = BraidWord(n, tuple(x for p in pairs(n) for x in pure_gen_word(n, *p).letters))
+    relation = (f"(s1..s{n-1})^{n}=prod A[i,j]", one, twist, product)
+    assert full_twist(n).to_dict() == whole_word_report("fulltwist", n, [relation]).to_dict()
+
+
+def test_the_full_twist_reports_a_failed_relation_or_else_a_wrong_shape(monkeypatch):
+    right = presentations.pure_gen_word
+    monkeypatch.setattr(presentations, "pure_gen_word",
+                        lambda n, i, j: right(n, i, j).inverse() if (i, j) == (1, 3) else right(n, i, j))
+    assert [rid for rid, _, _ in full_twist(4).failures] == ["(s1..s3)^4=prod A[i,j]"]
+    # both sides equal, but not to the full twist's shape
+    monkeypatch.setattr(presentations, "collect", lambda word: identity(word.n))
+    report = full_twist(4)
+    assert (report.total, report.failures) == (1, (("full twist shape at n=4", identity(4), identity(4)),))
 
 
 @pytest.mark.parametrize("suite, n", [(pure_presentation, 6), (braid_presentation, 9)])
