@@ -15,10 +15,11 @@ import argparse
 import json
 import sys
 
-from . import invariants, presentations, torsion
 from .core import (
     DomainError,
     NilElement,
+    SPECTRUM_MAX_N,
+    SUBGROUPS,
     collect,
     conj,
     dumps_canonical,
@@ -32,7 +33,6 @@ from .core import (
     word_from_dict,
 )
 from .expr import ExpressionError, parse
-from .orbits import orbit_partition
 
 
 def _json_arg(text: str, what: str):
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_n(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--spectrum", action="store_true",
-                   help=f"all finite orders > 1 (n <= {torsion.SPECTRUM_MAX_N})")
+                   help=f"all finite orders > 1 (n <= {SPECTRUM_MAX_N})")
     g.add_argument("--cycle-type", help="comma-separated parts, e.g. 5,7")
     g.add_argument("--residues", help='residue matrix JSON {"n":..,"residues":[[..],..]}')
 
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a presentation / identity suite")
     p.add_argument("--suite", choices=("pn3", "bn3", "b3", "fulltwist"), required=True)
     p.add_argument("--n", type=int, help="strand count (pn3/bn3/fulltwist)")
-    p.add_argument("--subgroup", choices=presentations.SUBGROUPS,
+    p.add_argument("--subgroup", choices=SUBGROUPS,
                    help="b3 only: verify a single subgroup (default: all four)")
     return ap
 
@@ -172,8 +172,8 @@ def _block_rows(rows, signs, width: int, offset: int, zero: str, sep: str, fmt):
         yield run[:at] + fmt(signs[c]) + run[at + len(zero):end]
 
 
-def _write_holonomy(h: invariants.HolonomyMatrix, pretty: bool) -> None:
-    """Write the holonomy blocks row by row from their signed permutations, never as dense matrices.
+def _write_holonomy(h, pretty: bool) -> None:
+    """Write the blocks of the HolonomyMatrix h row by row from their signed permutations, never as dense matrices.
 
     The JSON blocks come first, then the other keys from dumps_canonical,
     since block1 and block2 sort before them; --pretty writes the
@@ -197,6 +197,8 @@ def _write_holonomy(h: invariants.HolonomyMatrix, pretty: bool) -> None:
 
 
 def _cmd_torsion(args) -> int:
+    from . import torsion
+
     if args.spectrum:
         _print({"n": args.n, "spectrum": torsion.torsion_spectrum(args.n)})
         return 0
@@ -231,8 +233,10 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import presentations
+
     if args.suite == "b3":
-        names = [args.subgroup] if args.subgroup else list(presentations.SUBGROUPS)
+        names = [args.subgroup] if args.subgroup else list(SUBGROUPS)
         reports = [presentations.subgroup_presentation(s) for s in names]
     elif args.n is None:
         raise DomainError(f"--n is required for suite {args.suite}")
@@ -271,8 +275,10 @@ def main(argv=None) -> int:
             q = order(_element_arg(args.expr, args.n))
             _print({"n": args.n, "order": q if q is not None else "infinite"})
         elif args.command == "delta":
+            from . import torsion
             _print(element_to_dict(torsion.delta(args.r, args.k, args.n)))
         elif args.command == "delta-pow":
+            from . import torsion
             basis, comm, constants = torsion.delta_power_coefficients(args.n)
             _print({
                 "n": args.n,
@@ -281,6 +287,7 @@ def main(argv=None) -> int:
                 "orbit_representatives": [list(t) for t in basis.representatives()],
             })
         elif args.command == "orbits":
+            from .orbits import orbit_partition
             basis = orbit_partition(args.n)
             if args.pretty:
                 for i, orbit in enumerate(basis.orbits):
@@ -299,9 +306,11 @@ def main(argv=None) -> int:
                     ],
                 })
         elif args.command == "ranks":
+            from . import invariants
             qs = [args.q] if args.q is not None else range(1, args.qmax + 1)
             _print({"n": args.n, "ranks": [{"q": q, "rank": invariants.lcs_rank(args.n, q)} for q in qs]})
         elif args.command == "table":
+            from . import invariants
             t = invariants.dimension_table(args.nmax, args.kmax)
             if args.pretty:
                 print(t.render_text())
@@ -310,6 +319,7 @@ def main(argv=None) -> int:
         elif args.command == "torsion":
             return _cmd_torsion(args)
         elif args.command == "conjugacy":
+            from . import torsion
             a = _element_arg(args.left, args.n)
             b = _element_arg(args.right, args.n)
             # conjugacy_witness decides on its way and raises unless the inputs are conjugate
@@ -329,6 +339,7 @@ def main(argv=None) -> int:
                 doc["witness"] = element_to_dict(g)
             _print(doc)
         elif args.command == "holonomy":
+            from . import invariants
             e = _element_arg(args.expr, args.n)
             pair_basis = None
             if args.paper_basis:

@@ -19,11 +19,10 @@ expression is parsed for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
-from .core import (BraidWord, CommPart, DomainError, NilElement, PurePart, collect, comm_gen, identity, mul,
-                   power, pure_gen, sigma)
+from .core import (BraidWord, CommPart, DomainError, NilElement, PurePart, _Value, collect, comm_gen, identity,
+                   mul, power, pure_gen, sigma)
 
 
 class ExpressionError(ValueError):
@@ -41,8 +40,7 @@ class ExpressionError(ValueError):
 _COORDINATE_ATOMS = {"A": PurePart, "a": CommPart}
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(_Value):
     """A parsed element expression, bound to its strand count."""
 
     n: int

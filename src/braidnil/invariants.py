@@ -25,7 +25,6 @@ Bases are lexicographic, except that an explicit pair order may be passed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .core import (
@@ -35,6 +34,7 @@ from .core import (
     Pair,
     PurePart,
     Triple,
+    _Value,
     conjugation_map,
 )
 
@@ -103,8 +103,7 @@ def hirsch_length(n: int, k: int) -> int:
     return sum(lcs_rank(n, q) for q in range(1, k))
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(_Value):
     """Grid of dimensions indexed by (n, k)."""
 
     entries: tuple[tuple[int, int, int], ...]  # (n, k, dim), sorted by (n, k)
@@ -161,8 +160,7 @@ def _permutation_parity(perm_of_indices: tuple[int, ...]) -> int:
     return -1 if (len(perm_of_indices) - cycles) % 2 else 1
 
 
-@dataclass(frozen=True)
-class HolonomyMatrix:
+class HolonomyMatrix(_Value):
     """Graded conjugation action of one element, in column-is-image convention.
 
     Each block is a signed permutation matrix, stored by column: the pair

@@ -14,8 +14,7 @@ other orbit owns a lex-smaller representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .core import (
     CommPart,
@@ -23,6 +22,7 @@ from .core import (
     NilElement,
     Permutation,
     PurePart,
+    _Value,
     conjugation_map,
 )
 
@@ -30,8 +30,7 @@ Key = tuple[int, ...]  # a pair or a triple
 Orbit = tuple[tuple[Key, int], ...]
 
 
-@dataclass(frozen=True)
-class OrbitBasis:
+class OrbitBasis(_Value):
     """The pair or triple basis grouped into orbits of a signed action, as built by signed_orbits.
 
     orbits[i][j] is (key, sign): the key reached from the i-th representative

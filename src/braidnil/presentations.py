@@ -27,14 +27,15 @@ Suites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .core import (
     BraidWord,
     DomainError,
     NilElement,
+    SUBGROUPS,
+    _Value,
     _fold,
     _freeze,
     _origin,
@@ -48,8 +49,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Value):
     """Outcome of one verification suite; it passes iff failures is empty."""
 
     suite: str
@@ -182,9 +182,6 @@ def _braid_relations(n: int) -> Iterator[Relation]:
             image = tuple(sorted(k + 1 if x == k else k if x == k + 1 else x for x in t))
             flip = (k in t) and (k + 1 in t)
             yield f"action-triple[k={k},a{t}]", s[k], a[t] * si[k], ai[image] if flip else a[image]
-
-
-SUBGROUPS = ("trivial", "order2", "order3", "s3")
 
 
 def subgroup_presentation(subgroup: str) -> RelationReport:

@@ -30,6 +30,7 @@ from .core import (
     DomainError,
     NilElement,
     Permutation,
+    SPECTRUM_MAX_N,
     PurePart,
     _trusted,
     collect,
@@ -171,12 +172,6 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
         result = mul(result, shift_embed(block, offset, n))
         offset += p
     return result
-
-
-# The spectrum grows faster than any power of n: 60453 orders at n = 200
-# (0.13 s, 28 MB peak RSS) and 924636 at n = 300 (4.1 s, 331 MB), measured
-# in one process on a 2-vCPU VM with Python 3.11.
-SPECTRUM_MAX_N = 200
 
 
 def torsion_spectrum(n: int) -> list[int]:

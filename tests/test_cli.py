@@ -282,11 +282,15 @@ def test_paper_basis_off_three_strands_exits_3(capsys):
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_holonomy_memory_stays_bounded(pretty):
-    # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB
-    child = ("import resource, sys\n"
+    # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB.
+    # The child reports VmHWM, its own peak since exec: ru_maxrss carries over the peak of the forked
+    # pytest process, so it would measure whatever the tests before this one left in memory.
+    child = ("import sys\n"
              "from braidnil.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "sys.stderr.write(f'{code} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')\n")
+             "with open('/proc/self/status') as f:\n"
+             "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+             "sys.stderr.write(f'{code} {hwm}')\n")
     argv = ["holonomy", "--n", "28", "s1 s2 s5 S27"] + (["--pretty"] if pretty else [])
     env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
     with open(os.devnull, "w") as sink:

@@ -1,12 +1,21 @@
-"""Every module-level import in a braidnil module is used there (the package __init__ re-exports, so it is
-exempt), and every module-level private name is read somewhere in the package."""
+"""Every module-level import in a braidnil module is used there, and every module-level private name is read
+somewhere in the package.  The package exports its names lazily, and a cold CLI start loads only the modules
+that its subcommand runs."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import braidnil
+from braidnil.core import dumps_canonical, element_to_dict
+from braidnil.expr import parse
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidnil"
 
@@ -31,7 +40,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["math (line 2)", "separator (line 3)"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
@@ -76,3 +85,61 @@ def test_the_check_finds_an_unread_private_name():
 
 def test_package_has_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+# the package surface: each public name by the submodule that defines it, the submodules themselves included
+SURFACE = {
+    "core": ["BraidWord", "CommPart", "DomainError", "NilElement", "Permutation", "PurePart", "collect", "comm_gen",
+             "comm_gen_word", "commutator_word", "conj", "core", "element_from_dict", "element_to_dict", "identity",
+             "inv", "mul", "order", "pairs", "power", "pure_gen", "pure_gen_word", "sigma", "tits_lift", "triples",
+             "word_from_dict", "word_to_dict"],
+    "expr": ["Expression", "ExpressionError", "expr", "parse"],
+    "invariants": ["HolonomyMatrix", "RankTable", "combined_matrix", "dimension_table", "hirsch_length",
+                   "holonomy_matrix", "invariants", "lcs_rank", "orientability_check"],
+    "orbits": ["OrbitBasis", "cycle_element", "orbit_basis_of", "orbit_partition", "orbits"],
+    "presentations": ["RelationReport", "SUBGROUPS", "braid_presentation", "full_twist", "presentations",
+                      "pure_presentation", "subgroup_presentation"],
+    "torsion": ["compatible_residues", "conjugacy_decide", "conjugacy_witness", "delta", "delta_power_coefficients",
+                "delta_word", "element_with_cycle_type", "finite_order_element", "shift_embed", "torsion",
+                "torsion_spectrum"],
+}
+
+
+def test_the_package_surface():
+    names = sorted(name for names in SURFACE.values() for name in names)
+    assert len(names) == 63 and braidnil.__all__ == names
+    star: dict = {}
+    exec("from braidnil import *", star)
+    assert star.keys() - {"__builtins__"} == set(names)
+    for module, names_there in SURFACE.items():
+        owner = importlib.import_module(f"braidnil.{module}")
+        for name in names_there:
+            assert getattr(braidnil, name) is (owner if name == module else getattr(owner, name)), name
+    assert set(names) <= set(dir(braidnil))
+    with pytest.raises(AttributeError, match="^module 'braidnil' has no attribute 'nonesuch'$"):
+        braidnil.nonesuch
+
+
+# the cold start that the benchmark times
+COLD_ARGV = ["collect", "--n", "5", "(s4 s3 s2^-1 s1^-1)^5"]
+
+
+def test_a_cold_collect_loads_only_what_it_runs():
+    # modules that a bare interpreter already has (site hooks differ between hosts) do not count
+    child = ("import sys\n"
+             "bare = set(sys.modules)\n"
+             "import runpy\n"
+             "sys.argv[0] = 'braidnil'\n"
+             "try:\n"
+             "    runpy.run_module('braidnil.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "sys.stderr.write(' '.join([str(code)] + sorted(set(sys.modules) - bare)))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", child, *COLD_ARGV], capture_output=True, text=True, env=env,
+                          timeout=120)
+    code, *loaded = proc.stderr.split()
+    assert (code, proc.stdout) == ("0", dumps_canonical(element_to_dict(parse(COLD_ARGV[-1], 5).element())) + "\n")
+    assert "braidnil.core" in loaded
+    assert set(loaded) & {"braidnil.torsion", "braidnil.invariants", "braidnil.presentations", "braidnil.orbits",
+                          "dataclasses"} == set()
