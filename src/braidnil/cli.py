@@ -6,7 +6,8 @@ compact), or an aligned text rendering with --pretty where that makes sense;
 diagnostics go to stderr.  Element arguments are expression strings (see
 expr.py) unless they start with '{', in which case they are read as element
 JSON.  Exit codes: 0 success, 1 verification failure, 2 expression syntax
-error, 3 domain error (bad indices, violated preconditions, malformed JSON).
+error, 3 domain error (bad indices, violated preconditions, malformed JSON)
+or running out of memory.
 """
 
 from __future__ import annotations
@@ -69,93 +70,81 @@ def _render_element(e: NilElement) -> str:
     return " ".join(bits)
 
 
-def _add_n(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--n", type=int, required=required, help="strand count")
+_N = ("--n", {"type": int, "required": True, "help": "strand count"})
+_PRETTY = ("--pretty", {"action": "store_true"})
+
+# name -> (help, arguments) for each subcommand, in --help order; an argument is (name, add_argument
+# options), and a list of them is a required mutually exclusive group
+_COMMANDS = {
+    "collect": ("normal form of an expression", (_N, ("expr", {}), _PRETTY)),
+    "mul": ("product of two elements", (_N, ("left", {}), ("right", {}))),
+    "inv": ("inverse of an element", (_N, ("expr", {}))),
+    "pow": ("integer power of an element", (_N, ("expr", {}), ("exponent", {"type": int}))),
+    "conj": ("conjugate: g x g^-1", (_N, ("g", {}), ("x", {}))),
+    "order": ("order of an element (integer or infinite)", (_N, ("expr", {}))),
+    "delta": ("the mixed-sign cycle element on a block", (
+        _N,
+        ("--k", {"type": int, "required": True, "help": "odd block length >= 3"}),
+        ("--r", {"type": int, "default": 0, "help": "block offset (default 0)"}),
+    )),
+    "delta-pow": ("level-2 coordinates of the n-th power of the cycle element", (_N,)),
+    "orbits": ("cycle-element orbits of the triple basis", (_N, _PRETTY)),
+    "ranks": ("graded ranks of the pure lattice", (
+        _N,
+        ("--q", {"type": int, "help": "a single level"}),
+        ("--qmax", {"type": int, "default": 10, "help": "levels 1..qmax (default 10)"}),
+    )),
+    "table": ("dimension table over n and k", (
+        ("--nmax", {"type": int, "required": True}),
+        ("--kmax", {"type": int, "required": True}),
+        _PRETTY,
+    )),
+    "torsion": ("torsion spectrum and finite-order constructions", (_N, [
+        ("--spectrum", {"action": "store_true", "help": f"all finite orders > 1 (n <= {SPECTRUM_MAX_N})"}),
+        ("--cycle-type", {"help": "comma-separated parts, e.g. 5,7"}),
+        ("--residues", {"help": 'residue matrix JSON {"n":..,"residues":[[..],..]}'}),
+    ])),
+    "conjugacy": ("decide conjugacy or produce a witness", (
+        ("mode", {"choices": ("decide", "witness")}), _N, ("left", {}), ("right", {}),
+    )),
+    "holonomy": ("graded action matrices of an element", (
+        _N,
+        ("expr", {}),
+        ("--paper-basis", {"action": "store_true", "help": "n=3 only: order the pair basis (1,3),(2,3),(1,2)"}),
+        _PRETTY,
+    )),
+    "verify": ("run a presentation / identity suite", (
+        ("--suite", {"choices": ("pn3", "bn3", "b3", "fulltwist"), "required": True}),
+        ("--n", {"type": int, "help": "strand count (pn3/bn3/fulltwist)"}),
+        ("--subgroup", {"choices": SUBGROUPS, "help": "b3 only: verify a single subgroup (default: all four)"}),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone.
+
+    The one-subcommand parser lists every name in its usage line, so an
+    error it reports prints the same usage as the full parser.  The full
+    parser keeps argparse's default metavar, which its invalid-choice and
+    missing-command errors print.
+    """
     ap = argparse.ArgumentParser(
         prog="braidnil",
         description="exact computation in the class-2 nilpotent quotients of braid groups",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("collect", help="normal form of an expression")
-    _add_n(p)
-    p.add_argument("expr")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("mul", help="product of two elements")
-    _add_n(p)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("inv", help="inverse of an element")
-    _add_n(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("pow", help="integer power of an element")
-    _add_n(p)
-    p.add_argument("expr")
-    p.add_argument("exponent", type=int)
-
-    p = sub.add_parser("conj", help="conjugate: g x g^-1")
-    _add_n(p)
-    p.add_argument("g")
-    p.add_argument("x")
-
-    p = sub.add_parser("order", help="order of an element (integer or infinite)")
-    _add_n(p)
-    p.add_argument("expr")
-
-    p = sub.add_parser("delta", help="the mixed-sign cycle element on a block")
-    _add_n(p)
-    p.add_argument("--k", type=int, required=True, help="odd block length >= 3")
-    p.add_argument("--r", type=int, default=0, help="block offset (default 0)")
-
-    p = sub.add_parser("delta-pow", help="level-2 coordinates of the n-th power of the cycle element")
-    _add_n(p)
-
-    p = sub.add_parser("orbits", help="cycle-element orbits of the triple basis")
-    _add_n(p)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("ranks", help="graded ranks of the pure lattice")
-    _add_n(p)
-    p.add_argument("--q", type=int, help="a single level")
-    p.add_argument("--qmax", type=int, default=10, help="levels 1..qmax (default 10)")
-
-    p = sub.add_parser("table", help="dimension table over n and k")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("torsion", help="torsion spectrum and finite-order constructions")
-    _add_n(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--spectrum", action="store_true",
-                   help=f"all finite orders > 1 (n <= {SPECTRUM_MAX_N})")
-    g.add_argument("--cycle-type", help="comma-separated parts, e.g. 5,7")
-    g.add_argument("--residues", help='residue matrix JSON {"n":..,"residues":[[..],..]}')
-
-    p = sub.add_parser("conjugacy", help="decide conjugacy or produce a witness")
-    p.add_argument("mode", choices=("decide", "witness"))
-    _add_n(p)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("holonomy", help="graded action matrices of an element")
-    _add_n(p)
-    p.add_argument("expr")
-    p.add_argument("--paper-basis", action="store_true",
-                   help="n=3 only: order the pair basis (1,3),(2,3),(1,2)")
-    p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("verify", help="run a presentation / identity suite")
-    p.add_argument("--suite", choices=("pn3", "bn3", "b3", "fulltwist"), required=True)
-    p.add_argument("--n", type=int, help="strand count (pn3/bn3/fulltwist)")
-    p.add_argument("--subgroup", choices=SUBGROUPS,
-                   help="b3 only: verify a single subgroup (default: all four)")
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        summary, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag, options in argument:
+                    group.add_argument(flag, **options)
+            else:
+                p.add_argument(argument[0], **argument[1])
     return ap
 
 
@@ -254,7 +243,9 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # a request that names its subcommand first needs only that subparser; anything else gets them all
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         if args.command == "collect":
             e = _element_arg(args.expr, args.n)
             if args.pretty:
@@ -355,6 +346,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
         return 3
     finally:
         if limit is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import braidnil
 from braidnil import orbits, presentations, torsion
-from braidnil.cli import main
+from braidnil.cli import build_parser, main
 from braidnil.core import (
     Permutation,
     PurePart,
@@ -491,3 +492,63 @@ def test_cli_fuzz_exits_with_an_answer_or_a_diagnostic(command, n, text):
     assert code in (0, 2, 3)
     assert code == 0 or out.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+# one valid request per subcommand, after its name
+_VALID = {
+    "collect": ["--n", "5", "s1"], "mul": ["--n", "3", "s1", "s2"], "inv": ["--n", "3", "s1"],
+    "pow": ["--n", "3", "s1", "3"], "conj": ["--n", "3", "s1", "s2"], "order": ["--n", "3", "s1"],
+    "delta": ["--n", "5", "--k", "3"], "delta-pow": ["--n", "5"], "orbits": ["--n", "5"], "ranks": ["--n", "4"],
+    "table": ["--nmax", "4", "--kmax", "3"], "torsion": ["--n", "5", "--spectrum"],
+    "conjugacy": ["decide", "--n", "5", "s1", "s2"], "holonomy": ["--n", "3", "s1"], "verify": ["--suite", "b3"],
+}
+
+
+def parse_outcome(parser, argv):
+    """The parsed namespace or exit code of parser.parse_args(argv), with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", list(_VALID))
+def test_one_subcommand_parser_matches_the_full_parser(name):
+    # compared in one interpreter, since argparse's wording changes between Python versions
+    valid = [name, *_VALID[name]]
+    n_flag = "--nmax" if name == "table" else "--n"
+    argvs = [valid, [name, "--help"], valid + ["extra"], [name], [name, n_flag, "x"]]
+    if name == "torsion":
+        argvs.append(["torsion", "--n", "5", "--spectrum", "--cycle-type", "5"])
+    for argv in argvs:
+        assert parse_outcome(build_parser(name), argv) == parse_outcome(build_parser(), argv), argv
+
+
+def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch):
+    calls = counted(monkeypatch, argparse._SubParsersAction, "add_parser")
+    assert run(capsys, "collect", "--n", "5", "s1")[0] == 0
+    assert calls[0] == 1
+    # an unknown name gets the full parser, with argparse's own name for the subcommand argument
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert calls[0] == 1 + len(_VALID)
+    assert "error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_running_out_of_memory_exits_3():
+    # delta-pow at n=101 peaks near 90 MB; the interpreter starts in about 20 MB of address space
+    resource = pytest.importorskip("resource")
+    cap = 60 * 1024 * 1024
+    env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
+
+    def capped(n):
+        return subprocess.run([sys.executable, "-m", "braidnil.cli", "delta-pow", "--n", str(n)],
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    assert capped(5).returncode == 0  # the cap leaves room for a small request
+    proc = capped(101)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "resource error: out of memory\n")
