@@ -16,7 +16,8 @@ permutations, then solve one circulant system x_{j+1} - x_j = r_j per
 conjugation orbit (_solve_level), at level 1 and again at level 2.  It is
 solvable exactly when the r_j sum to zero, which the finite-order hypothesis
 guarantees; the free variable per orbit is pinned to x_0 = 0 at the
-representative.
+representative.  The witness computes one order, the sparser input's, and
+checks g a = b g: the other order follows, or is decided if a stage fails.
 """
 
 from __future__ import annotations
@@ -254,30 +255,43 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
     """An explicit g with conj(g, a) = b.
 
     Raises DomainError unless conjugacy_decide(a, b) holds, so a caller
-    needs no separate decision.  Steps: (1) conjugate a by the
-    lift of a permutation aligning the cycles; (2) match the level-1 parts by
-    solving circulant systems over the pair orbits of conjugation by b; (3)
-    match the level-2 parts likewise over its signed triple orbits; (4) verify
-    g by direct multiplication.  A stage that fails raises DomainError naming it.
+    needs no separate decision.  Only the sparser input's order is checked
+    up front; the other's follows from the verified conjugation, or is
+    decided when a stage fails.  Steps: (1) conjugate a by the lift of a
+    permutation aligning the cycles; (2) match the level-1 parts by solving
+    circulant systems over the pair orbits of conjugation by b; (3) match the
+    level-2 parts likewise over its signed triple orbits; (4) verify g by
+    g a = b g.  A stage that fails raises DomainError naming it.
     """
-    if not conjugacy_decide(a, b):
-        raise DomainError("witness requires conjugate inputs (equal cycle types)")
-    n = a.n
-    zero_p, zero_c = PurePart.zero(n), CommPart.zero(n)
+    if a.n != b.n:
+        raise DomainError("elements live on different strand counts")
+    first, second = sorted((a, b), key=lambda x: len(x.pure.entries) + len(x.comm.entries))
+    if order(first) is None:
+        raise DomainError("conjugacy decision requires finite-order inputs")
+    try:
+        if a.perm.cycle_type() != b.perm.cycle_type():
+            raise DomainError("witness requires conjugate inputs (equal cycle types)")
+        n = a.n
+        zero_p, zero_c = PurePart.zero(n), CommPart.zero(n)
 
-    # (1) permutation alignment by a lifted conjugator
-    g1 = NilElement(n, conjugating_permutation(a.perm, b.perm), zero_p, zero_c)
-    a1 = conj(g1, a)
-    if a1.perm != b.perm:
-        raise DomainError(f"witness permutation alignment failed: got {list(a1.perm.image)}, want {list(b.perm.image)}")
+        # (1) permutation alignment by a lifted conjugator
+        g1 = NilElement(n, conjugating_permutation(a.perm, b.perm), zero_p, zero_c)
+        a1 = conj(g1, a)
+        if a1.perm != b.perm:
+            raise DomainError(f"witness permutation alignment failed: got {list(a1.perm.image)}, want {list(b.perm.image)}")
 
-    # (2) level-1 circulant systems over the pair orbits of conjugation by b, where every sign is +1
-    g2 = NilElement(n, Permutation.identity(n), _solve_level(b, b.pure, a1.pure), zero_c)
+        # (2) level-1 circulant systems over the pair orbits of conjugation by b, where every sign is +1
+        g2 = NilElement(n, Permutation.identity(n), _solve_level(b, b.pure, a1.pure), zero_c)
 
-    # (3) level-2 circulant systems over the signed triple orbits of conjugation by b
-    g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b, b.comm, conj(g2, a1).comm))
+        # (3) level-2 circulant systems over the signed triple orbits of conjugation by b
+        g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b, b.comm, conj(g2, a1).comm))
 
-    g = mul(g3, mul(g2, g1))
-    if conj(g, a) != b:
-        raise DomainError("witness final check failed: conj(g, a) differs from b")
+        # (4) g a = b g is conj(g, a) = b without the inverse of g
+        g = mul(g3, mul(g2, g1))
+        if mul(g, a) != mul(b, g):
+            raise DomainError("witness final check failed: conj(g, a) differs from b")
+    except DomainError:
+        if order(second) is None:
+            raise DomainError("conjugacy decision requires finite-order inputs") from None
+        raise
     return g

@@ -196,6 +196,21 @@ def test_witness_of_infinite_order_inputs_exits_3(capsys):
     assert (code, out, err) == (3, "", "domain error: conjugacy decision requires finite-order inputs\n")
 
 
+_ORDER_FIVE = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
+
+
+# the witness computes the sparser input's order first and the other's only when a stage fails
+@pytest.mark.parametrize("left, right", [
+    pytest.param(_ORDER_FIVE, f"A[1,2] {_ORDER_FIVE}", id="finite-then-infinite-same-permutation"),
+    pytest.param(f"A[1,2] {_ORDER_FIVE}", _ORDER_FIVE, id="infinite-then-finite-same-permutation"),
+    pytest.param("s1", _ORDER_FIVE, id="infinite-then-finite-other-cycle-type"),
+    pytest.param(_ORDER_FIVE, "s1", id="finite-then-infinite-other-cycle-type"),
+])
+def test_an_infinite_order_witness_input_exits_3_as_the_decision(capsys, left, right):
+    code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", left, right)
+    assert (code, out, err) == (3, "", "domain error: conjugacy decision requires finite-order inputs\n")
+
+
 def test_small_n_witness_is_flagged(capsys):
     code, out, err = run(capsys, "conjugacy", "witness", "--n", "3", "", "")
     assert code == 0
@@ -235,11 +250,14 @@ def test_a_failed_witness_stage_exits_3_naming_it(capsys, monkeypatch, module, n
 
 
 def test_a_witness_request_decides_conjugacy_once(capsys, monkeypatch):
+    # a verified witness needs one order; a failed stage needs the other to name the failure
     calls = counted(monkeypatch, braidnil.torsion, "order")
-    a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
-    code, out, _ = run(capsys, "conjugacy", "witness", "--n", "5", a, f"s2 ({a}) s2^-1")
+    code, out, _ = run(capsys, "conjugacy", "witness", "--n", "5", _ORDER_FIVE, f"s2 ({_ORDER_FIVE}) s2^-1")
     assert code == 0 and "witness" in json.loads(out)
-    assert calls[0] == 2
+    assert calls[0] == 1
+    code, _, _ = run(capsys, "conjugacy", "witness", "--n", "5", _ORDER_FIVE, f"A[1,2] {_ORDER_FIVE}")
+    assert code == 3
+    assert calls[0] == 1 + 2
 
 
 def test_delta_pow_builds_one_orbit_basis(capsys, monkeypatch):

@@ -7,6 +7,8 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidnil import orbits
 from braidnil.core import (
@@ -37,7 +39,7 @@ from braidnil.torsion import (
     shift_embed,
     torsion_spectrum,
 )
-from conftest import counted, random_word, satisfies
+from conftest import counted, elements, random_word, satisfies
 
 
 class TestDelta:
@@ -331,3 +333,16 @@ class TestConjugacy:
         b = element_with_cycle_type(10, [5, 5])
         with pytest.raises(DomainError):
             conjugacy_witness(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_witness_conjugates_and_the_skipped_order_agrees(self, data):
+        # every admissible cycle type on n <= 11 strands, its blocks after a random run of fixed points, and
+        # conjugated by its own random element on each side, so either input may be the sparser
+        cycles = data.draw(st.sampled_from(((), (5,), (7,), (11,), (5, 5))))
+        n = data.draw(st.integers(max(sum(cycles), 1), 11))
+        e = element_with_cycle_type(n, [1] * data.draw(st.integers(0, n - sum(cycles))) + list(cycles))
+        a, b = (conj(data.draw(elements(n)), e) for _ in range(2))
+        g = conjugacy_witness(a, b)
+        assert conj(g, a) == b
+        assert order(b) == order(a)
