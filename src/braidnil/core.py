@@ -83,10 +83,15 @@ class DomainError(ValueError):
     """An index or argument outside the valid range for its strand count."""
 
 
+def _check_int(what: str, x) -> None:
+    """Only a real int passes: a bool or a float raises, never coerced."""
+    if type(x) is not int:
+        raise DomainError(f"{what} must be an int, got {x!r}")
+
+
 def _check_strands(n) -> None:
     """The one strand-count rule: n is an int, at least 1."""
-    if type(n) is not int:
-        raise DomainError(f"strand count must be an int, got {n!r}")
+    _check_int("strand count", n)
     if n < 1:
         raise DomainError("strand count must be at least 1")
 
@@ -249,6 +254,7 @@ class BraidWord(_Value):
         return _trusted(BraidWord, n=self.n, letters=tuple((k, -eps) for k, eps in reversed(self.letters)))
 
     def __pow__(self, m: int) -> BraidWord:
+        _check_int("exponent", m)
         base = self if m >= 0 else self.inverse()
         return _trusted(BraidWord, n=self.n, letters=base.letters * abs(m))
 
@@ -630,6 +636,7 @@ def power(a: NilElement, m: int) -> NilElement:
     merge, whatever m is.  For s = 1 a^q is returned as squaring built it,
     so order() computes the real power.  Negative powers go through inv.
     """
+    _check_int("exponent", m)
     if m < 0:
         return power(inv(a), -m)
     n = a.n

@@ -1,7 +1,8 @@
 """
 Expression language for group elements.
 
-Grammar (whitespace between tokens is optional and ignored):
+Grammar (whitespace between tokens, any that str.isspace() accepts, is optional
+and ignored; an int is ASCII digits with an optional sign):
 
     expr := term*
     term := atom ('^' int)?
@@ -12,17 +13,19 @@ Grammar (whitespace between tokens is optional and ignored):
           | '(' expr ')'
 
 Concatenation is group multiplication left to right; the empty expression is
-the identity.  Syntax errors carry the UTF-8 byte offset of the offending token;
-index-range errors are domain errors, raised against the strand count the
-expression is parsed for.
+the identity.  One compiled token pattern, matched at each position in turn,
+reads the text: an int, any other single character, or the end.  Syntax errors
+carry the UTF-8 byte offset of the offending token; index-range errors are
+domain errors, raised against the strand count the expression is parsed for.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import groupby
 
-from .core import (BraidWord, CommPart, DomainError, NilElement, PurePart, _Value, collect, comm_gen, identity,
-                   mul, power, pure_gen, sigma)
+from .core import (BraidWord, CommPart, DomainError, NilElement, PurePart, _check_strands, _Value, collect, comm_gen,
+                   identity, mul, power, pure_gen, sigma)
 
 
 class ExpressionError(ValueError):
@@ -82,83 +85,68 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
     return acc
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, pos: int) -> ExpressionError:
-        """The syntax error at string index pos, placed at its UTF-8 byte offset.
-
-        The text before pos is what the scanner accepted, so it always encodes.
-        """
-        return ExpressionError(message, len(self.text[:pos].encode()))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":  # not isdigit(): it takes '²' and '٣'
-            self.pos += 1
-        if self.pos == digits:
-            raise self.error("expected an integer", start)
-        return int(self.text[start:self.pos])
-
+# one token after optional whitespace (exactly what str.isspace() accepts): a signed integer of ASCII
+# digits (not isdigit(), which takes '²' and '٣'), any other single character, or "" at the end
+_TOKEN = re.compile(r"\s*([+-]?[0-9]+|.|\Z)", re.DOTALL)
 
 # deepest parenthesis nesting accepted; parsing, validation and evaluation each recurse once per level
 _MAX_NESTING = 500
 
 
-def _parse_terms(sc: _Scanner, depth: int) -> tuple:
+def _error(text: str, message: str, m: re.Match) -> ExpressionError:
+    """The syntax error at the token of m, placed at its UTF-8 byte offset.
+
+    The text before the token is what the parser accepted, so it always encodes.
+    """
+    return ExpressionError(message, len(text[:m.start(1)].encode()))
+
+
+def _expect(text: str, m: re.Match, token: str) -> re.Match:
+    """The match of the token after m's, which must be token."""
+    if m[1] != token:
+        raise _error(text, f"expected {token!r}", m)
+    return _TOKEN.match(text, m.end())
+
+
+def _integer(text: str, m: re.Match) -> tuple[int, re.Match]:
+    """The integer that m's token must be, and the match of the token after it."""
+    if not "0" <= m[1][-1:] <= "9":  # only the pattern's integer alternative ends in an ASCII digit
+        raise _error(text, "expected an integer", m)
+    return int(m[1]), _TOKEN.match(text, m.end())
+
+
+def _parse_terms(text: str, m: re.Match, depth: int) -> tuple[tuple, re.Match]:
+    """The terms from the token of m on, and the match of the ')' or the end that stops them."""
     terms = []
     while True:
-        ch = sc.peek()
-        if ch == "" or ch == ")":
-            if ch == ")" and depth == 0:
-                raise sc.error("unbalanced ')'", sc.pos)
-            return tuple(terms)
-        if ch == "s" or ch == "S":
-            sc.pos += 1
-            k = sc.integer()
-            atom = ("gen", k, 1 if ch == "s" else -1)
-        elif ch in _COORDINATE_ATOMS:
-            sc.pos += 1
-            sc.expect("[")
-            key = [sc.integer()]
-            for _ in range(_COORDINATE_ATOMS[ch].arity - 1):
-                sc.expect(",")
-                key.append(sc.integer())
-            sc.expect("]")
-            atom = (ch, tuple(key))
-        elif ch == "(":
+        token = m[1]
+        if token == "" or token == ")":
+            if token == ")" and depth == 0:
+                raise _error(text, "unbalanced ')'", m)
+            return tuple(terms), m
+        after = _TOKEN.match(text, m.end())
+        if token == "s" or token == "S":
+            k, m = _integer(text, after)
+            atom = ("gen", k, 1 if token == "s" else -1)
+        elif token in _COORDINATE_ATOMS:
+            m = _expect(text, after, "[")
+            key = []
+            for close in [","] * (_COORDINATE_ATOMS[token].arity - 1) + ["]"]:
+                k, m = _integer(text, m)
+                key.append(k)
+                m = _expect(text, m, close)
+            atom = (token, tuple(key))
+        elif token == "(":
             if depth == _MAX_NESTING:
-                raise sc.error(f"parentheses nested deeper than {_MAX_NESTING}", sc.pos)
-            sc.pos += 1
-            inner = _parse_terms(sc, depth + 1)
-            sc.expect(")")
+                raise _error(text, f"parentheses nested deeper than {_MAX_NESTING}", m)
+            inner, m = _parse_terms(text, after, depth + 1)
+            m = _expect(text, m, ")")
             atom = ("group", inner)
         else:
-            raise sc.error(f"unexpected character {ch!r}", sc.pos)
+            raise _error(text, f"unexpected character {token[0]!r}", m)
         exponent = 1
-        if sc.peek() == "^":
-            sc.pos += 1
-            exponent = sc.integer()
+        if m[1] == "^":
+            exponent, m = _integer(text, _TOKEN.match(text, m.end()))
         terms.append((atom, exponent))
 
 
@@ -177,10 +165,10 @@ def _validate(terms: tuple, n: int) -> None:
 def parse(text: str, n: int) -> Expression:
     """Parse an element expression against a strand count.
 
-    Raises ExpressionError (with byte offset) on bad syntax and DomainError on
-    out-of-range indices.
+    Raises ExpressionError (with byte offset) on bad syntax, and DomainError on
+    out-of-range indices or a strand count that is not an int of at least 1.
     """
-    sc = _Scanner(text)
-    terms = _parse_terms(sc, 0)
-    _validate(terms, n)
+    terms, _ = _parse_terms(text, _TOKEN.match(text), 0)
+    _validate(terms, n)  # first, so that for an int n below 1 the error names the index that is out of range
+    _check_strands(n)
     return Expression(n, terms)

@@ -34,6 +34,7 @@ from .core import (
     Pair,
     PurePart,
     Triple,
+    _check_int,
     _Value,
     conjugation_map,
 )
@@ -84,6 +85,8 @@ def lcs_rank(n: int, q: int) -> int:
     (1/q) * sum over squarefree d dividing q of mu(d) * S_{q/d}(n); the sum is
     always divisible by q, and non-integrality raises.
     """
+    _check_int("n", n)
+    _check_int("q", q)
     if n < 2 or q < 1:
         raise DomainError(f"need n >= 2 and q >= 1, got n={n}, q={q}")
     total = sum(mu * power_sum(q // d, n) for d, mu in _squarefree_divisors_with_mu(q))
@@ -98,6 +101,8 @@ def hirsch_length(n: int, k: int) -> int:
 
     For k = 3 this is C(n,2) + C(n,3); for k = 4 add 2*C(n+1,4).
     """
+    _check_int("n", n)
+    _check_int("k", k)
     if n < 2 or k < 2:
         raise DomainError(f"need n >= 2 and k >= 2, got n={n}, k={k}")
     return sum(lcs_rank(n, q) for q in range(1, k))
@@ -133,6 +138,8 @@ class RankTable(_Value):
 
 def dimension_table(n_max: int, k_max: int) -> RankTable:
     """Dimensions for 3 <= n <= n_max and 2 <= k <= k_max; each n is a running sum of its ranks."""
+    _check_int("n_max", n_max)
+    _check_int("k_max", k_max)
     if n_max < 3 or k_max < 2:
         raise DomainError("table bounds must be at least n=3, k=2")
     return RankTable(tuple(

@@ -33,6 +33,8 @@ from .core import (
     Permutation,
     SPECTRUM_MAX_N,
     PurePart,
+    _check_int,
+    _check_strands,
     _trusted,
     collect,
     conj,
@@ -159,6 +161,8 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     n; the blocks sit at consecutive offsets and the order of the result is
     the lcm of the parts.
     """
+    for p in parts:
+        _check_int("cycle length", p)
     if sum(parts) > n:
         raise DomainError(f"parts {parts} do not fit in {n} strands")
     result = identity(n)
@@ -183,8 +187,7 @@ def torsion_spectrum(n: int) -> list[int]:
     lcm as it is, so a subset sum over distinct parts finds every order:
     reach[s] holds the lcms of the sets of parts summing to s.
     """
-    if n < 1:
-        raise DomainError("strand count must be at least 1")
+    _check_strands(n)
     if n > SPECTRUM_MAX_N:
         raise DomainError(f"torsion spectrum is bounded to n <= {SPECTRUM_MAX_N}, got n={n}")
     reach: list[set[int]] = [{1}] + [set() for _ in range(n)]

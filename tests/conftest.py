@@ -8,10 +8,11 @@ at level 1, the conjugation rules of one generator on one pair or triple, the
 eager letter-by-letter fold built on them, which relabels every graded entry
 on each letter, the bracket table of two pure generators with the pure-block
 merge that scans every resident against it, power by plain squaring, the
-dense holonomy matrices with the CLI text they encode to, and the presentation
-check that collects both sides of every relation whole.  The fold and merge
-oracles keep level 1 as a pair dict; pair_dict and adjacency convert to and
-from the strand adjacency of the group law.
+dense holonomy matrices with the CLI text they encode to, the presentation
+check that collects both sides of every relation whole, and the expression
+parser that scans one character at a time.  The fold and merge oracles keep
+level 1 as a pair dict; pair_dict and adjacency convert to and from the strand
+adjacency of the group law.
 
 With the CI environment variable set, Hypothesis runs derandomized and
 without its example database, so a failing CI run repeats exactly; per-test
@@ -47,6 +48,7 @@ from braidnil.core import (
     pairs,
     triples,
 )
+from braidnil.expr import _MAX_NESTING, ExpressionError, _validate
 from braidnil.presentations import RelationReport
 
 settings.register_profile("ci", derandomize=True, database=None)
@@ -146,6 +148,86 @@ def format_terms(terms: tuple) -> str:
             body = f"({format_terms(atom[1])})"
         chunks.append(body if exponent == 1 else f"{body}^{exponent}")
     return " ".join(chunks)
+
+
+class _Scanner:
+    """The character scanner of the reference parser: one text position, advanced one character at a time."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str, pos: int) -> ExpressionError:
+        return ExpressionError(message, len(self.text[:pos].encode()))
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        self.skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise self.error(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        digits = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if self.pos == digits:
+            raise self.error("expected an integer", start)
+        return int(self.text[start:self.pos])
+
+
+def _scan_terms(sc: _Scanner, depth: int) -> tuple:
+    terms = []
+    while True:
+        ch = sc.peek()
+        if ch == "" or ch == ")":
+            if ch == ")" and depth == 0:
+                raise sc.error("unbalanced ')'", sc.pos)
+            return tuple(terms)
+        if ch == "s" or ch == "S":
+            sc.pos += 1
+            atom = ("gen", sc.integer(), 1 if ch == "s" else -1)
+        elif ch in ("A", "a"):
+            sc.pos += 1
+            sc.expect("[")
+            key = [sc.integer()]
+            for _ in range(1 if ch == "A" else 2):
+                sc.expect(",")
+                key.append(sc.integer())
+            sc.expect("]")
+            atom = (ch, tuple(key))
+        elif ch == "(":
+            if depth == _MAX_NESTING:
+                raise sc.error(f"parentheses nested deeper than {_MAX_NESTING}", sc.pos)
+            sc.pos += 1
+            inner = _scan_terms(sc, depth + 1)
+            sc.expect(")")
+            atom = ("group", inner)
+        else:
+            raise sc.error(f"unexpected character {ch!r}", sc.pos)
+        exponent = 1
+        if sc.peek() == "^":
+            sc.pos += 1
+            exponent = sc.integer()
+        terms.append((atom, exponent))
+
+
+def scanning_parse(text: str, n: int) -> tuple:
+    """The terms of parse(text, n) by a scanner that reads one character per step, checked by the same index rule."""
+    terms = _scan_terms(_Scanner(text), 0)
+    _validate(terms, n)
+    return terms
 
 
 def standard_transversal(n: int) -> list[Triple]:

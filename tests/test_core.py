@@ -42,6 +42,9 @@ from braidnil.core import (
     word_from_dict,
     word_to_dict,
 )
+from braidnil.expr import parse
+from braidnil.invariants import dimension_table, hirsch_length, lcs_rank
+from braidnil.torsion import element_with_cycle_type, torsion_spectrum
 from conftest import _bracket, _pair_action, _triple_action, inversions, random_word, transposition, word_permutation
 
 
@@ -559,6 +562,30 @@ class TestCanonicalForm:
     def test_only_ints_cross_the_value_boundary(self, build):
         with pytest.raises(DomainError):
             build()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: torsion_spectrum(True), "strand count must be an int, got True", id="spectrum-bool"),
+        pytest.param(lambda: torsion_spectrum(5.0), "strand count must be an int, got 5.0", id="spectrum-float"),
+        pytest.param(lambda: lcs_rank(5, 2.0), "q must be an int, got 2.0", id="rank-float-q"),
+        pytest.param(lambda: lcs_rank(True, 2), "n must be an int, got True", id="rank-bool-n"),
+        pytest.param(lambda: hirsch_length(5, 3.0), "k must be an int, got 3.0", id="hirsch-float-k"),
+        pytest.param(lambda: dimension_table(4.0, 3), "n_max must be an int, got 4.0", id="table-float-nmax"),
+        pytest.param(lambda: dimension_table(4, True), "k_max must be an int, got True", id="table-bool-kmax"),
+        pytest.param(lambda: element_with_cycle_type(5, [True]), "cycle length must be an int, got True",
+                     id="cycle-type-bool"),
+        pytest.param(lambda: element_with_cycle_type(5, [5.0]), "cycle length must be an int, got 5.0",
+                     id="cycle-type-float"),
+        pytest.param(lambda: parse("s1", 3.0), "strand count must be an int, got 3.0", id="parse-float-n"),
+        pytest.param(lambda: parse("", True), "strand count must be an int, got True", id="parse-bool-n"),
+        # int inputs keep the messages the CLI prints
+        pytest.param(lambda: torsion_spectrum(0), "strand count must be at least 1", id="spectrum-zero"),
+        pytest.param(lambda: lcs_rank(1, 2), "need n >= 2 and q >= 1, got n=1, q=2", id="rank-small-n"),
+        pytest.param(lambda: dimension_table(2, 2), "table bounds must be at least n=3, k=2", id="table-small"),
+        pytest.param(lambda: parse("s1", 0), "generator index 1 out of range for n=0", id="parse-zero-n"),
+    ])
+    def test_numeric_entry_points_take_only_ints(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     @pytest.mark.parametrize("letters", [[(1, 1)], ((1,),), ((1, 1, 1),), (1, 1)], ids=repr)
     def test_a_word_is_a_tuple_of_letter_pairs(self, letters):

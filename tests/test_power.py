@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnil.core import (
     BraidWord,
     CommPart,
+    DomainError,
     NilElement,
     Permutation,
     PurePart,
@@ -16,6 +18,7 @@ from braidnil.core import (
     inv,
     mul,
     power,
+    sigma,
 )
 from conftest import elements, square_power
 
@@ -65,3 +68,12 @@ def test_group_axioms(xyz):
     assert mul(mul(x, y), z) == mul(x, mul(y, z))
     assert mul(x, e) == x == mul(e, x)
     assert mul(x, inv(x)) == e == mul(inv(x), x)
+
+
+@pytest.mark.parametrize("m", [2.0, True, False, 2.5, -1.0, "2", None], ids=repr)
+def test_an_exponent_is_an_int(m):
+    # a bool is not 1 and an integral float is not an int: both raise, as a non-integral one does
+    with pytest.raises(DomainError, match=f"^exponent must be an int, got {m!r}$"):
+        power(sigma(3, 1), m)
+    with pytest.raises(DomainError, match=f"^exponent must be an int, got {m!r}$"):
+        BraidWord(3, ((1, 1),)) ** m
