@@ -151,14 +151,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _block_rows(rows, signs, width: int, offset: int, zero: str, sep: str, fmt):
     """Text rows of the signed permutation block with signs[c] at (rows[c], offset + c).
 
-    Each row is `width` cells joined by `sep`, sliced out of one run of zero
-    cells around its single nonzero entry rather than encoded cell by cell.
+    Each row is `width` cells joined by `sep`: a run of zero cells, its one
+    nonzero entry, then another run of zero cells, never encoded cell by cell.
     """
-    run = (zero + sep) * width
-    step, end = len(zero) + len(sep), len(run) - len(sep)
     for c in sorted(range(len(rows)), key=rows.__getitem__):  # the column of each row's nonzero
-        at = step * (offset + c)
-        yield run[:at] + fmt(signs[c]) + run[at + len(zero):end]
+        at = offset + c
+        yield (zero + sep) * at + fmt(signs[c]) + (sep + zero) * (width - at - 1)
 
 
 def _write_holonomy(h, pretty: bool) -> None:

@@ -170,6 +170,7 @@ class Permutation(_Value):
 
     @staticmethod
     def identity(n: int) -> Permutation:
+        _check_int("strand count", n)
         return Permutation(tuple(range(1, n + 1)))
 
     @property
@@ -196,6 +197,7 @@ class Permutation(_Value):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, each rotated to start at its minimum, ordered by minimum."""
+        image = self.image
         seen = [False] * (self.n + 1)
         out = []
         for start in range(1, self.n + 1):
@@ -206,7 +208,7 @@ class Permutation(_Value):
             while not seen[x]:
                 seen[x] = True
                 cyc.append(x)
-                x = self(x)
+                x = image[x - 1]
             out.append(tuple(cyc))
         return out
 
@@ -290,11 +292,13 @@ def comm_gen_word(n: int, triple: Triple) -> BraidWord:
 
 def pairs(n: int) -> Iterator[Pair]:
     """All pair keys (i, j), i < j, in lexicographic order."""
+    _check_int("strand count", n)
     return combinations(range(1, n + 1), 2)
 
 
 def triples(n: int) -> Iterator[Triple]:
     """All triple keys (i, j, k), i < j < k, in lexicographic order."""
+    _check_int("strand count", n)
     return combinations(range(1, n + 1), 3)
 
 

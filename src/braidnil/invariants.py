@@ -15,7 +15,7 @@ graded lattices, core.conjugation_map at each level: all signs are +1 on
 pair coordinates, and the triple coordinates carry the signs of the sort.
 Both blocks are stored as signed permutations, O(C(n,3)) integers rather
 than O(C(n,3)^2) matrix cells; the dense matrix exists only as
-combined_matrix's view, and the CLI splices its text rows straight from the
+combined_matrix's view, and the CLI writes its text rows straight from the
 permutations.  Determinant +1 on every generator of a finite quotient group
 is the orientability criterion for the corresponding infra-nilmanifold.
 Bases are lexicographic, except that an explicit pair order may be passed
@@ -32,23 +32,14 @@ from .core import (
     DomainError,
     NilElement,
     Pair,
+    Permutation,
     PurePart,
     Triple,
     _check_int,
+    _trusted,
     _Value,
     conjugation_map,
 )
-
-__all__ = [
-    "lcs_rank",
-    "hirsch_length",
-    "RankTable",
-    "dimension_table",
-    "HolonomyMatrix",
-    "holonomy_matrix",
-    "combined_matrix",
-    "orientability_check",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +144,6 @@ def dimension_table(n_max: int, k_max: int) -> RankTable:
 # Holonomy matrices and orientability
 # ---------------------------------------------------------------------------
 
-def _permutation_parity(perm_of_indices: tuple[int, ...]) -> int:
-    """Sign of a permutation given as an image tuple on 0..m-1: (-1)^(m - number of cycles)."""
-    seen = [False] * len(perm_of_indices)
-    cycles = 0
-    for i in range(len(perm_of_indices)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm_of_indices[j]
-    return -1 if (len(perm_of_indices) - cycles) % 2 else 1
-
-
 class HolonomyMatrix(_Value):
     """Graded conjugation action of one element, in column-is-image convention.
 
@@ -202,7 +179,8 @@ def holonomy_matrix(g: NilElement, pair_basis: tuple[Pair, ...] | None = None) -
             raise DomainError("the pair basis order must enumerate every pair exactly once")
         images = [act[key] for key in basis]
         rows, signs = tuple(idx[key] for key, _ in images), tuple(s for _, s in images)
-        det *= _permutation_parity(rows) * math.prod(signs)
+        perm = _trusted(Permutation, image=tuple(r + 1 for r in rows))  # a bijection by construction
+        det *= (-1) ** (len(rows) - len(perm.cycles())) * math.prod(signs)  # sign: (-1)^(m - #cycles)
         blocks.append((basis, rows, signs))
     (pair_basis, pair_rows, _), (triple_basis, triple_rows, triple_signs) = blocks
     return HolonomyMatrix(g.n, pair_basis, triple_basis, pair_rows, triple_rows, triple_signs, det)
@@ -221,6 +199,7 @@ def combined_matrix(h: HolonomyMatrix) -> tuple[tuple[int, ...], ...]:
 
 def orientability_check(n: int, generators: list[NilElement]) -> bool:
     """Whether every generator acts with determinant +1 on the graded lattice."""
+    _check_int("strand count", n)
     for g in generators:
         if g.n != n:
             raise DomainError("generator strand count mismatch")

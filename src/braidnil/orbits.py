@@ -22,6 +22,8 @@ from .core import (
     NilElement,
     Permutation,
     PurePart,
+    _check_int,
+    _check_strands,
     _Value,
     conjugation_map,
 )
@@ -90,6 +92,7 @@ def cycle_element(n: int) -> NilElement:
     action factors through the permutation, so this lift serves for all n,
     even ones included.
     """
+    _check_strands(n)
     perm = Permutation(tuple(range(2, n + 1)) + (1,))
     return NilElement(n, perm, PurePart.zero(n), CommPart.zero(n))
 
@@ -102,6 +105,7 @@ def orbit_partition(n: int) -> OrbitBasis:
     asserted here; the orbits themselves come from the engine.  Stated for
     n >= 5; n in {3, 4} is computed directly and obeys the same formulas.
     """
+    _check_int("strand count", n)
     if n < 3:
         raise DomainError("orbit partition needs at least 3 strands")
     basis = orbit_basis_of(cycle_element(n), CommPart)

@@ -36,6 +36,7 @@ from .core import (
     NilElement,
     SUBGROUPS,
     _Value,
+    _check_int,
     _fold,
     _freeze,
     _origin,
@@ -114,6 +115,7 @@ def pure_presentation(n: int) -> RelationReport:
     element when the index sets share exactly one point, the identity when
     they share zero or two (the latter holding in the quotient).
     """
+    _check_int("strand count", n)
     if n < 3:
         raise DomainError("pure presentation needs at least 3 strands")
     return _run("pn3", n, _pure_relations(n))
@@ -154,6 +156,7 @@ def braid_presentation(n: int) -> RelationReport:
     the second index, descend the first index, or plain relabelling); on
     triple atoms it is the signed relabelling.
     """
+    _check_int("strand count", n)
     if n < 3:
         raise DomainError("braid presentation needs at least 3 strands")
     return _run("bn3", n, _braid_relations(n))
@@ -247,6 +250,7 @@ def subgroup_presentation(subgroup: str) -> RelationReport:
 
 def full_twist(n: int) -> RelationReport:
     """Verify that the n-th power of s_1 .. s_{n-1} is the ordered product of all A[i,j]."""
+    _check_int("strand count", n)
     if n < 2:
         raise DomainError("full twist needs at least 2 strands")
     e = collect(BraidWord(n, tuple((k, 1) for k in range(1, n))) ** n)

@@ -57,6 +57,8 @@ def delta_word(r: int, k: int, n: int) -> BraidWord:
     permutation is the k-cycle shifting that block, and the element it
     collects to has order k modulo the level-2 kernel.
     """
+    for what, x in (("block offset", r), ("cycle length", k), ("strand count", n)):
+        _check_int(what, x)
     if k < 3 or k % 2 == 0:
         raise DomainError(f"cycle length must be odd and >= 3, got {k}")
     if r < 0 or r + k > n:
@@ -80,6 +82,7 @@ def delta_power_coefficients(n: int) -> tuple[OrbitBasis, CommPart, list[int]]:
     the per-orbit constants in that basis's orbit order.  For even n the power
     never lies in the level-2 kernel.
     """
+    _check_int("strand count", n)
     if n % 2 == 0:
         raise DomainError("for even n no power of the cycle element enters the level-2 kernel")
     e = power(delta(0, n, n), n)
@@ -107,6 +110,7 @@ def finite_order_element(n: int, residues: list[list[int]]) -> NilElement:
     coefficient of the n-th power of the cycle element; any other assignment
     gives infinite order.
     """
+    _check_int("strand count", n)
     if n < 5 or math.gcd(n, 6) != 1:
         raise DomainError(f"strand count must be coprime to 6 and >= 5, got {n}")
     return _theta_delta(orbit_partition(n), residues)
@@ -141,6 +145,8 @@ def shift_embed(elem: NilElement, offset: int, n: int) -> NilElement:
     The block inclusion sending generator i to generator i+offset is injective
     and preserves orders; on normal forms it translates every strand index.
     """
+    _check_int("offset", offset)
+    _check_int("strand count", n)
     n0 = elem.n
     if offset < 0 or offset + n0 > n:
         raise DomainError(f"cannot shift {n0} strands by {offset} into {n}")
@@ -161,6 +167,7 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     n; the blocks sit at consecutive offsets and the order of the result is
     the lcm of the parts.
     """
+    _check_int("strand count", n)
     for p in parts:
         _check_int("cycle length", p)
     if sum(parts) > n:

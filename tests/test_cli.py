@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import braidnil
 from braidnil import orbits, presentations, torsion
-from braidnil.cli import build_parser, main
+from braidnil.cli import _COMMANDS, build_parser, main
 from braidnil.core import (
     Permutation,
     PurePart,
@@ -360,6 +360,22 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
     assert (code, out, err) == (3, "", "domain error: strand count must be at least 1\n")
 
 
+@pytest.mark.parametrize("argv, stderr", [
+    pytest.param(["collect", "--n", "4", '{"n":3,"word":[[1,1]]}'], "word is on 3 strands, expected 4",
+                 id="word-strands"),
+    pytest.param(["collect", "--n", "3", '{"n":3}'], "malformed element JSON: 'perm'", id="element-no-perm"),
+    pytest.param(["collect", "--n", "3", '{"word":[[1,1]]}'], "malformed word JSON: 'n'", id="word-no-n"),
+    pytest.param(["verify", "--suite", "pn3", "--n", "2"], "pure presentation needs at least 3 strands", id="pn3"),
+    pytest.param(["verify", "--suite", "bn3", "--n", "2"], "braid presentation needs at least 3 strands", id="bn3"),
+    pytest.param(["verify", "--suite", "fulltwist", "--n", "1"], "full twist needs at least 2 strands",
+                 id="fulltwist"),
+    pytest.param(["orbits", "--n", "2"], "orbit partition needs at least 3 strands", id="orbits"),
+])
+def test_a_domain_error_prints_its_one_line(capsys, argv, stderr):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "collect", "--n", "5", "s4^")
     assert code == 2 and "parse error" in err
@@ -531,6 +547,10 @@ def parse_outcome(parser, argv):
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
+
+
+def test_every_subcommand_has_a_valid_request():
+    assert list(_VALID) == list(_COMMANDS)
 
 
 @pytest.mark.parametrize("name", list(_VALID))

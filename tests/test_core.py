@@ -43,8 +43,20 @@ from braidnil.core import (
     word_to_dict,
 )
 from braidnil.expr import parse
-from braidnil.invariants import dimension_table, hirsch_length, lcs_rank
-from braidnil.torsion import element_with_cycle_type, torsion_spectrum
+from braidnil.invariants import dimension_table, hirsch_length, lcs_rank, orientability_check
+from braidnil.orbits import cycle_element, orbit_partition
+from braidnil.presentations import full_twist, pure_presentation
+from braidnil.torsion import (
+    compatible_residues,
+    conjugacy_witness,
+    conjugating_permutation,
+    delta,
+    delta_power_coefficients,
+    element_with_cycle_type,
+    finite_order_element,
+    shift_embed,
+    torsion_spectrum,
+)
 from conftest import _bracket, _pair_action, _triple_action, inversions, random_word, transposition, word_permutation
 
 
@@ -577,13 +589,62 @@ class TestCanonicalForm:
                      id="cycle-type-float"),
         pytest.param(lambda: parse("s1", 3.0), "strand count must be an int, got 3.0", id="parse-float-n"),
         pytest.param(lambda: parse("", True), "strand count must be an int, got True", id="parse-bool-n"),
+        pytest.param(lambda: identity(3.0), "strand count must be an int, got 3.0", id="identity-float"),
+        pytest.param(lambda: Permutation.identity(3.0), "strand count must be an int, got 3.0",
+                     id="permutation-identity-float"),
+        pytest.param(lambda: pairs(3.0), "strand count must be an int, got 3.0", id="pairs-float"),
+        pytest.param(lambda: triples(True), "strand count must be an int, got True", id="triples-bool"),
+        pytest.param(lambda: pure_gen(3.0, 1, 2), "strand count must be an int, got 3.0", id="pure-gen-float"),
+        pytest.param(lambda: comm_gen(3.0, (1, 2, 3)), "strand count must be an int, got 3.0", id="comm-gen-float"),
+        pytest.param(lambda: cycle_element(5.0), "strand count must be an int, got 5.0", id="cycle-element-float"),
+        pytest.param(lambda: orbit_partition(5.0), "strand count must be an int, got 5.0", id="orbits-float"),
+        pytest.param(lambda: delta_power_coefficients(5.0), "strand count must be an int, got 5.0",
+                     id="delta-pow-float"),
+        pytest.param(lambda: compatible_residues(5.0), "strand count must be an int, got 5.0", id="residues-float"),
+        pytest.param(lambda: finite_order_element(5.0, []), "strand count must be an int, got 5.0",
+                     id="finite-order-float"),
+        pytest.param(lambda: element_with_cycle_type(5.0, [5]), "strand count must be an int, got 5.0",
+                     id="cycle-type-float-n"),
+        pytest.param(lambda: delta(0, 5.0, 5), "cycle length must be an int, got 5.0", id="delta-float-k"),
+        pytest.param(lambda: delta(True, 3, 5), "block offset must be an int, got True", id="delta-bool-r"),
+        pytest.param(lambda: shift_embed(sigma(3, 1), 1.0, 5), "offset must be an int, got 1.0",
+                     id="shift-float-offset"),
+        pytest.param(lambda: shift_embed(sigma(3, 1), True, 5), "offset must be an int, got True",
+                     id="shift-bool-offset"),
+        pytest.param(lambda: shift_embed(sigma(3, 1), 0, 5.0), "strand count must be an int, got 5.0",
+                     id="shift-float-n"),
+        pytest.param(lambda: full_twist(3.0), "strand count must be an int, got 3.0", id="full-twist-float"),
+        pytest.param(lambda: pure_presentation(3.0), "strand count must be an int, got 3.0", id="pn3-float"),
+        pytest.param(lambda: orientability_check(3.0, [sigma(3, 1)]), "strand count must be an int, got 3.0",
+                     id="orientability-float"),
         # int inputs keep the messages the CLI prints
         pytest.param(lambda: torsion_spectrum(0), "strand count must be at least 1", id="spectrum-zero"),
         pytest.param(lambda: lcs_rank(1, 2), "need n >= 2 and q >= 1, got n=1, q=2", id="rank-small-n"),
         pytest.param(lambda: dimension_table(2, 2), "table bounds must be at least n=3, k=2", id="table-small"),
         pytest.param(lambda: parse("s1", 0), "generator index 1 out of range for n=0", id="parse-zero-n"),
+        pytest.param(lambda: orbit_partition(2), "orbit partition needs at least 3 strands", id="orbits-small"),
+        pytest.param(lambda: full_twist(1), "full twist needs at least 2 strands", id="full-twist-small"),
+        pytest.param(lambda: delta(0, 4, 5), "cycle length must be odd and >= 3, got 4", id="delta-even-k"),
     ])
     def test_numeric_entry_points_take_only_ints(self, call, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: conjugacy_witness(identity(5), identity(6)), "elements live on different strand counts",
+                     id="witness-strands"),
+        pytest.param(lambda: conjugating_permutation(Permutation((2, 1, 3)), Permutation((1, 2, 3))),
+                     "permutations have different cycle types", id="conjugating-permutation"),
+        pytest.param(lambda: orientability_check(4, [sigma(3, 1)]), "generator strand count mismatch",
+                     id="orientability-strands"),
+        pytest.param(lambda: dimension_table(4, 3).entry(9, 9), "no entry for (n=9, k=9)", id="table-entry"),
+        pytest.param(lambda: Permutation((1, 2)) * Permutation((1, 2, 3)),
+                     "cannot compose permutations of different sizes", id="permutation-sizes"),
+        pytest.param(lambda: BraidWord(3, ()) * BraidWord(4, ()),
+                     "cannot concatenate words on different strand counts", id="word-strands"),
+        pytest.param(lambda: PurePart(3, ((),)), "invalid entry () for n=3", id="empty-entry"),
+    ])
+    def test_mismatched_arguments_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
 
