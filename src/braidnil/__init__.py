@@ -20,7 +20,7 @@ _MODULE_OF = {name: module for module, names in {
         "HolonomyMatrix", "RankTable", "combined_matrix", "dimension_table", "hirsch_length", "holonomy_matrix",
         "invariants", "lcs_rank", "orientability_check",
     ),
-    "orbits": ("OrbitBasis", "cycle_element", "orbit_basis_of", "orbit_partition", "orbits"),
+    "orbits": ("OrbitBasis", "orbit_basis_of", "orbit_partition", "orbits"),
     "presentations": (
         "RelationReport", "SUBGROUPS", "braid_presentation", "full_twist", "presentations", "pure_presentation",
         "subgroup_presentation",

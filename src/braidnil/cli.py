@@ -223,8 +223,12 @@ def _cmd_verify(args) -> int:
     from . import presentations
 
     if args.suite == "b3":
+        if args.n is not None:
+            raise DomainError("--n is not used by suite b3")
         names = [args.subgroup] if args.subgroup else list(SUBGROUPS)
         reports = [presentations.subgroup_presentation(s) for s in names]
+    elif args.subgroup is not None:
+        raise DomainError("--subgroup is only defined for suite b3")
     elif args.n is None:
         raise DomainError(f"--n is required for suite {args.suite}")
     else:

@@ -177,9 +177,6 @@ class Permutation(_Value):
     def n(self) -> int:
         return len(self.image)
 
-    def __call__(self, x: int) -> int:
-        return self.image[x - 1]
-
     def __mul__(self, other: Permutation) -> Permutation:
         """Left-to-right product: apply self first, then other."""
         if self.n != other.n:

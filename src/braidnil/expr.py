@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from itertools import groupby
 
-from .core import (BraidWord, CommPart, DomainError, NilElement, PurePart, _check_strands, _Value, collect, comm_gen,
+from .core import (CommPart, DomainError, NilElement, PurePart, _check_strands, _fold, _freeze, _thaw, _Value, comm_gen,
                    identity, mul, power, pure_gen, sigma)
 
 
@@ -63,13 +63,12 @@ def _is_run_term(term) -> bool:
 
 
 def _eval_terms(terms: tuple, n: int) -> NilElement:
+    """The product of the terms; a generator run is spelled out and folded straight onto the accumulator."""
     acc = identity(n)
     for in_run, group in groupby(terms, key=_is_run_term):
         if in_run:
-            # consecutive generator atoms are spelled out and folded by one collect
-            letters = tuple(letter for (_, k, eps), m in group
-                            for letter in [(k, eps if m > 0 else -eps)] * abs(m))
-            acc = mul(acc, collect(BraidWord(n, letters)))
+            letters = [letter for (_, k, eps), m in group for letter in [(k, eps if m > 0 else -eps)] * abs(m)]
+            acc = _freeze(n, *_fold(*_thaw(acc), letters))
             continue
         for atom, exponent in group:
             kind = atom[0]
@@ -81,7 +80,7 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
                 base = comm_gen(n, atom[1])
             else:
                 base = _eval_terms(atom[1], n)
-            acc = mul(acc, base if exponent == 1 else power(base, exponent))
+            acc = mul(acc, power(base, exponent))
     return acc
 
 

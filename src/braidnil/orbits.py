@@ -2,14 +2,14 @@
 Signed orbits of the pair and triple bases under conjugation.
 
 signed_orbits is the one orbit walk, with first-seen representatives:
-orbit_basis_of runs it over the pairs or the triples in lex order, stepping
-by core.conjugation_map, for both levels of the conjugacy witness of
-torsion.py.  The standard acting element on n strands is delta(0, n, n) (see
-torsion.py); its conjugation action permutes the basis triples with all
-signs +1, descending every index by one modulo n.  When 3 divides n there is
-a single short orbit of length n/3, consisting of the equally-spaced
-triples; under first-seen ordering it is always listed last, since every
-other orbit owns a lex-smaller representative.
+orbit_basis_of runs it over the pairs or the triples in lex order, stepping by
+core.conjugation_map of a permutation, for both levels of the conjugacy
+witness of torsion.py: conjugation acts on both levels through the permutation
+alone.  The standard acting permutation is the n-cycle of delta(0, n, n) (see
+torsion.py); it permutes the basis triples with all signs +1, descending every
+index by one modulo n.  When 3 divides n there is a single short orbit of
+length n/3, the equally-spaced triples; under first-seen ordering it is always
+listed last, since every other orbit owns a lex-smaller representative.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from collections.abc import Callable, Iterable
 from .core import (
     CommPart,
     DomainError,
-    NilElement,
     Permutation,
     PurePart,
     _check_int,
-    _check_strands,
     _Value,
     conjugation_map,
 )
@@ -79,26 +77,13 @@ def signed_orbits(keys: Iterable[Key], step: Callable[[Key], tuple[Key, int]]) -
     return tuple(orbits)
 
 
-def orbit_basis_of(g: NilElement, cls: type[PurePart] | type[CommPart]) -> OrbitBasis:
-    """cls's key basis, in lex order, in signed orbits of conjugation by g; only g's permutation acts."""
-    return OrbitBasis(g.n, signed_orbits(cls.keys(g.n), conjugation_map(g.perm, cls).__getitem__))
-
-
-def cycle_element(n: int) -> NilElement:
-    """The section of the full cycle 1 -> 2 -> ... -> n -> 1.
-
-    Conjugation by it descends every triple index by one modulo n, which is
-    the action of the mixed-sign cycle element of torsion.py; the level-2
-    action factors through the permutation, so this lift serves for all n,
-    even ones included.
-    """
-    _check_strands(n)
-    perm = Permutation(tuple(range(2, n + 1)) + (1,))
-    return NilElement(n, perm, PurePart.zero(n), CommPart.zero(n))
+def orbit_basis_of(perm: Permutation, cls: type[PurePart] | type[CommPart]) -> OrbitBasis:
+    """cls's key basis, in lex order, in signed orbits of conjugation by any element with permutation perm."""
+    return OrbitBasis(perm.n, signed_orbits(cls.keys(perm.n), conjugation_map(perm, cls).__getitem__))
 
 
 def orbit_partition(n: int) -> OrbitBasis:
-    """Orbits of the triple basis under conjugation by the standard cycle element.
+    """Orbits of the triple basis under conjugation by the n-cycle 1 -> 2 -> ... -> n -> 1.
 
     Closed form: (n-1)(n-2)/6 orbits of length n when gcd(n, 3) = 1, else
     n(n-3)/6 orbits of length n plus one of length n/3.  The closed forms are
@@ -108,7 +93,7 @@ def orbit_partition(n: int) -> OrbitBasis:
     _check_int("strand count", n)
     if n < 3:
         raise DomainError("orbit partition needs at least 3 strands")
-    basis = orbit_basis_of(cycle_element(n), CommPart)
+    basis = orbit_basis_of(Permutation(tuple(range(2, n + 1)) + (1,)), CommPart)
     lengths = sorted(basis.lengths())
     if n % 3 == 0:
         expected = sorted([n] * (n * (n - 3) // 6) + [n // 3])

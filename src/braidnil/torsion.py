@@ -168,6 +168,7 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     the lcm of the parts.
     """
     _check_int("strand count", n)
+    parts = list(parts)  # read once: a one-shot iterable would lose its parts to the checks
     for p in parts:
         _check_int("cycle length", p)
     if sum(parts) > n:
@@ -239,8 +240,8 @@ def conjugating_permutation(pa: Permutation, pb: Permutation) -> Permutation:
     return Permutation(tuple(image))
 
 
-def _solve_level(b: NilElement, want: PurePart | CommPart, have: PurePart | CommPart):
-    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit of conjugation by b.
+def _solve_level(perm: Permutation, want: PurePart | CommPart, have: PurePart | CommPart):
+    """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit of conjugation by permutation perm.
 
     Rows r and x are the orbit layouts of want - have and of the result, so x
     is the prefix sum of r.  The differences around an orbit cycle sum to zero,
@@ -249,7 +250,7 @@ def _solve_level(b: NilElement, want: PurePart | CommPart, have: PurePart | Comm
     """
     level = f"level {want.arity - 1} ({want.noun} orbits)"
     try:
-        basis = orbit_basis_of(b, type(want))
+        basis = orbit_basis_of(perm, type(want))
     except DomainError as err:
         raise DomainError(f"witness {level} failed: {err}") from err
     xs = []
@@ -291,10 +292,10 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
             raise DomainError(f"witness permutation alignment failed: got {list(a1.perm.image)}, want {list(b.perm.image)}")
 
         # (2) level-1 circulant systems over the pair orbits of conjugation by b, where every sign is +1
-        g2 = NilElement(n, Permutation.identity(n), _solve_level(b, b.pure, a1.pure), zero_c)
+        g2 = NilElement(n, Permutation.identity(n), _solve_level(b.perm, b.pure, a1.pure), zero_c)
 
         # (3) level-2 circulant systems over the signed triple orbits of conjugation by b
-        g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b, b.comm, conj(g2, a1).comm))
+        g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b.perm, b.comm, conj(g2, a1).comm))
 
         # (4) g a = b g is conj(g, a) = b without the inverse of g
         g = mul(g3, mul(g2, g1))

@@ -228,8 +228,8 @@ def test_small_n_witness_is_flagged(capsys):
     pytest.param(orbits, "conjugation_map", lambda perm, cls: {k: (k, 1) for k in cls.keys(perm.n)},
                  "witness level 1 (pair orbits) failed: orbit 0 at (1, 2) has row sum -1", id="level-1-row-sum"),
     pytest.param(torsion, "orbit_basis_of",
-                 lambda g, cls: orbits.orbit_basis_of(g, cls) if cls is PurePart
-                 else OrbitBasis(g.n, tuple(((t, 1),) for t in triples(g.n))),
+                 lambda perm, cls: orbits.orbit_basis_of(perm, cls) if cls is PurePart
+                 else OrbitBasis(perm.n, tuple(((t, 1),) for t in triples(perm.n))),
                  "witness level 2 (triple orbits) failed: orbit 1 at (1, 2, 4) has row sum -3",
                  id="level-2-row-sum"),
     # every triple is fixed with sign -1, so no triple orbit closes
@@ -370,6 +370,9 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
     pytest.param(["verify", "--suite", "fulltwist", "--n", "1"], "full twist needs at least 2 strands",
                  id="fulltwist"),
     pytest.param(["orbits", "--n", "2"], "orbit partition needs at least 3 strands", id="orbits"),
+    pytest.param(["verify", "--suite", "b3", "--n", "7"], "--n is not used by suite b3", id="b3-n"),
+    pytest.param(["verify", "--suite", "pn3", "--n", "4", "--subgroup", "s3"],
+                 "--subgroup is only defined for suite b3", id="pn3-subgroup"),
 ])
 def test_a_domain_error_prints_its_one_line(capsys, argv, stderr):
     code, out, err = run(capsys, *argv)

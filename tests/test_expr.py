@@ -110,19 +110,30 @@ def test_format_round_trip_on_generated_expressions(case):
 
 
 def test_generator_runs_equal_atom_by_atom_products():
-    # exponents on both sides of the limit above which a generator power is raised by squaring
+    # exponents on both sides of the limit above which a generator power is raised by squaring; the level-2
+    # atoms and the powered group leave a run to fold onto an accumulator with a level-2 part and a permutation
     rng = random.Random(41)
     n = 6
+    group = mul(mul(mul(sigma(n, 1), sigma(n, 3)), comm_gen(n, (1, 2, 4))), sigma(n, 2, -1))
     for _ in range(40):
         atoms, expected = [], identity(n)
         for _ in range(rng.randint(0, 12)):
-            if rng.random() < 0.8:
+            roll = rng.random()
+            if roll < 0.7:
                 k, m = rng.randint(1, n - 1), rng.choice((1, -1, 0, 2, -3, 64, -65, 70))
                 atoms.append(f"s{k}^{m}")
                 expected = mul(expected, power(sigma(n, k), m))
-            else:
+            elif roll < 0.8:
                 i, j = rng.sample(range(1, n + 1), 2)
                 atoms.append(f"A[{i},{j}]")
                 expected = mul(expected, pure_gen(n, i, j))
+            elif roll < 0.9:
+                t = tuple(rng.sample(range(1, n + 1), 3))
+                atoms.append("a[{},{},{}]".format(*t))
+                expected = mul(expected, comm_gen(n, t))
+            else:
+                m = rng.choice((-2, 3))
+                atoms.append(f"(s1 s3 a[1,2,4] s2^-1)^{m}")
+                expected = mul(expected, power(group, m))
         assert parse(" ".join(atoms), n).element() == expected
     assert parse("s1^1000000000 s2", 3).element() == mul(power(sigma(3, 1), 10 ** 9), sigma(3, 2))

@@ -14,6 +14,7 @@ from braidnil import invariants
 from braidnil.core import (
     BraidWord,
     DomainError,
+    Permutation,
     collect,
     comm_gen,
     conj,
@@ -21,6 +22,7 @@ from braidnil.core import (
     pairs,
     pure_gen,
     sigma,
+    tits_lift,
 )
 from braidnil.invariants import (
     combined_matrix,
@@ -30,7 +32,7 @@ from braidnil.invariants import (
     lcs_rank,
     orientability_check,
 )
-from braidnil.orbits import cycle_element, orbit_partition
+from braidnil.orbits import orbit_partition
 from conftest import counted, dense_holonomy, random_word, standard_transversal
 
 
@@ -159,7 +161,7 @@ class TestOrbits:
 
     def test_orbit_steps_are_engine_conjugates_with_positive_sign(self):
         for n in range(3, 10):
-            d = cycle_element(n)
+            d = collect(tits_lift(Permutation(tuple(range(2, n + 1)) + (1,))))  # a lift of the n-cycle
             basis = orbit_partition(n)
             for orbit in basis.orbits:
                 for (t, s), (nxt, _) in zip(orbit, orbit[1:] + orbit[:1]):

@@ -9,24 +9,14 @@ from hypothesis import strategies as st
 from braidnil.core import (
     CommPart,
     DomainError,
-    NilElement,
     Permutation,
     PurePart,
     conjugation_map,
     pairs,
     triples,
 )
-from braidnil.orbits import (OrbitBasis, coefficients_by_orbit, cycle_element, orbit_basis_of, part_from_orbits,
-                             signed_orbits)
+from braidnil.orbits import OrbitBasis, coefficients_by_orbit, orbit_basis_of, part_from_orbits, signed_orbits
 from braidnil.torsion import _solve_level
-
-
-def lift(perm: Permutation) -> NilElement:
-    return NilElement(perm.n, perm, PurePart.zero(perm.n), CommPart.zero(perm.n))
-
-
-def pair_orbits(perm: Permutation) -> OrbitBasis:
-    return orbit_basis_of(lift(perm), PurePart)
 
 
 def closing_signs(keys, step) -> list[int]:
@@ -50,7 +40,7 @@ def test_an_orbit_closing_with_sign_minus_one_raises():
 
 
 def test_level_solver_rejects_a_nonzero_row_sum_at_level_one():
-    five_cycle = lift(Permutation((2, 3, 4, 5, 1)))
+    five_cycle = Permutation((2, 3, 4, 5, 1))
     with pytest.raises(DomainError, match=r"^witness level 1 \(pair orbits\) failed: orbit 0 at \(1, 2\) has row sum 1$"):
         _solve_level(five_cycle, PurePart.from_map(5, {(1, 2): 1}), PurePart.zero(5))
     # the same entry against itself leaves every row at zero
@@ -60,7 +50,7 @@ def test_level_solver_rejects_a_nonzero_row_sum_at_level_one():
 
 def test_level_solver_rejects_a_nonzero_row_sum_at_level_two():
     # the triple orbits of the 5-cycle, as in orbit_partition(5), start at (1, 2, 3) and at (1, 2, 4)
-    cycle = cycle_element(5)
+    cycle = Permutation((2, 3, 4, 5, 1))
     with pytest.raises(DomainError, match=r"^witness level 2 \(triple orbits\) failed: orbit 0 at \(1, 2, 3\) has row sum 1$"):
         _solve_level(cycle, CommPart.from_map(5, {(1, 2, 3): 1}), CommPart.zero(5))
     with pytest.raises(DomainError, match=r"^witness level 2 \(triple orbits\) failed: orbit 1 at \(1, 2, 4\) has row sum 2$"):
@@ -122,12 +112,12 @@ def test_the_orbit_writer_inverts_coefficients_by_orbit(case):
 @given(permutations(), st.data())
 def test_level_solver_solves_the_forward_difference_recurrence(perm, data):
     """With r_j = x_{j+1} - x_j around each orbit, the solver returns x shifted to x_0 = 0."""
-    basis = pair_orbits(perm)
+    basis = orbit_basis_of(perm, PurePart)
     x = data.draw(st.lists(st.integers(-5, 5), min_size=sum(basis.lengths()), max_size=sum(basis.lengths())))
     rows, at = [], 0
     for length in basis.lengths():
         rows.append(x[at:at + length])
         at += length
     diffs = [[row[(j + 1) % len(row)] - row[j] for j in range(len(row))] for row in rows]
-    solved = _solve_level(lift(perm), part_from_orbits(PurePart, basis, diffs), PurePart.zero(perm.n))
+    solved = _solve_level(perm, part_from_orbits(PurePart, basis, diffs), PurePart.zero(perm.n))
     assert coefficients_by_orbit(basis, solved) == [[v - row[0] for v in row] for row in rows]

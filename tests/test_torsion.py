@@ -25,7 +25,7 @@ from braidnil.core import (
     pure_gen,
     sigma,
 )
-from braidnil.orbits import orbit_partition
+from braidnil.orbits import orbit_basis_of, orbit_partition
 from braidnil.torsion import (
     compatible_residues,
     conjugacy_decide,
@@ -56,10 +56,8 @@ class TestDelta:
             assert order(delta(0, 3, n)) is None
 
     def test_permutation_agrees_with_the_orbit_acting_element(self):
-        from braidnil.orbits import cycle_element
-
-        for n in (3, 5, 7, 9):
-            assert delta(0, n, n).perm == cycle_element(n).perm
+        for n in range(3, 12, 2):
+            assert orbit_partition(n).orbits == orbit_basis_of(delta(0, n, n).perm, CommPart).orbits
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -179,6 +177,8 @@ class TestCycleTypes:
     def test_two_blocks_lcm(self):
         e = element_with_cycle_type(12, [5, 7])
         assert order(e) == 35 and e.perm.cycle_type() == (7, 5)
+        # the parts are read once, so a one-shot iterable gives the same element
+        assert element_with_cycle_type(12, (p for p in [5, 7])) == e
 
     def test_repeated_blocks(self):
         e = element_with_cycle_type(10, [5, 5])
