@@ -47,10 +47,13 @@ The group law is the letter fold `_fold` and the closed-form pure-block merge
 `_merge_pure_block`.  Both work on one level-1 state, the strand adjacency
 nbr: nbr[u][v] = nbr[v][u] is the exponent on A[u,v], never zero, and row 0
 stays empty.  `_thaw` builds it from a normal form, `_freeze` sorts it back
-into pure entries.  collect folds a word; mul folds a's graded part through
-b's section, then merges b's pure block; inv merges a's pure factors reversed
-and inverted, then folds through the inverse section.  A letter costs the
-degree of its two strands, a merged factor the degree of its two indices.
+into pure entries.  collect folds a word.  `_times` multiplies a state by b: it
+folds through b's section, merges b's pure block, adds b's level 2.
+`_times_inverse` multiplies by b^-1 without building it: it subtracts b's level
+2, merges b's pure factors reversed and negated, folds through the inverse
+section.  mul is `_times` on a thawed, inv `_times_inverse` on the origin, conj
+both on g thawed: one thaw, one freeze, and no g^-1.  A letter costs the degree
+of its two strands, a merged factor the degree of its two indices.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, then, since a^q is pure,
 the class-2 power law (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), where B(v)
@@ -68,6 +71,7 @@ from itertools import combinations
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 Letter = tuple[int, int]  # (generator index k, sign +1/-1)
+State = tuple[list[int], list[dict[int, int]], dict[Triple, int]]  # (image, nbr, comm): see the group law
 
 # Two constants of torsion.py and presentations.py, defined here so that the
 # CLI parser can read them without importing either module.
@@ -475,7 +479,7 @@ def tits_lift(perm: Permutation) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
-          letters: Sequence[Letter]) -> tuple[list[int], list[dict[int, int]], dict[Triple, int]]:
+          letters: Sequence[Letter]) -> State:
     """Multiply the state (image, nbr, comm) on the right by the letters, in order.
 
     A letter s_k^eps conjugates the graded parts through s_k^-eps, then is
@@ -553,14 +557,14 @@ def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Trip
                     comm=_trusted(CommPart, n=n, entries=comm_rows))
 
 
-def _thaw(a: NilElement) -> tuple[list[int], list[dict[int, int]], dict[Triple, int]]:
+def _thaw(a: NilElement) -> State:
     nbr: list[dict[int, int]] = [{} for _ in range(a.n + 1)]
     for i, j, e in a.pure.entries:
         nbr[i][j] = nbr[j][i] = e
     return list(a.perm.image), nbr, {(i, j, k): c for i, j, k, c in a.comm.entries}
 
 
-def _origin(n: int) -> tuple[list[int], list[dict[int, int]], dict[Triple, int]]:
+def _origin(n: int) -> State:
     """A fresh fold state of the identity on n strands."""
     return list(range(1, n + 1)), [{} for _ in range(n + 1)], {}
 
@@ -605,26 +609,34 @@ def _merge_pure_block(nbr: list[dict[int, int]], comm: dict[Triple, int],
             del ni[j], nj[i]
 
 
-def mul(a: NilElement, b: NilElement) -> NilElement:
-    """Group multiplication of normal forms."""
-    if a.n != b.n:
+def _times(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> State:
+    """Multiply the state on the right by b: fold b's section, merge b's pure block, add b's level 2."""
+    if len(image) != b.n:
         raise DomainError("cannot multiply elements on different strand counts")
-    image, nbr, comm = _fold(*_thaw(a), [(k, 1) for k in _lex_reduced_word(b.perm.image)])
+    image, nbr, comm = _fold(image, nbr, comm, [(k, 1) for k in _lex_reduced_word(b.perm.image)])
     _merge_pure_block(nbr, comm, b.pure.entries)
     for i, j, k, c in b.comm.entries:
         comm[(i, j, k)] = comm.get((i, j, k), 0) + c  # _freeze drops the zeros
-    return _freeze(a.n, image, nbr, comm)
+    return image, nbr, comm
+
+
+def _times_inverse(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> State:
+    """Multiply the state on the right by b^-1 = comm^-1 * pure^-1 * section^-1, without building b^-1."""
+    for i, j, k, c in b.comm.entries:
+        comm[(i, j, k)] = comm.get((i, j, k), 0) - c
+    # the inverse of the lex-ordered pure product is the reversed product of inverses
+    _merge_pure_block(nbr, comm, ((i, j, -e) for i, j, e in reversed(b.pure.entries)))
+    return _fold(image, nbr, comm, [(k, -1) for k in reversed(_lex_reduced_word(b.perm.image))])
+
+
+def mul(a: NilElement, b: NilElement) -> NilElement:
+    """Group multiplication of normal forms."""
+    return _freeze(a.n, *_times(*_thaw(a), b))
 
 
 def inv(a: NilElement) -> NilElement:
     """Group inverse: fold comm^-1 * pure^-1 * section^-1 back into normal form."""
-    n = a.n
-    nbr: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    comm = {(i, j, k): -c for i, j, k, c in a.comm.entries}
-    # the inverse of the lex-ordered pure product is the reversed product of inverses
-    _merge_pure_block(nbr, comm, ((i, j, -e) for i, j, e in reversed(a.pure.entries)))
-    word = reversed(_lex_reduced_word(a.perm.image))
-    return _freeze(n, *_fold(list(range(1, n + 1)), nbr, comm, [(k, -1) for k in word]))
+    return _freeze(a.n, *_times_inverse(*_origin(a.n), a))
 
 
 def power(a: NilElement, m: int) -> NilElement:
@@ -668,8 +680,8 @@ def power(a: NilElement, m: int) -> NilElement:
 
 
 def conj(g: NilElement, x: NilElement) -> NilElement:
-    """Conjugation g x g^-1; a left action: conj(g, conj(h, x)) = conj(mul(g, h), x)."""
-    return mul(mul(g, x), inv(g))
+    """Conjugation g x g^-1, as one pass over g's state; a left action: conj(g, conj(h, x)) = conj(mul(g, h), x)."""
+    return _freeze(g.n, *_times_inverse(*_times(*_thaw(g), x), g))
 
 
 def order(a: NilElement):

@@ -7,12 +7,12 @@ The oracles are the permutation of a word and the strand-tracking normal form
 at level 1, the conjugation rules of one generator on one pair or triple, the
 eager letter-by-letter fold built on them, which relabels every graded entry
 on each letter, the bracket table of two pure generators with the pure-block
-merge that scans every resident against it, power by plain squaring, the
-dense holonomy matrices with the CLI text they encode to, the presentation
-check that collects both sides of every relation whole, and the expression
-parser that scans one character at a time.  The fold and merge oracles keep
-level 1 as a pair dict; pair_dict and adjacency convert to and from the strand
-adjacency of the group law.
+merge that scans every resident against it, power by plain squaring,
+conjugation as two products and an inverse, the dense holonomy matrices with
+the CLI text they encode to, the presentation check that collects both sides
+of every relation whole, and the expression parser that scans one character
+at a time.  The fold and merge oracles keep level 1 as a pair dict; pair_dict
+and adjacency convert to and from the strand adjacency of the group law.
 
 With the CI environment variable set, Hypothesis runs derandomized and
 without its example database, so a failing CI run repeats exactly; per-test
@@ -490,6 +490,11 @@ def square_power(a: NilElement, m: int) -> NilElement:
         base = mul(base, base)
         m >>= 1
     return acc
+
+
+def two_product_conj(g: NilElement, x: NilElement) -> NilElement:
+    """g x g^-1 as two products and a built inverse, each its own normal form."""
+    return mul(mul(g, x), inv(g))
 
 
 def whole_word_report(suite: str, n: int, relations) -> RelationReport:

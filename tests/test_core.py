@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnil import core
 from braidnil.core import (
     BraidWord,
     CommPart,
@@ -57,7 +58,18 @@ from braidnil.torsion import (
     shift_embed,
     torsion_spectrum,
 )
-from conftest import _bracket, _pair_action, _triple_action, inversions, random_word, transposition, word_permutation
+from conftest import (
+    _bracket,
+    _pair_action,
+    _triple_action,
+    counted,
+    elements,
+    inversions,
+    random_word,
+    transposition,
+    two_product_conj,
+    word_permutation,
+)
 
 
 def delta5_word() -> BraidWord:
@@ -253,6 +265,14 @@ class TestGeneratorConjugation:
                         assert conj(sigma(n, k, eps), comm_gen(n, t)) == level2(n, {u: s})
 
 
+def conj_pairs(n: int):
+    """(g, x) on n strands: g general, pure (conjugacy witness stage 3), a bare section (stage 1), or x itself."""
+    x = elements(n)
+    section = st.permutations(range(1, n + 1)).map(lambda image: collect(tits_lift(Permutation(tuple(image)))))
+    g = st.one_of(elements(n), elements(n, pure_only=True), section)
+    return st.one_of(st.tuples(g, x), x.map(lambda e: (e, e)))
+
+
 class TestGroupLaw:
     def test_two_letters_make_a_pure_generator(self):
         e = mul(mul(identity(2), sigma(2, 1)), sigma(2, 1))
@@ -329,6 +349,21 @@ class TestGroupLaw:
     def test_conj_is_a_left_action_on_random_elements(self, ghx):
         g, h, x = ghx
         assert conj(g, conj(h, x)) == conj(mul(g, h), x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(conj_pairs))
+    def test_conj_agrees_with_two_products_and_an_inverse(self, gx):
+        g, x = gx
+        assert conj(g, x) == two_product_conj(g, x)
+        assert mul(conj(g, x), g) == mul(g, x)  # a check that builds no inverse, so it does not share inv's code
+
+    def test_conj_builds_neither_a_product_nor_an_inverse(self, monkeypatch):
+        rng = random.Random(29)
+        g, x = (collect(random_word(rng, 7)) for _ in range(2))
+        expected = two_product_conj(g, x)
+        muls, invs = counted(monkeypatch, core, "mul"), counted(monkeypatch, core, "inv")
+        assert conj(g, x) == expected
+        assert (muls[0], invs[0]) == (0, 0)
 
     def test_conjugation_of_basis_depends_only_on_permutation(self):
         rng = random.Random(23)
@@ -642,6 +677,8 @@ class TestCanonicalForm:
         pytest.param(lambda: BraidWord(3, ()) * BraidWord(4, ()),
                      "cannot concatenate words on different strand counts", id="word-strands"),
         pytest.param(lambda: PurePart(3, ((),)), "invalid entry () for n=3", id="empty-entry"),
+        pytest.param(lambda: conj(identity(5), identity(6)), "cannot multiply elements on different strand counts",
+                     id="conj-strands"),
     ])
     def test_mismatched_arguments_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
