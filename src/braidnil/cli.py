@@ -28,6 +28,7 @@ from .core import (
     element_to_dict,
     inv,
     json_int,
+    json_keys,
     mul,
     order,
     power,
@@ -203,6 +204,7 @@ def _cmd_torsion(args) -> int:
         })
         return 0
     data = _json_arg(args.residues, "residue")
+    json_keys(data, "residue", ("n", "residues"))
     try:
         rows = [[json_int(x) for x in row] for row in data["residues"]]
         if json_int(data.get("n", args.n)) != args.n:
@@ -349,7 +351,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
+    except MemoryError as exc:
+        exc.__traceback__ = None  # frees the frames that hold the memory, so the line can be written
         print("resource error: out of memory", file=sys.stderr)
         return 3
     finally:

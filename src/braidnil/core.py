@@ -65,7 +65,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import combinations
 
 Pair = tuple[int, int]
@@ -699,20 +699,20 @@ def order(a: NilElement):
 # The conjugation action on both levels (it only depends on the permutation)
 # ---------------------------------------------------------------------------
 
-def conjugation_map(perm: Permutation,
-                    cls: type[PurePart] | type[CommPart]) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
-    """Signed relabelling of cls's keys induced by conjugation by any element with this permutation.
+def conjugation_step(perm: Permutation,
+                     cls: type[PurePart] | type[CommPart]) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], int]]:
+    """Signed relabelling key -> (key, sign) of cls's keys under conjugation by any element with permutation perm.
 
     A key goes to cls's sorted form of its image under the inverse permutation,
     with that form's sign: +1 for a pair, the sign of the sort for a triple.  This
     is what the per-generator rules folded along any reduced word give, up to a
     central level-2 factor on a pair; the kernel of the permutation map acts
-    trivially on level 2, so the map is exact for every element with this
+    trivially on level 2, so the step is exact for every element with this
     permutation.
     """
     at = ((0,) + perm.inverse().image).__getitem__
     sort = cls._sort
-    return {key: sort(*map(at, key)) for key in cls.keys(perm.n)}
+    return lambda key: sort(*map(at, key))
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +735,13 @@ def json_int(x) -> int:
     return x
 
 
+def json_keys(d, what: str, allowed: tuple[str, ...]) -> None:
+    """A JSON object may carry only the allowed keys: the first other one is a DomainError naming it."""
+    for key in d if isinstance(d, dict) else ():
+        if key not in allowed:
+            raise DomainError(f"unknown key {key!r} in {what} JSON")
+
+
 def _json_rows(rows, width: int) -> list[tuple[int, ...]]:
     """A JSON list of integer rows, each of the given width."""
     out = []
@@ -746,6 +753,7 @@ def _json_rows(rows, width: int) -> list[tuple[int, ...]]:
 
 
 def element_from_dict(d: dict) -> NilElement:
+    json_keys(d, "element", ("n", "perm", "pure", "comm"))
     try:
         n = json_int(d["n"])
         perm = Permutation(tuple(json_int(x) for x in d["perm"]))
@@ -761,6 +769,7 @@ def word_to_dict(w: BraidWord) -> dict:
 
 
 def word_from_dict(d: dict) -> BraidWord:
+    json_keys(d, "word", ("n", "word"))
     try:
         return BraidWord(json_int(d["n"]), tuple(_json_rows(d.get("word", []), 2)))
     except (KeyError, TypeError) as exc:

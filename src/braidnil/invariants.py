@@ -11,7 +11,7 @@ The Hirsch length of the class-(k-1) quotient, which is the dimension of the
 ambient almost-crystallographic group, is the sum of the first k-1 ranks.
 
 Holonomy matrices record the conjugation action of an element on the two
-graded lattices, core.conjugation_map at each level: all signs are +1 on
+graded lattices, core.conjugation_step of each basis key: all signs are +1 on
 pair coordinates, and the triple coordinates carry the signs of the sort.
 Both blocks are stored as signed permutations, O(C(n,3)) integers rather
 than O(C(n,3)^2) matrix cells; the dense matrix exists only as
@@ -38,7 +38,7 @@ from .core import (
     _check_int,
     _trusted,
     _Value,
-    conjugation_map,
+    conjugation_step,
 )
 
 
@@ -170,14 +170,20 @@ def holonomy_matrix(g: NilElement, pair_basis: tuple[Pair, ...] | None = None) -
     must be a rearrangement of the canonical pair keys; anything else raises
     DomainError.
     """
+    if pair_basis is not None:
+        try:  # a non-iterable, or keys that are not tuples of ints, raise TypeError on the way
+            pair_basis = tuple(pair_basis)
+            valid = sorted(pair_basis) == list(PurePart.keys(g.n)) \
+                and all(type(x) is int for key in pair_basis for x in key)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise DomainError("the pair basis order must enumerate every pair exactly once")
     blocks, det = [], 1
     for cls, basis in ((PurePart, pair_basis), (CommPart, None)):
-        act = conjugation_map(g.perm, cls)
-        basis = tuple(act) if basis is None else tuple(basis)
+        basis = tuple(cls.keys(g.n)) if basis is None else basis
         idx = {key: i for i, key in enumerate(basis)}
-        if len(idx) != len(basis) or idx.keys() != act.keys():
-            raise DomainError("the pair basis order must enumerate every pair exactly once")
-        images = [act[key] for key in basis]
+        images = list(map(conjugation_step(g.perm, cls), basis))
         rows, signs = tuple(idx[key] for key, _ in images), tuple(s for _, s in images)
         perm = _trusted(Permutation, image=tuple(r + 1 for r in rows))  # a bijection by construction
         det *= (-1) ** (len(rows) - len(perm.cycles())) * math.prod(signs)  # sign: (-1)^(m - #cycles)

@@ -3,7 +3,7 @@ Signed orbits of the pair and triple bases under conjugation.
 
 signed_orbits is the one orbit walk, with first-seen representatives:
 orbit_basis_of runs it over the pairs or the triples in lex order, stepping by
-core.conjugation_map of a permutation, for both levels of the conjugacy
+core.conjugation_step of a permutation, for both levels of the conjugacy
 witness of torsion.py: conjugation acts on both levels through the permutation
 alone.  The standard acting permutation is the n-cycle of delta(0, n, n) (see
 torsion.py); it permutes the basis triples with all signs +1, descending every
@@ -23,7 +23,7 @@ from .core import (
     PurePart,
     _check_int,
     _Value,
-    conjugation_map,
+    conjugation_step,
 )
 
 Key = tuple[int, ...]  # a pair or a triple
@@ -79,7 +79,7 @@ def signed_orbits(keys: Iterable[Key], step: Callable[[Key], tuple[Key, int]]) -
 
 def orbit_basis_of(perm: Permutation, cls: type[PurePart] | type[CommPart]) -> OrbitBasis:
     """cls's key basis, in lex order, in signed orbits of conjugation by any element with permutation perm."""
-    return OrbitBasis(perm.n, signed_orbits(cls.keys(perm.n), conjugation_map(perm, cls).__getitem__))
+    return OrbitBasis(perm.n, signed_orbits(cls.keys(perm.n), conjugation_step(perm, cls)))
 
 
 def orbit_partition(n: int) -> OrbitBasis:

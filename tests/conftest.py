@@ -1,18 +1,20 @@
 """Shared test helpers: random words, the Hypothesis element strategy, call
-counters, the independent oracles, and the helpers only tests read
-(expression formatting, adjacent transpositions, Coxeter length, the
-closed-form orbit transversal).
+counters, a child process's memory peak, the independent oracles, and the
+helpers only tests read (expression formatting, adjacent transpositions,
+Coxeter length, the closed-form orbit transversal).
 
 The oracles are the permutation of a word and the strand-tracking normal form
 at level 1, the conjugation rules of one generator on one pair or triple, the
-eager letter-by-letter fold built on them, which relabels every graded entry
-on each letter, the bracket table of two pure generators with the pure-block
-merge that scans every resident against it, power by plain squaring,
-conjugation as two products and an inverse, the dense holonomy matrices with
-the CLI text they encode to, the presentation check that collects both sides
-of every relation whole, and the expression parser that scans one character
-at a time.  The fold and merge oracles keep level 1 as a pair dict; pair_dict
-and adjacency convert to and from the strand adjacency of the group law.
+graded action of a permutation folded from those rules along a word, the eager
+letter-by-letter fold built on the same rules, which relabels every graded
+entry on each letter, the bracket table of two pure generators with the
+pure-block merge that scans every resident against it, power by plain
+squaring, conjugation as two products and an inverse, the dense holonomy
+matrices with the CLI text they encode to, the presentation check that
+collects both sides of every relation whole, and the expression parser that
+scans one character at a time.  The fold and merge oracles keep level 1 as a
+pair dict; pair_dict and adjacency convert to and from the strand adjacency of
+the group law.
 
 With the CI environment variable set, Hypothesis runs derandomized and
 without its example database, so a failing CI run repeats exactly; per-test
@@ -26,12 +28,16 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import braidnil
 from braidnil.core import (
     BraidWord,
     CommPart,
@@ -41,7 +47,6 @@ from braidnil.core import (
     PurePart,
     Triple,
     collect,
-    conjugation_map,
     identity,
     inv,
     mul,
@@ -54,6 +59,25 @@ from braidnil.presentations import RelationReport
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def peak_in_child(statement: str, *argv: str) -> tuple[int, int]:
+    """Run statement in a fresh interpreter, stdout discarded; return its int `result` and its VmHWM in KiB.
+
+    VmHWM is the child's own peak since exec: ru_maxrss carries over the peak of the
+    forked pytest process, so it would measure whatever the tests before left in memory.
+    """
+    child = ("import sys\n" + statement + "\n"
+             "with open('/proc/self/status') as f:\n"
+             "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
+             "sys.stderr.write(f'{result} {hwm}')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
+    with open(os.devnull, "w") as sink:
+        proc = subprocess.run([sys.executable, "-c", child, *argv], stdout=sink, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result, hwm_kb = map(int, proc.stderr.split())
+    return result, hwm_kb
 
 
 def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
@@ -330,6 +354,34 @@ def _triple_action(t: Triple, k: int) -> tuple[Triple, int]:
     return (lo, hi, x), 1
 
 
+def generator_action(perm: Permutation, cls) -> dict:
+    """The graded conjugation action of perm on cls's keys, as a dict key -> (key, sign).
+
+    The one-generator rules are folded along a bubble-sort word of perm, last
+    letter first, since conjugation by s_1 ... s_m applies s_m innermost; any
+    word of perm gives the same action on the graded pieces.  A pair's level-2
+    correction is dropped, so every pair sign is +1.
+    """
+    one, word = list(perm.image), []
+    for end in range(perm.n - 1, 0, -1):
+        for i in range(end):
+            if one[i] > one[i + 1]:
+                one[i], one[i + 1] = one[i + 1], one[i]
+                word.append(i + 1)
+    assert word_permutation(BraidWord(perm.n, tuple((k, 1) for k in word))) == perm
+    action = {}
+    for key in (pairs if cls is PurePart else triples)(perm.n):
+        cur, sign = key, 1
+        for k in reversed(word):
+            if cls is PurePart:
+                cur, _ = _pair_action(*cur, k, 1)
+            else:
+                cur, s = _triple_action(cur, k)
+                sign *= s
+        action[key] = (cur, sign)
+    return action
+
+
 def eager_fold(image: list[int], pure: dict[Pair, int], comm: dict[Triple, int],
                k: int, eps: int) -> list[int]:
     """Multiply the state (image, pure, comm) by s_k^eps on the right, in place.
@@ -515,7 +567,7 @@ def dense_holonomy(g: NilElement, pair_basis=None) -> dict:
     """Dense oracle for the holonomy action: the CLI's JSON document as a dict.
 
     block1 and block2 are the full matrices, in column-is-image convention,
-    filled from the conjugation maps; det is the sign of each block's
+    filled from generator_action; det is the sign of each block's
     permutation, by inversion count, times the product of the triple signs.
     """
     n = g.n
@@ -523,14 +575,14 @@ def dense_holonomy(g: NilElement, pair_basis=None) -> dict:
     triple_basis = list(triples(n))
     pidx = {p: i for i, p in enumerate(pair_basis)}
     tidx = {t: i for i, t in enumerate(triple_basis)}
-    pmap = conjugation_map(g.perm, PurePart)
+    pmap = generator_action(g.perm, PurePart)
     m1 = [[0] * len(pair_basis) for _ in pair_basis]
     perm1 = [0] * len(pair_basis)
     for p, col in pidx.items():
         row = pidx[pmap[p][0]]
         m1[row][col] = 1
         perm1[col] = row
-    cmap = conjugation_map(g.perm, CommPart)
+    cmap = generator_action(g.perm, CommPart)
     m2 = [[0] * len(triple_basis) for _ in triple_basis]
     perm2 = [0] * len(triple_basis)
     for t, col in tidx.items():

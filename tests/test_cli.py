@@ -25,7 +25,7 @@ from braidnil.core import (
     PurePart,
     collect,
     comm_gen,
-    conjugation_map,
+    conjugation_step,
     dumps_canonical,
     element_from_dict,
     element_to_dict,
@@ -40,7 +40,7 @@ from braidnil.core import (
 from braidnil.expr import _MAX_NESTING
 from braidnil.orbits import OrbitBasis
 from braidnil.torsion import SPECTRUM_MAX_N, delta, element_with_cycle_type, finite_order_element
-from conftest import counted, dense_holonomy, holonomy_json, holonomy_pretty, random_word
+from conftest import counted, dense_holonomy, holonomy_json, holonomy_pretty, peak_in_child, random_word
 
 
 def run(capsys, *argv):
@@ -225,7 +225,7 @@ def test_small_n_witness_is_flagged(capsys):
                  "witness permutation alignment failed: got [2, 3, 4, 5, 1], want [3, 4, 2, 5, 1]",
                  id="alignment"),
     # every pair, and at level 2 every triple, is its own orbit, so a row sum is a bare coefficient difference
-    pytest.param(orbits, "conjugation_map", lambda perm, cls: {k: (k, 1) for k in cls.keys(perm.n)},
+    pytest.param(orbits, "conjugation_step", lambda perm, cls: lambda k: (k, 1),
                  "witness level 1 (pair orbits) failed: orbit 0 at (1, 2) has row sum -1", id="level-1-row-sum"),
     pytest.param(torsion, "orbit_basis_of",
                  lambda perm, cls: orbits.orbit_basis_of(perm, cls) if cls is PurePart
@@ -233,9 +233,8 @@ def test_small_n_witness_is_flagged(capsys):
                  "witness level 2 (triple orbits) failed: orbit 1 at (1, 2, 4) has row sum -3",
                  id="level-2-row-sum"),
     # every triple is fixed with sign -1, so no triple orbit closes
-    pytest.param(orbits, "conjugation_map",
-                 lambda perm, cls: conjugation_map(perm, cls) if cls is PurePart
-                 else {t: (t, -1) for t in triples(perm.n)},
+    pytest.param(orbits, "conjugation_step",
+                 lambda perm, cls: conjugation_step(perm, cls) if cls is PurePart else lambda t: (t, -1),
                  "witness level 2 (triple orbits) failed: orbit of (1, 2, 3) closes with sign -1",
                  id="level-2-sign-closure"),
     # the product drops the level-1 and permutation factors
@@ -301,24 +300,11 @@ def test_paper_basis_off_three_strands_exits_3(capsys):
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_holonomy_memory_stays_bounded(pretty):
-    # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB.
-    # The child reports VmHWM, its own peak since exec: ru_maxrss carries over the peak of the forked
-    # pytest process, so it would measure whatever the tests before this one left in memory.
-    child = ("import sys\n"
-             "from braidnil.cli import main\n"
-             "code = main(sys.argv[1:])\n"
-             "with open('/proc/self/status') as f:\n"
-             "    hwm = next(line.split()[1] for line in f if line.startswith('VmHWM:'))\n"
-             "sys.stderr.write(f'{code} {hwm}')\n")
+    # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB
     argv = ["holonomy", "--n", "28", "s1 s2 s5 S27"] + (["--pretty"] if pretty else [])
-    env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
-    with open(os.devnull, "w") as sink:
-        proc = subprocess.run([sys.executable, "-c", child, *argv], stdout=sink, stderr=subprocess.PIPE,
-                              env=env, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, max_rss_kb = map(int, proc.stderr.split())
+    code, hwm_kb = peak_in_child("from braidnil.cli import main\nresult = main(sys.argv[1:])", *argv)
     assert code == 0
-    assert max_rss_kb < 64 * 1024
+    assert hwm_kb < 64 * 1024
 
 
 def test_verify_suites_exit_zero(capsys):
@@ -365,6 +351,13 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
                  id="word-strands"),
     pytest.param(["collect", "--n", "3", '{"n":3}'], "malformed element JSON: 'perm'", id="element-no-perm"),
     pytest.param(["collect", "--n", "3", '{"word":[[1,1]]}'], "malformed word JSON: 'n'", id="word-no-n"),
+    # a key outside each JSON form's set is named, not ignored
+    pytest.param(["collect", "--n", "3", '{"n":3,"perm":[1,2,3],"pur":[[1,2,1]]}'],
+                 "unknown key 'pur' in element JSON", id="element-unknown-key"),
+    pytest.param(["collect", "--n", "3", '{"n":3,"word":[[1,1]],"comm":[[1,2,3,5]]}'],
+                 "unknown key 'comm' in word JSON", id="word-unknown-key"),
+    pytest.param(["torsion", "--n", "5", "--residues", '{"n":5,"residues":[[1,1,1,1,1]],"rows":[]}'],
+                 "unknown key 'rows' in residue JSON", id="residue-unknown-key"),
     pytest.param(["verify", "--suite", "pn3", "--n", "2"], "pure presentation needs at least 3 strands", id="pn3"),
     pytest.param(["verify", "--suite", "bn3", "--n", "2"], "braid presentation needs at least 3 strands", id="bn3"),
     pytest.param(["verify", "--suite", "fulltwist", "--n", "1"], "full twist needs at least 2 strands",
@@ -580,16 +573,19 @@ def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch):
 
 
 def test_running_out_of_memory_exits_3():
-    # delta-pow at n=101 peaks near 90 MB; the interpreter starts in about 20 MB of address space
+    # delta-pow at n=151 peaks near 137 MB of address space, more than twice the cap; the interpreter starts
+    # in about 20 MB
     resource = pytest.importorskip("resource")
     cap = 60 * 1024 * 1024
     env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
 
-    def capped(n):
-        return subprocess.run([sys.executable, "-m", "braidnil.cli", "delta-pow", "--n", str(n)],
+    def capped(n, *flags):
+        return subprocess.run([sys.executable, *flags, "-m", "braidnil.cli", "delta-pow", "--n", str(n)],
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
                               capture_output=True, text=True, env=env, timeout=120)
 
     assert capped(5).returncode == 0  # the cap leaves room for a small request
-    proc = capped(101)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "resource error: out of memory\n")
+    # -X dev runs the debug allocator, which leaves less room for writing the line
+    for flags in ((), ("-X", "dev")):
+        proc = capped(151, *flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "resource error: out of memory\n")

@@ -25,7 +25,7 @@ from braidnil.core import (
     comm_gen_word,
     commutator_word,
     conj,
-    conjugation_map,
+    conjugation_step,
     dumps_canonical,
     element_from_dict,
     element_to_dict,
@@ -44,7 +44,7 @@ from braidnil.core import (
     word_to_dict,
 )
 from braidnil.expr import parse
-from braidnil.invariants import dimension_table, hirsch_length, lcs_rank, orientability_check
+from braidnil.invariants import dimension_table, hirsch_length, holonomy_matrix, lcs_rank, orientability_check
 from braidnil.orbits import orbit_partition
 from braidnil.presentations import full_twist, pure_presentation
 from braidnil.torsion import (
@@ -248,17 +248,17 @@ class TestGeneratorConjugation:
     def test_triple_rule_examples(self):
         t = (1, 2, 3)
         assert conj(sigma(5, 3), comm_gen(5, t)) == conj(sigma(5, 3, -1), comm_gen(5, t))
-        assert conjugation_map(transposition(5, 3), CommPart)[t] == ((1, 2, 4), 1)
-        assert conjugation_map(transposition(5, 2), CommPart)[t] == ((1, 2, 3), -1)
-        assert conjugation_map(transposition(5, 1), CommPart)[(2, 3, 5)] == ((1, 3, 5), 1)
+        assert conjugation_step(transposition(5, 3), CommPart)(t) == ((1, 2, 4), 1)
+        assert conjugation_step(transposition(5, 2), CommPart)(t) == ((1, 2, 3), -1)
+        assert conjugation_step(transposition(5, 1), CommPart)((2, 3, 5)) == ((1, 3, 5), 1)
 
     def test_triple_round_trip_and_engine_agreement(self):
         for n in (3, 4, 5):
             for k in range(1, n):
-                act = conjugation_map(transposition(n, k), CommPart)
+                act = conjugation_step(transposition(n, k), CommPart)
                 for t in triples(n):
-                    u, s = act[t]
-                    back, back_sign = act[u]
+                    u, s = act(t)
+                    back, back_sign = act(u)
                     assert back == t and back_sign * s == 1
                     assert _triple_action(t, k) == (u, s)
                     for eps in (1, -1):
@@ -411,8 +411,8 @@ class TestFaithfulness:
             trivial = []
             for image in all_permutations(range(1, n + 1)):
                 perm = Permutation(image)
-                act = conjugation_map(perm, CommPart)
-                if all(u == t and s == 1 for t, (u, s) in act.items()):
+                act = conjugation_step(perm, CommPart)
+                if all(act(t) == (t, 1) for t in triples(n)):
                     trivial.append(perm)
             assert trivial == [Permutation.identity(n)]
 
@@ -679,6 +679,13 @@ class TestCanonicalForm:
         pytest.param(lambda: PurePart(3, ((),)), "invalid entry () for n=3", id="empty-entry"),
         pytest.param(lambda: conj(identity(5), identity(6)), "cannot multiply elements on different strand counts",
                      id="conj-strands"),
+        # a pair basis that is no rearrangement of the pair keys: lists, not tuples; no iterable; a float index
+        pytest.param(lambda: holonomy_matrix(identity(3), [[1, 3], [2, 3], [1, 2]]),
+                     "the pair basis order must enumerate every pair exactly once", id="holonomy-list-keys"),
+        pytest.param(lambda: holonomy_matrix(identity(3), 5),
+                     "the pair basis order must enumerate every pair exactly once", id="holonomy-not-iterable"),
+        pytest.param(lambda: holonomy_matrix(identity(3), ((1, 3), (2, 3), (1, 2.0))),
+                     "the pair basis order must enumerate every pair exactly once", id="holonomy-float-key"),
     ])
     def test_mismatched_arguments_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

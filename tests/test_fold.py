@@ -19,12 +19,10 @@ from braidnil.core import (
     _origin,
     _thaw,
     collect,
-    conjugation_map,
+    conjugation_step,
     mul,
-    pairs,
-    triples,
 )
-from conftest import _pair_action, _triple_action, adjacency, eager_fold, pair_dict, random_word
+from conftest import adjacency, eager_fold, generator_action, pair_dict, random_word
 
 
 def letters(n: int, max_size: int):
@@ -90,31 +88,17 @@ def test_collect_is_a_homomorphism_on_long_words():
         assert mul(collect(u), collect(v)) == collect(u * v)
 
 
-def test_conjugation_map_equals_the_generator_fold_at_both_levels():
-    """Both levels fold the per-generator rules along the reversed lex reduced word.
-
-    A pair's level-2 correction is dropped, since the map is the action on the
-    graded piece; every pair sign is +1.
-    """
+def test_conjugation_step_equals_the_generator_fold_at_both_levels():
+    """The engine's one-key step against the per-generator rules folded along a word of the permutation."""
     rng = random.Random(23)
     for n in range(3, 13):
         for _ in range(4):
             image = list(range(1, n + 1))
             rng.shuffle(image)
             perm = Permutation(tuple(image))
-            word = _lex_reduced_word(perm.image)
-            pact, act = conjugation_map(perm, PurePart), conjugation_map(perm, CommPart)
-            for p in pairs(n):
-                cur = p
-                for k in reversed(word):
-                    cur, _ = _pair_action(*cur, k, 1)
-                assert pact[p] == (cur, 1)
-            for t in triples(n):
-                cur, sign = t, 1
-                for k in reversed(word):
-                    cur, s = _triple_action(cur, k)
-                    sign *= s
-                assert act[t] == (cur, sign)
+            for cls in (PurePart, CommPart):
+                step = conjugation_step(perm, cls)
+                assert {key: step(key) for key in cls.keys(n)} == generator_action(perm, cls)
 
 
 def test_reduced_word_cache_is_bounded():
