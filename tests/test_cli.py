@@ -366,6 +366,12 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
     pytest.param(["verify", "--suite", "b3", "--n", "7"], "--n is not used by suite b3", id="b3-n"),
     pytest.param(["verify", "--suite", "pn3", "--n", "4", "--subgroup", "s3"],
                  "--subgroup is only defined for suite b3", id="pn3-subgroup"),
+    # an empty level range would compute no rank, so it would never check --n
+    pytest.param(["ranks", "--n", "-5", "--qmax", "0"], "need n >= 2 and qmax >= 1, got n=-5, qmax=0",
+                 id="ranks-no-level"),
+    pytest.param(["ranks", "--n", "5", "--qmax", "0"], "need n >= 2 and qmax >= 1, got n=5, qmax=0",
+                 id="ranks-qmax"),
+    pytest.param(["ranks", "--n", "5", "--q", "2", "--qmax", "3"], "--qmax is not used with --q", id="ranks-q-qmax"),
 ])
 def test_a_domain_error_prints_its_one_line(capsys, argv, stderr):
     code, out, err = run(capsys, *argv)
@@ -524,13 +530,14 @@ def test_cli_fuzz_exits_with_an_answer_or_a_diagnostic(command, n, text):
     assert "Traceback" not in err.getvalue()
 
 
-# one valid request per subcommand, after its name
+# one valid request per subcommand, after its name: each one runs to exit 0
 _VALID = {
     "collect": ["--n", "5", "s1"], "mul": ["--n", "3", "s1", "s2"], "inv": ["--n", "3", "s1"],
     "pow": ["--n", "3", "s1", "3"], "conj": ["--n", "3", "s1", "s2"], "order": ["--n", "3", "s1"],
     "delta": ["--n", "5", "--k", "3"], "delta-pow": ["--n", "5"], "orbits": ["--n", "5"], "ranks": ["--n", "4"],
     "table": ["--nmax", "4", "--kmax", "3"], "torsion": ["--n", "5", "--spectrum"],
-    "conjugacy": ["decide", "--n", "5", "s1", "s2"], "holonomy": ["--n", "3", "s1"], "verify": ["--suite", "b3"],
+    "conjugacy": ["decide", "--n", "5", "a[1,2,4] (s4 s3 s2^-1 s1^-1)", "s1 a[1,2,4] (s4 s3 s2^-1 s1^-1) s1^-1"],
+    "holonomy": ["--n", "3", "s1"], "verify": ["--suite", "b3"],
 }
 
 
@@ -561,6 +568,23 @@ def test_one_subcommand_parser_matches_the_full_parser(name):
         assert parse_outcome(build_parser(name), argv) == parse_outcome(build_parser(), argv), argv
 
 
+@pytest.mark.parametrize("name", list(_VALID))
+def test_each_subcommand_runs_from_its_table_entry(capsys, name):
+    code, out, err = run(capsys, name, *_VALID[name])
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 and out == dumps_canonical(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("name, command", [
+    ("mul", "mul"), ("inv", "inv"), ("power", "pow"), ("conj", "conj"), ("order", "order"),
+])
+def test_a_run_calls_the_engine_through_the_cli_namespace(capsys, monkeypatch, name, command):
+    # the call trace replaces engine functions in every module that binds them; a run must look its one up when called
+    calls = counted(monkeypatch, braidnil.cli, name)
+    assert run(capsys, command, *_VALID[command])[0] == 0
+    assert calls[0] == 1
+
+
 def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch):
     calls = counted(monkeypatch, argparse._SubParsersAction, "add_parser")
     assert run(capsys, "collect", "--n", "5", "s1")[0] == 0
@@ -589,3 +613,27 @@ def test_running_out_of_memory_exits_3():
     for flags in ((), ("-X", "dev")):
         proc = capped(151, *flags)
         assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "resource error: out of memory\n")
+
+
+@pytest.mark.parametrize("argv, keep", [
+    pytest.param(["holonomy", "--n", "28", "s1"], 10, id="while-writing"),
+    pytest.param(["collect", "--n", "5", "s1"], 0, id="at-the-last-flush"),
+])
+def test_a_closed_stdout_exits_3_with_one_line(argv, keep):
+    # the reader takes `keep` bytes and closes the pipe; the 21 MB holonomy document fails while it is written, and
+    # the collect one sits in stdout's buffer until main flushes it
+    env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    reader = os.fdopen(read, "rb")
+    if not keep:  # closed before the child starts, so no write of the child can reach it
+        reader.close()
+    proc = subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-m", "braidnil.cli", *argv],
+                            stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    if keep:
+        reader.read(keep)
+        reader.close()
+    with proc:
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (3, b"resource error: stdout closed\n")
