@@ -10,10 +10,10 @@ import importlib
 # each public name, and each submodule in __all__, by the submodule that defines it
 _MODULE_OF = {name: module for module, names in {
     "core": (
-        "BraidWord", "CommPart", "DomainError", "NilElement", "Permutation", "PurePart", "collect", "comm_gen",
-        "comm_gen_word", "commutator_word", "conj", "core", "element_from_dict", "element_to_dict", "identity",
-        "inv", "mul", "order", "pairs", "power", "pure_gen", "pure_gen_word", "sigma", "tits_lift", "triples",
-        "word_from_dict", "word_to_dict",
+        "BraidWord", "CommPart", "DomainError", "NilElement", "Permutation", "PurePart", "SUBGROUPS", "collect",
+        "comm_gen", "comm_gen_word", "commutator_word", "conj", "core", "element_from_dict", "element_to_dict",
+        "identity", "inv", "mul", "order", "pairs", "power", "pure_gen", "pure_gen_word", "sigma", "tits_lift",
+        "triples", "word_from_dict", "word_to_dict",
     ),
     "expr": ("Expression", "ExpressionError", "expr", "parse"),
     "invariants": (
@@ -22,7 +22,7 @@ _MODULE_OF = {name: module for module, names in {
     ),
     "orbits": ("OrbitBasis", "orbit_basis_of", "orbit_partition", "orbits"),
     "presentations": (
-        "RelationReport", "SUBGROUPS", "braid_presentation", "full_twist", "presentations", "pure_presentation",
+        "RelationReport", "braid_presentation", "full_twist", "presentations", "pure_presentation",
         "subgroup_presentation",
     ),
     "torsion": (

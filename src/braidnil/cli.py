@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .core import (
@@ -36,6 +37,26 @@ from .core import (
     word_from_dict,
 )
 from .expr import ExpressionError, parse
+
+
+# an integer on the command line, as in an expression: an optional sign and ASCII digits, with surrounding
+# whitespace; int() alone also takes '٣' and '1_0'
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for an integer that _INTEGER matches; anything else is int()'s ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value, rejected in argparse's own words for type=int."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _json_arg(text: str, what: str):
@@ -199,7 +220,7 @@ def _run_torsion(args) -> None:
         _print({"n": args.n, "spectrum": torsion.torsion_spectrum(args.n)})
     elif args.cycle_type is not None:
         try:
-            parts = [int(x) for x in args.cycle_type.split(",") if x.strip()]
+            parts = [_ascii_int(x) for x in args.cycle_type.split(",") if x.strip()]
         except ValueError as exc:
             raise DomainError(f"bad cycle type: {exc}") from exc
         e = torsion.element_with_cycle_type(args.n, parts)
@@ -270,7 +291,7 @@ def _run_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-_N = ("--n", {"type": int, "required": True, "help": "strand count"})
+_N = ("--n", {"type": _int_option, "required": True, "help": "strand count"})
 _PRETTY = ("--pretty", {"action": "store_true"})
 
 # name -> (help, arguments, run) for each subcommand, in --help order; an argument is (name, add_argument
@@ -280,24 +301,24 @@ _COMMANDS = {
     "collect": ("normal form of an expression", (_N, ("expr", {}), _PRETTY), _run_collect),
     "mul": ("product of two elements", (_N, ("left", {}), ("right", {})), _run_mul),
     "inv": ("inverse of an element", (_N, ("expr", {})), _run_inv),
-    "pow": ("integer power of an element", (_N, ("expr", {}), ("exponent", {"type": int})), _run_pow),
+    "pow": ("integer power of an element", (_N, ("expr", {}), ("exponent", {"type": _int_option})), _run_pow),
     "conj": ("conjugate: g x g^-1", (_N, ("g", {}), ("x", {})), _run_conj),
     "order": ("order of an element (integer or infinite)", (_N, ("expr", {})), _run_order),
     "delta": ("the mixed-sign cycle element on a block", (
         _N,
-        ("--k", {"type": int, "required": True, "help": "odd block length >= 3"}),
-        ("--r", {"type": int, "default": 0, "help": "block offset (default 0)"}),
+        ("--k", {"type": _int_option, "required": True, "help": "odd block length >= 3"}),
+        ("--r", {"type": _int_option, "default": 0, "help": "block offset (default 0)"}),
     ), _run_delta),
     "delta-pow": ("level-2 coordinates of the n-th power of the cycle element", (_N,), _run_delta_pow),
     "orbits": ("cycle-element orbits of the triple basis", (_N, _PRETTY), _run_orbits),
     "ranks": ("graded ranks of the pure lattice", (
         _N,
-        ("--q", {"type": int, "help": "a single level"}),
-        ("--qmax", {"type": int, "help": "levels 1..qmax (default 10)"}),
+        ("--q", {"type": _int_option, "help": "a single level"}),
+        ("--qmax", {"type": _int_option, "help": "levels 1..qmax (default 10)"}),
     ), _run_ranks),
     "table": ("dimension table over n and k", (
-        ("--nmax", {"type": int, "required": True}),
-        ("--kmax", {"type": int, "required": True}),
+        ("--nmax", {"type": _int_option, "required": True}),
+        ("--kmax", {"type": _int_option, "required": True}),
         _PRETTY,
     ), _run_table),
     "torsion": ("torsion spectrum and finite-order constructions", (_N, [
@@ -316,7 +337,7 @@ _COMMANDS = {
     ), _run_holonomy),
     "verify": ("run a presentation / identity suite", (
         ("--suite", {"choices": ("pn3", "bn3", "b3", "fulltwist"), "required": True}),
-        ("--n", {"type": int, "help": "strand count (pn3/bn3/fulltwist)"}),
+        ("--n", {"type": _int_option, "help": "strand count (pn3/bn3/fulltwist)"}),
         ("--subgroup", {"choices": SUBGROUPS, "help": "b3 only: verify a single subgroup (default: all four)"}),
     ), _run_verify),
 }

@@ -21,10 +21,13 @@ canonical equality.  The public constructors of PurePart, CommPart and
 NilElement reject anything that is not canonical, and take ints only; the
 group law builds its results through the unchecked `_trusted`, since they are
 canonical already; so do products, inverses and powers of BraidWords, whose
-letters the constructor checks.  Every strand count passes `_check_strands`.
-PurePart and CommPart are one coordinate type, differing only in arity, key
-name and sort sign; it owns the one key check `_norm` and the key symmetry
-`_sort`.
+letters the constructor checks.  Every strand count passes `_check_strands`,
+the one strand-count rule: an int, at least 1, or at least the named minimum
+of a construction that needs more strands (the orbit partition, the
+presentation suites).  PurePart and CommPart are one coordinate type,
+differing only in arity, key name and sort sign; it owns the one key check
+`_norm` and the key symmetry `_sort`, and its constructor accepts exactly
+the fixed points of `from_map`, the one definition of canonical entries.
 
 Conventions, used consistently everywhere:
 
@@ -93,11 +96,12 @@ def _check_int(what: str, x) -> None:
         raise DomainError(f"{what} must be an int, got {x!r}")
 
 
-def _check_strands(n) -> None:
-    """The one strand-count rule: n is an int, at least 1."""
+def _check_strands(n, least: int = 1, what: str = "") -> None:
+    """The one strand-count rule: n is an int, at least `least`; a construction named `what` says it needs more."""
     _check_int("strand count", n)
-    if n < 1:
-        raise DomainError("strand count must be at least 1")
+    if n < least:
+        raise DomainError(f"{what} needs at least {least} strands" if what
+                          else f"strand count must be at least {least}")
 
 
 class _Value:
@@ -174,7 +178,7 @@ class Permutation(_Value):
 
     @staticmethod
     def identity(n: int) -> Permutation:
-        _check_int("strand count", n)
+        _check_strands(n)
         return Permutation(tuple(range(1, n + 1)))
 
     @property
@@ -293,13 +297,13 @@ def comm_gen_word(n: int, triple: Triple) -> BraidWord:
 
 def pairs(n: int) -> Iterator[Pair]:
     """All pair keys (i, j), i < j, in lexicographic order."""
-    _check_int("strand count", n)
+    _check_strands(n)
     return combinations(range(1, n + 1), 2)
 
 
 def triples(n: int) -> Iterator[Triple]:
     """All triple keys (i, j, k), i < j < k, in lexicographic order."""
-    _check_int("strand count", n)
+    _check_strands(n)
     return combinations(range(1, n + 1), 3)
 
 
@@ -321,7 +325,7 @@ class _Coordinates(_Value):
     A subclass supplies, as plain class attributes, `arity` and `noun`, the length and name of a
     key; `keys(n)`, its canonical keys in lex order; and `_sort(*key)`, the unchecked canonical key
     with its sign (the key symmetry).  `_norm` checks a key.  The constructor accepts canonical
-    entries only, with int indices and exponents; from_map canonicalises any others.
+    entries only, those that from_map leaves as they are; from_map canonicalises any others.
     """
 
     n: int
@@ -331,16 +335,12 @@ class _Coordinates(_Value):
         _check_strands(self.n)
         if not isinstance(self.entries, tuple):
             raise DomainError(f"entries must be a tuple, got {type(self.entries).__name__}")
-        prev = None
         for row in self.entries:
             if not isinstance(row, tuple) or not row:
                 raise DomainError(f"invalid entry {row!r} for n={self.n}")
-            key, e = row[:-1], row[-1]
-            if self._norm(key, self.n) != (key, 1) or type(e) is not int or e == 0 \
-                    or (prev is not None and key <= prev):
-                raise DomainError(f"entry {row!r} is not canonical for n={self.n}: keys must be sorted"
-                                  " and strictly increasing, exponents nonzero (from_map canonicalises)")
-            prev = key
+        if self.from_map(self.n, ((row[:-1], row[-1]) for row in self.entries)).entries != self.entries:
+            raise DomainError(f"entries {self.entries!r} are not canonical for n={self.n}: keys must be sorted"
+                              " and strictly increasing, exponents nonzero (from_map canonicalises)")
 
     @classmethod
     def _norm(cls, key: Iterable[int], n: int) -> tuple[tuple[int, ...], int]:

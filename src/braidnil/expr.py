@@ -24,8 +24,8 @@ from __future__ import annotations
 import re
 from itertools import groupby
 
-from .core import (CommPart, DomainError, NilElement, PurePart, _check_strands, _fold, _freeze, _thaw, _Value, comm_gen,
-                   identity, mul, power, pure_gen, sigma)
+from .core import (CommPart, DomainError, NilElement, PurePart, _check_int, _check_strands, _fold, _freeze, _thaw,
+                   _Value, comm_gen, identity, mul, power, pure_gen, sigma)
 
 
 class ExpressionError(ValueError):
@@ -44,10 +44,15 @@ _COORDINATE_ATOMS = {"A": PurePart, "a": CommPart}
 
 
 class Expression(_Value):
-    """A parsed element expression, bound to its strand count."""
+    """An element expression, bound to its strand count: terms as the parser builds them (see above)."""
 
     n: int
     terms: tuple
+
+    def __post_init__(self):
+        if type(self.n) is int:  # indices first, so that for n below 1 the error names the index out of range
+            _validate(self.terms, self.n)
+        _check_strands(self.n)
 
     def element(self) -> NilElement:
         return _eval_terms(self.terms, self.n)
@@ -150,24 +155,34 @@ def _parse_terms(text: str, m: re.Match, depth: int) -> tuple[tuple, re.Match]:
 
 
 def _validate(terms: tuple, n: int) -> None:
-    for atom, _ in terms:
-        kind = atom[0]
-        if kind == "gen":
-            if not 1 <= atom[1] <= n - 1:
-                raise DomainError(f"generator index {atom[1]} out of range for n={n}")
-        elif kind in _COORDINATE_ATOMS:
-            _COORDINATE_ATOMS[kind]._norm(atom[1], n)
-        else:
+    """Check terms against n: (atom, exponent) pairs, int exponents, atoms of a known kind and shape, valid indices."""
+    if type(terms) is not tuple:
+        raise DomainError(f"terms must be a tuple, got {type(terms).__name__}")
+    for term in terms:  # once per term of a long word, so the common generator atom is tested first and inline
+        if type(term) is not tuple or len(term) != 2 or type(term[0]) is not tuple:
+            raise DomainError(f"a term is an (atom, exponent) pair, got {term!r}")
+        atom, exponent = term
+        _check_int("exponent", exponent)
+        if len(atom) == 3 and atom[0] == "gen":
+            _, k, eps = atom
+            if type(k) is not int or not 0 < k < n:
+                raise DomainError(f"generator index {k!r} out of range for n={n}")
+            if type(eps) is not int or eps not in (1, -1):
+                raise DomainError(f"letter sign must be +1 or -1, got {eps!r}")
+        elif len(atom) == 2 and type(atom[0]) is str and atom[0] in _COORDINATE_ATOMS and type(atom[1]) is tuple:
+            _COORDINATE_ATOMS[atom[0]]._norm(atom[1], n)
+        elif len(atom) == 2 and atom[0] == "group":
             _validate(atom[1], n)
+        else:
+            raise DomainError(f"unknown or malformed atom {atom!r}")
 
 
 def parse(text: str, n: int) -> Expression:
     """Parse an element expression against a strand count.
 
-    Raises ExpressionError (with byte offset) on bad syntax, and DomainError on
-    out-of-range indices or a strand count that is not an int of at least 1.
+    Raises ExpressionError (with byte offset) on bad syntax; the Expression
+    raises DomainError on out-of-range indices or a strand count that is not an
+    int of at least 1.
     """
     terms, _ = _parse_terms(text, _TOKEN.match(text), 0)
-    _validate(terms, n)  # first, so that for an int n below 1 the error names the index that is out of range
-    _check_strands(n)
     return Expression(n, terms)

@@ -36,6 +36,7 @@ from .core import (
     PurePart,
     Triple,
     _check_int,
+    _check_strands,
     _trusted,
     _Value,
     conjugation_step,
@@ -205,7 +206,7 @@ def combined_matrix(h: HolonomyMatrix) -> tuple[tuple[int, ...], ...]:
 
 def orientability_check(n: int, generators: list[NilElement]) -> bool:
     """Whether every generator acts with determinant +1 on the graded lattice."""
-    _check_int("strand count", n)
+    _check_strands(n)
     for g in generators:
         if g.n != n:
             raise DomainError("generator strand count mismatch")

@@ -21,7 +21,7 @@ from .core import (
     DomainError,
     Permutation,
     PurePart,
-    _check_int,
+    _check_strands,
     _Value,
     conjugation_step,
 )
@@ -90,9 +90,7 @@ def orbit_partition(n: int) -> OrbitBasis:
     asserted here; the orbits themselves come from the engine.  Stated for
     n >= 5; n in {3, 4} is computed directly and obeys the same formulas.
     """
-    _check_int("strand count", n)
-    if n < 3:
-        raise DomainError("orbit partition needs at least 3 strands")
+    _check_strands(n, 3, "orbit partition")
     basis = orbit_basis_of(Permutation(tuple(range(2, n + 1)) + (1,)), CommPart)
     lengths = sorted(basis.lengths())
     if n % 3 == 0:
@@ -115,7 +113,7 @@ def coefficients_by_orbit(basis: OrbitBasis, part: PurePart | CommPart) -> list[
 def part_from_orbits(cls: type[PurePart] | type[CommPart], basis: OrbitBasis, rows: list[list[int]]):
     """The part of type cls with the given orbit layout; the inverse of coefficients_by_orbit.
 
-    Zero cells are skipped, so a sparse layout costs its nonzero cells.
+    Every cell is visited; only from_map is spared the zero ones.
     """
     return cls.from_map(basis.n, ((key, s * x) for row, orbit in zip(rows, basis.orbits)
                                   for x, (key, s) in zip(row, orbit) if x))

@@ -36,7 +36,7 @@ from .core import (
     NilElement,
     SUBGROUPS,
     _Value,
-    _check_int,
+    _check_strands,
     _fold,
     _freeze,
     _origin,
@@ -115,9 +115,7 @@ def pure_presentation(n: int) -> RelationReport:
     element when the index sets share exactly one point, the identity when
     they share zero or two (the latter holding in the quotient).
     """
-    _check_int("strand count", n)
-    if n < 3:
-        raise DomainError("pure presentation needs at least 3 strands")
+    _check_strands(n, 3, "pure presentation")
     return _run("pn3", n, _pure_relations(n))
 
 
@@ -156,9 +154,7 @@ def braid_presentation(n: int) -> RelationReport:
     the second index, descend the first index, or plain relabelling); on
     triple atoms it is the signed relabelling.
     """
-    _check_int("strand count", n)
-    if n < 3:
-        raise DomainError("braid presentation needs at least 3 strands")
+    _check_strands(n, 3, "braid presentation")
     return _run("bn3", n, _braid_relations(n))
 
 
@@ -250,9 +246,7 @@ def subgroup_presentation(subgroup: str) -> RelationReport:
 
 def full_twist(n: int) -> RelationReport:
     """Verify that the n-th power of s_1 .. s_{n-1} is the ordered product of all A[i,j]."""
-    _check_int("strand count", n)
-    if n < 2:
-        raise DomainError("full twist needs at least 2 strands")
+    _check_strands(n, 2, "full twist")
     e = collect(BraidWord(n, tuple((k, 1) for k in range(1, n))) ** n)
     r = collect(BraidWord(n, tuple(x for p in pairs(n) for x in pure_gen_word(n, *p).letters)))
     if e != r:

@@ -372,10 +372,40 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
     pytest.param(["ranks", "--n", "5", "--qmax", "0"], "need n >= 2 and qmax >= 1, got n=5, qmax=0",
                  id="ranks-qmax"),
     pytest.param(["ranks", "--n", "5", "--q", "2", "--qmax", "3"], "--qmax is not used with --q", id="ranks-q-qmax"),
+    # a cycle-type part is an ASCII integer, as an option's value is
+    pytest.param(["torsion", "--n", "12", "--cycle-type", "٣"],
+                 "bad cycle type: invalid literal for int() with base 10: '٣'", id="cycle-type-arabic-indic"),
+    pytest.param(["torsion", "--n", "12", "--cycle-type", "5,1_1"],
+                 "bad cycle type: invalid literal for int() with base 10: '1_1'", id="cycle-type-underscore"),
 ])
 def test_a_domain_error_prints_its_one_line(capsys, argv, stderr):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
+
+
+@pytest.mark.parametrize("argv, option, text", [
+    pytest.param(["collect", "--n", "٣", "s1"], "--n", "٣", id="arabic-indic-n"),
+    pytest.param(["collect", "--n", "1_0", "s1"], "--n", "1_0", id="underscore-n"),
+    pytest.param(["pow", "--n", "3", "s1", "٣"], "exponent", "٣", id="arabic-indic-exponent"),
+    pytest.param(["delta", "--n", "7", "--k", "٥"], "--k", "٥", id="arabic-indic-k"),
+    pytest.param(["table", "--nmax", "4", "--kmax", "³"], "--kmax", "³", id="superscript-kmax"),
+])
+def test_an_integer_option_is_an_ascii_integer(capsys, argv, option, text):
+    # int() alone takes other scripts' digits and underscores; the CLI rejects them in argparse's words for int
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.endswith(f": error: argument {option}: invalid int value: '{text}'\n")
+
+
+@pytest.mark.parametrize("argv, same", [
+    pytest.param(["collect", "--n", " 3 ", "s1"], ["collect", "--n", "3", "s1"], id="padded-n"),
+    pytest.param(["pow", "--n", "+3", "s1", "-2"], ["pow", "--n", "3", "s1", "-2"], id="signs"),
+    pytest.param(["torsion", "--n", "12", "--cycle-type", " 5 , +7"], ["torsion", "--n", "12", "--cycle-type", "5,7"],
+                 id="padded-cycle-type"),
+])
+def test_an_integer_may_keep_its_sign_and_surrounding_whitespace(capsys, argv, same):
+    assert run(capsys, *argv) == run(capsys, *same)
 
 
 def test_parse_error_exit_code(capsys):

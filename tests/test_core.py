@@ -43,7 +43,7 @@ from braidnil.core import (
     word_from_dict,
     word_to_dict,
 )
-from braidnil.expr import parse
+from braidnil.expr import Expression, parse
 from braidnil.invariants import dimension_table, hirsch_length, holonomy_matrix, lcs_rank, orientability_check
 from braidnil.orbits import orbit_partition
 from braidnil.presentations import full_twist, pure_presentation
@@ -663,6 +663,40 @@ class TestCanonicalForm:
     def test_numeric_entry_points_take_only_ints(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: Permutation.identity(0), id="permutation-identity-zero"),
+        pytest.param(lambda: pairs(0), id="pairs-zero"),
+        pytest.param(lambda: triples(-1), id="triples-negative"),
+        pytest.param(lambda: orientability_check(0, []), id="orientability-zero"),
+        pytest.param(lambda: orientability_check(-1, []), id="orientability-negative"),
+    ])
+    def test_every_strand_count_is_at_least_one(self, call):
+        with pytest.raises(DomainError, match="^strand count must be at least 1$"):
+            call()
+
+    @pytest.mark.parametrize("terms, message", [
+        pytest.param(((("gen", 0, 1), 1),), "generator index 0 out of range for n=3", id="index-zero"),
+        pytest.param(((("gen", 3, 1), 1),), "generator index 3 out of range for n=3", id="index-past-n"),
+        pytest.param(((("gen", 1, 5), 1),), "letter sign must be +1 or -1, got 5", id="sign-five"),
+        pytest.param(((("gen", 1, True), 1),), "letter sign must be +1 or -1, got True", id="bool-sign"),
+        pytest.param(((("gen", 1.0, 1), 1),), "generator index 1.0 out of range for n=3", id="float-index"),
+        pytest.param(((("A", (1, True)), 1),), "invalid pair (1, True) for n=3", id="bool-key"),
+        pytest.param(((("gen", 1, 1), 2.0),), "exponent must be an int, got 2.0", id="float-exponent"),
+        pytest.param(((("B", (1, 2)), 1),), "unknown or malformed atom ('B', (1, 2))", id="unknown-kind"),
+        pytest.param(((("A", 5), 1),), "unknown or malformed atom ('A', 5)", id="key-not-a-tuple"),
+        pytest.param(((([], (1, 2)), 1),), "unknown or malformed atom ([], (1, 2))", id="unhashable-kind"),
+        pytest.param(((("gen", 1, 1), 1), ((), 1)), "unknown or malformed atom ()", id="empty-atom"),
+        pytest.param(((("gen", 1, 1),),), "a term is an (atom, exponent) pair, got (('gen', 1, 1),)",
+                     id="no-exponent"),
+        pytest.param([(("gen", 1, 1), 1)], "terms must be a tuple, got list", id="list-of-terms"),
+        pytest.param(((("group", ((("gen", 1, -2), 1),)), 1),), "letter sign must be +1 or -1, got -2",
+                     id="nested-sign"),
+    ])
+    def test_an_expression_checks_its_own_terms(self, terms, message):
+        # parse is not the only way in: an Expression built directly is checked as a parsed one is
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Expression(3, terms)
 
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: conjugacy_witness(identity(5), identity(6)), "elements live on different strand counts",

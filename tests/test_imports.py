@@ -89,16 +89,16 @@ def test_package_has_no_unread_private_names():
 
 # the package surface: each public name by the submodule that defines it, the submodules themselves included
 SURFACE = {
-    "core": ["BraidWord", "CommPart", "DomainError", "NilElement", "Permutation", "PurePart", "collect", "comm_gen",
-             "comm_gen_word", "commutator_word", "conj", "core", "element_from_dict", "element_to_dict", "identity",
-             "inv", "mul", "order", "pairs", "power", "pure_gen", "pure_gen_word", "sigma", "tits_lift", "triples",
-             "word_from_dict", "word_to_dict"],
+    "core": ["BraidWord", "CommPart", "DomainError", "NilElement", "Permutation", "PurePart", "SUBGROUPS", "collect",
+             "comm_gen", "comm_gen_word", "commutator_word", "conj", "core", "element_from_dict", "element_to_dict",
+             "identity", "inv", "mul", "order", "pairs", "power", "pure_gen", "pure_gen_word", "sigma", "tits_lift",
+             "triples", "word_from_dict", "word_to_dict"],
     "expr": ["Expression", "ExpressionError", "expr", "parse"],
     "invariants": ["HolonomyMatrix", "RankTable", "combined_matrix", "dimension_table", "hirsch_length",
                    "holonomy_matrix", "invariants", "lcs_rank", "orientability_check"],
     "orbits": ["OrbitBasis", "orbit_basis_of", "orbit_partition", "orbits"],
-    "presentations": ["RelationReport", "SUBGROUPS", "braid_presentation", "full_twist", "presentations",
-                      "pure_presentation", "subgroup_presentation"],
+    "presentations": ["RelationReport", "braid_presentation", "full_twist", "presentations", "pure_presentation",
+                      "subgroup_presentation"],
     "torsion": ["compatible_residues", "conjugacy_decide", "conjugacy_witness", "delta", "delta_power_coefficients",
                 "delta_word", "element_with_cycle_type", "finite_order_element", "shift_embed", "torsion",
                 "torsion_spectrum"],
@@ -118,6 +118,25 @@ def test_the_package_surface():
     assert set(names) <= set(dir(braidnil))
     with pytest.raises(AttributeError, match="^module 'braidnil' has no attribute 'nonesuch'$"):
         braidnil.nonesuch
+
+
+def module_level_definitions(source: str) -> set[str]:
+    """The names that a def, a class or an assignment at module level binds in source; imports do not count."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_each_public_name_loads_the_module_that_defines_it():
+    # a name re-exported by another module would load that module too: SUBGROUPS is core's, not presentations'
+    for module, names in SURFACE.items():
+        defined = module_level_definitions((PACKAGE / f"{module}.py").read_text())
+        assert [name for name in names if name != module and name not in defined] == [], module
 
 
 # the cold start that the benchmark times
