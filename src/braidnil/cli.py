@@ -68,18 +68,13 @@ def _json_arg(text: str, what: str):
 
 
 def _element_arg(text: str, n: int) -> NilElement:
-    if text.lstrip().startswith("{"):
-        data = _json_arg(text, "element")
-        if "word" in data:
-            w = word_from_dict(data)
-            if w.n != n:
-                raise DomainError(f"word is on {w.n} strands, expected {n}")
-            return collect(w)
-        e = element_from_dict(data)
-        if e.n != n:
-            raise DomainError(f"element is on {e.n} strands, expected {n}")
-        return e
-    return parse(text, n).element()
+    if not text.lstrip().startswith("{"):
+        return parse(text, n).element()
+    data = _json_arg(text, "element")
+    kind, x = ("word", word_from_dict(data)) if "word" in data else ("element", element_from_dict(data))
+    if x.n != n:
+        raise DomainError(f"{kind} is on {x.n} strands, expected {n}")
+    return collect(x) if kind == "word" else x
 
 
 def _print(doc) -> None:

@@ -55,8 +55,10 @@ folds through b's section, merges b's pure block, adds b's level 2.
 `_times_inverse` multiplies by b^-1 without building it: it subtracts b's level
 2, merges b's pure factors reversed and negated, folds through the inverse
 section.  mul is `_times` on a thawed, inv `_times_inverse` on the origin, conj
-both on g thawed: one thaw, one freeze, and no g^-1.  A letter costs the degree
-of its two strands, a merged factor the degree of its two indices.
+both on g thawed: one thaw, one freeze, and no g^-1.  An expression runs the
+same steps on one state from the origin: `_fold` for its generator runs,
+`_times` for its other atoms, one freeze.  A letter costs the degree of its two
+strands, a merged factor the degree of its two indices.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, then, since a^q is pure,
 the class-2 power law (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), where B(v)
@@ -173,6 +175,7 @@ class Permutation(_Value):
     image: tuple[int, ...]
 
     def __post_init__(self):
+        _check_strands(self.n)
         if any(type(v) is not int for v in self.image) or sorted(self.image) != list(range(1, self.n + 1)):
             raise DomainError(f"not a permutation of 1..{len(self.image)}: {self.image}")
 
@@ -226,7 +229,7 @@ class Permutation(_Value):
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.n else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +348,15 @@ class _Coordinates(_Value):
     @classmethod
     def _norm(cls, key: Iterable[int], n: int) -> tuple[tuple[int, ...], int]:
         """The canonical form of a key, with its sign: the key must be cls.arity distinct ints in 1..n."""
-        key = tuple(key)
-        if len(key) == cls.arity and all(type(x) is int for x in key):
-            canonical, sign = cls._sort(*key)  # sorted, so its ends bound the range
-            if 0 < canonical[0] and canonical[-1] <= n and len(set(canonical)) == cls.arity:
-                return canonical, sign
+        try:
+            key = tuple(key)
+        except TypeError:  # not iterable, so no key: the error names it as given
+            pass
+        else:
+            if len(key) == cls.arity and all(type(x) is int for x in key):
+                canonical, sign = cls._sort(*key)  # sorted, so its ends bound the range
+                if 0 < canonical[0] and canonical[-1] <= n and len(set(canonical)) == cls.arity:
+                    return canonical, sign
         raise DomainError(f"invalid {cls.noun} {key} for n={n}")
 
     @classmethod
@@ -361,8 +368,16 @@ class _Coordinates(_Value):
         """Sum the exponents per key, with each key's sign, and drop the zeros."""
         _check_strands(n)
         acc: dict[tuple[int, ...], int] = {}
-        items = mapping.items() if isinstance(mapping, dict) else mapping
-        for key, e in items:
+        try:
+            items = iter(mapping.items() if isinstance(mapping, dict) else mapping)
+        except TypeError:
+            raise DomainError(f"a {cls.noun} map must be a dict or an iterable of (key, exponent) pairs,"
+                              f" got {type(mapping).__name__}") from None
+        for item in items:
+            try:
+                key, e = item
+            except (TypeError, ValueError):
+                raise DomainError(f"a {cls.noun} map item must be a (key, exponent) pair, got {item!r}") from None
             key, sign = cls._norm(key, n)
             if type(e) is not int:
                 raise DomainError(f"exponent {e!r} on {cls.noun} {key} is not an int")

@@ -22,10 +22,9 @@ domain errors, raised against the strand count the expression is parsed for.
 from __future__ import annotations
 
 import re
-from itertools import groupby
 
-from .core import (CommPart, DomainError, NilElement, PurePart, _check_int, _check_strands, _fold, _freeze, _thaw,
-                   _Value, comm_gen, identity, mul, power, pure_gen, sigma)
+from .core import (CommPart, DomainError, NilElement, PurePart, _check_int, _check_strands, _fold, _freeze, _origin,
+                   _times, _Value, comm_gen, power, pure_gen, sigma)
 
 
 class ExpressionError(ValueError):
@@ -62,31 +61,25 @@ class Expression(_Value):
 _RUN_EXPONENT_LIMIT = 64
 
 
-def _is_run_term(term) -> bool:
-    atom, exponent = term
-    return atom[0] == "gen" and abs(exponent) <= _RUN_EXPONENT_LIMIT
-
-
 def _eval_terms(terms: tuple, n: int) -> NilElement:
-    """The product of the terms; a generator run is spelled out and folded straight onto the accumulator."""
-    acc = identity(n)
-    for in_run, group in groupby(terms, key=_is_run_term):
-        if in_run:
-            letters = [letter for (_, k, eps), m in group for letter in [(k, eps if m > 0 else -eps)] * abs(m)]
-            acc = _freeze(n, *_fold(*_thaw(acc), letters))
+    """The product of the terms on one working state: generator runs are buffered and folded, any other atom's
+    power is multiplied in by `_times`, and the state is frozen once.  A group is frozen on its own for `power`."""
+    state, letters = _origin(n), []
+    for atom, exponent in terms:
+        kind = atom[0]
+        if kind == "gen" and abs(exponent) <= _RUN_EXPONENT_LIMIT:
+            letters += [(atom[1], atom[2] if exponent > 0 else -atom[2])] * abs(exponent)
             continue
-        for atom, exponent in group:
-            kind = atom[0]
-            if kind == "gen":
-                base = sigma(n, atom[1], atom[2])
-            elif kind == "A":
-                base = pure_gen(n, *atom[1])
-            elif kind == "a":
-                base = comm_gen(n, atom[1])
-            else:
-                base = _eval_terms(atom[1], n)
-            acc = mul(acc, power(base, exponent))
-    return acc
+        if kind == "gen":
+            base = sigma(n, atom[1], atom[2])
+        elif kind == "A":
+            base = pure_gen(n, *atom[1])
+        elif kind == "a":
+            base = comm_gen(n, atom[1])
+        else:
+            base = _eval_terms(atom[1], n)
+        state, letters = _times(*_fold(*state, letters), power(base, exponent)), []
+    return _freeze(n, *_fold(*state, letters))
 
 
 # one token after optional whitespace (exactly what str.isspace() accepts): a signed integer of ASCII

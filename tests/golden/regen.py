@@ -5,8 +5,9 @@ at.  Each further line is one request: its argv after `braidnil`, its exit
 code, the sha256 of its stdout bytes and its stderr text.  The requests are
 the README's command lines, each subcommand's valid request from
 tests/test_cli.py (with its --pretty form where there is one), one request
-per distinct diagnostic, the north star's largest sizes, and integer options
-that are not ASCII integers.  Run from the repository root:
+per distinct diagnostic, the north star's largest sizes, integer options
+that are not ASCII integers, and expressions that mix every kind of atom.
+Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py             # write every record; the header names HEAD
     PYTHONPATH=src python tests/golden/regen.py --changed   # rewrite only the records whose outcome changed
@@ -198,6 +199,14 @@ NON_ASCII_INTEGERS = [
     ["torsion", "--n", "12", "--cycle-type", " 5 , +7"],
 ]
 
+# expressions that mix generator runs, coordinate atoms, generator powers past the run limit and nested groups
+MIXED_EXPRESSIONS = [
+    ["collect", "--n", "6",
+     "s1 s2^3 A[1,4] S3 s5^-2 a[2,3,6]^-4 s2^70 s4 (s1 (A[2,5]^2 s3^-1)^3 S5)^-2 s4^-65 a[1,5,6] s5"],
+    ["holonomy", "--n", "6",
+     "S2 s4 s3^2 a[1,3,5] s1^66 A[2,6]^-3 (s5 s1 (a[2,4,6] s3)^2 S2)^3 s5 s2 S1^-70 A[1,3]"],
+]
+
 
 def _largest() -> list[list[str]]:
     """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness at 23, pow and order at 32."""
@@ -226,7 +235,7 @@ def _largest() -> list[list[str]]:
 def requests() -> list[list[str]]:
     """Every request once, in the order of first appearance."""
     out = []
-    for argv in _readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS:
+    for argv in _readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS:
         if argv not in out:
             out.append(argv)
     return out

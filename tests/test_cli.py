@@ -350,6 +350,9 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
     pytest.param(["collect", "--n", "4", '{"n":3,"word":[[1,1]]}'], "word is on 3 strands, expected 4",
                  id="word-strands"),
     pytest.param(["collect", "--n", "3", '{"n":3}'], "malformed element JSON: 'perm'", id="element-no-perm"),
+    # the permutation checks its own strand count before the element compares the counts of its parts
+    pytest.param(["collect", "--n", "1", '{"n":1,"perm":[]}'], "strand count must be at least 1",
+                 id="element-empty-perm"),
     pytest.param(["collect", "--n", "3", '{"word":[[1,1]]}'], "malformed word JSON: 'n'", id="word-no-n"),
     # a key outside each JSON form's set is named, not ignored
     pytest.param(["collect", "--n", "3", '{"n":3,"perm":[1,2,3],"pur":[[1,2,1]]}'],

@@ -666,6 +666,7 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("call", [
         pytest.param(lambda: Permutation.identity(0), id="permutation-identity-zero"),
+        pytest.param(lambda: Permutation(()), id="permutation-empty"),
         pytest.param(lambda: pairs(0), id="pairs-zero"),
         pytest.param(lambda: triples(-1), id="triples-negative"),
         pytest.param(lambda: orientability_check(0, []), id="orientability-zero"),
@@ -720,6 +721,13 @@ class TestCanonicalForm:
                      "the pair basis order must enumerate every pair exactly once", id="holonomy-not-iterable"),
         pytest.param(lambda: holonomy_matrix(identity(3), ((1, 3), (2, 3), (1, 2.0))),
                      "the pair basis order must enumerate every pair exactly once", id="holonomy-float-key"),
+        # from_map on a key that is no iterable, an item that is no (key, exponent) pair, a mapping that is neither
+        pytest.param(lambda: PurePart.from_map(3, [(5, 1)]), "invalid pair 5 for n=3", id="from-map-int-key"),
+        pytest.param(lambda: PurePart.from_map(3, [(1, 2, 3)]),
+                     "a pair map item must be a (key, exponent) pair, got (1, 2, 3)", id="from-map-triple-item"),
+        pytest.param(lambda: CommPart.from_map(3, 7),
+                     "a triple map must be a dict or an iterable of (key, exponent) pairs, got int",
+                     id="from-map-int-mapping"),
     ])
     def test_mismatched_arguments_are_domain_errors(self, call, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnil import expr
 from braidnil.core import DomainError, collect, comm_gen, identity, mul, power, pure_gen, sigma
 from braidnil.expr import ExpressionError, parse
 from braidnil.torsion import delta, delta_word
-from conftest import format_terms
+from conftest import counted, format_terms
 
 
 def test_cycle_word_expression():
@@ -137,3 +138,16 @@ def test_generator_runs_equal_atom_by_atom_products():
                 expected = mul(expected, power(group, m))
         assert parse(" ".join(atoms), n).element() == expected
     assert parse("s1^1000000000 s2", 3).element() == mul(power(sigma(3, 1), 10 ** 9), sigma(3, 2))
+
+
+@pytest.mark.parametrize("text, freezes", [
+    ("s1 s2 A[1,3] S2 s3^2 a[1,2,4] s1^-3 s2^70 s3 s1 A[2,4]^-2", 1),
+    ("", 1),
+    ("s1 (s2 A[1,3])^2 s3 (a[1,2,4] (s1^70 s2)^-1)^3 S3", 4),
+], ids=["flat", "empty", "nested"])
+def test_an_expression_is_frozen_once_per_group(monkeypatch, text, freezes):
+    # one working state per level: generator runs, coordinate atoms and powers past the run limit never freeze it
+    element = parse(text, 4).element()
+    calls = counted(monkeypatch, expr, "_freeze")
+    assert parse(text, 4).element() == element
+    assert calls[0] == freezes
