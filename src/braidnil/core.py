@@ -60,9 +60,9 @@ same steps on one state from the origin: `_fold` for its generator runs,
 `_times` for its other atoms, one freeze.  A letter costs the degree of its two
 strands, a merged factor the degree of its two indices.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
-and returns a^r * (a^q)^s: a^r and a^q by squaring, then, since a^q is pure,
-the class-2 power law (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), where B(v)
-is the level-2 part of merging v onto itself.
+and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
+then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
+C(s,2)*B(v)), where B(v) is the level-2 part of merging v onto itself.
 """
 
 from __future__ import annotations
@@ -564,11 +564,15 @@ def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
     return out_image, out_nbr, out_comm
 
 
+def _pure_rows(nbr: list[dict[int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """The pure rows (u, v, e), u < v, of a strand adjacency, in lex order."""
+    return tuple(sorted([(u, v, e) for u, row in enumerate(nbr) for v, e in row.items() if u < v]))
+
+
 def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int]) -> NilElement:
-    pure_rows = tuple(sorted([(u, v, e) for u, row in enumerate(nbr) for v, e in row.items() if u < v]))
     comm_rows = tuple([(i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0])
     return _trusted(NilElement, n=n, perm=_trusted(Permutation, image=tuple(image)),
-                    pure=_trusted(PurePart, n=n, entries=pure_rows),
+                    pure=_trusted(PurePart, n=n, entries=_pure_rows(nbr)),
                     comm=_trusted(CommPart, n=n, entries=comm_rows))
 
 
@@ -657,12 +661,13 @@ def inv(a: NilElement) -> NilElement:
 def power(a: NilElement, m: int) -> NilElement:
     """a^m as a^r * (a^q)^s, where q is the order of a's permutation and m = s*q + r, 0 <= r < q.
 
-    a^r and a^q come from one table of repeated squares.  a^q is pure, and in
-    class 2 a pure element's powers have a closed form (Hall-Petresco):
-    (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), with B(v) the level-2 part
-    of merging v onto itself.  So the cost is O(log q) products and one
-    merge, whatever m is.  For s = 1 a^q is returned as squaring built it,
-    so order() computes the real power.  Negative powers go through inv.
+    a^r and a^q come from one table of frozen squares, each chained on one
+    working state.  a^q is pure, and in class 2 its powers have a closed form
+    (Hall-Petresco): (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), with B(v)
+    the level-2 part of merging v onto itself.  So a power costs O(log q)
+    products, one merge, and a freeze per square and per result: (a^q)^s,
+    then a^r * (a^q)^s.  For s = 1 a^q is computed in full, so order()
+    computes the real power.  Negative powers go through inv.
     """
     _check_int("exponent", m)
     if m < 0:
@@ -670,28 +675,29 @@ def power(a: NilElement, m: int) -> NilElement:
     n = a.n
     q = a.perm.order()
     s, r = divmod(m, q)
-    squares = [a]  # squares[i] = a^(2^i)
+    squares = [a]  # squares[i] = a^(2^i), frozen: _times reads its right factor's normal form
     for _ in range((q if s else r).bit_length() - 1):
         squares.append(mul(squares[-1], squares[-1]))
 
-    def from_squares(e: int) -> NilElement:
-        acc = None
-        for i, x in enumerate(squares):
+    def from_squares(e: int) -> State:
+        low = (e & -e).bit_length() - 1
+        state = _thaw(squares[low])
+        for i in range(low + 1, e.bit_length()):
             if e >> i & 1:
-                acc = x if acc is None else mul(acc, x)
-        return acc
+                state = _times(*state, squares[i])
+        return state
 
     if not s:
-        return from_squares(r) if r else identity(n)
-    aq = from_squares(q)
+        return _freeze(n, *from_squares(r)) if r else identity(n)
+    image, nbr, w = from_squares(q)
     if s > 1:
-        image, nbr, w = _thaw(aq)
         b: dict[Triple, int] = {}
-        _merge_pure_block(nbr, b, aq.pure.entries)  # v merged onto itself: nbr holds 2v, b holds B(v)
+        _merge_pure_block(nbr, b, _pure_rows(nbr))  # v merged onto itself: nbr holds 2v, b holds B(v)
         for t in w.keys() | b.keys():
             w[t] = s * w.get(t, 0) + s * (s - 1) // 2 * b.get(t, 0)
-        aq = _freeze(n, image, [{x: e * s // 2 for x, e in row.items()} for row in nbr], w)
-    return mul(from_squares(r), aq) if r else aq
+        nbr = [{x: e * s // 2 for x, e in row.items()} for row in nbr]
+    aq = _freeze(n, image, nbr, w)
+    return _freeze(n, *_times(*from_squares(r), aq)) if r else aq
 
 
 def conj(g: NilElement, x: NilElement) -> NilElement:

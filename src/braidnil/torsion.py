@@ -35,6 +35,9 @@ from .core import (
     PurePart,
     _check_int,
     _check_strands,
+    _freeze,
+    _thaw,
+    _times,
     _trusted,
     collect,
     conj,
@@ -167,13 +170,13 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     n; the blocks sit at consecutive offsets and the order of the result is
     the lcm of the parts.
     """
-    _check_int("strand count", n)
+    _check_strands(n)
     parts = list(parts)  # read once: a one-shot iterable would lose its parts to the checks
     for p in parts:
         _check_int("cycle length", p)
     if sum(parts) > n:
         raise DomainError(f"parts {parts} do not fit in {n} strands")
-    result = identity(n)
+    state = _thaw(identity(n))
     offset = 0
     for p in parts:
         if p == 1:
@@ -182,9 +185,9 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
         if p < 5 or math.gcd(p, 6) != 1:
             raise DomainError(f"cycle length {p} is not realisable (must be 1 or coprime to 6)")
         block = _theta_delta(*_compatible(p))  # one orbit basis for the constants and theta
-        result = mul(result, shift_embed(block, offset, n))
+        state = _times(*state, shift_embed(block, offset, n))
         offset += p
-    return result
+    return _freeze(n, *state)
 
 
 def torsion_spectrum(n: int) -> list[int]:
@@ -298,7 +301,7 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
         g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b.perm, b.comm, conj(g2, a1).comm))
 
         # (4) g a = b g is conj(g, a) = b without the inverse of g
-        g = mul(g3, mul(g2, g1))
+        g = _freeze(n, *_times(*_times(*_thaw(g3), g2), g1))
         if mul(g, a) != mul(b, g):
             raise DomainError("witness final check failed: conj(g, a) differs from b")
     except DomainError:

@@ -671,6 +671,8 @@ class TestCanonicalForm:
         pytest.param(lambda: triples(-1), id="triples-negative"),
         pytest.param(lambda: orientability_check(0, []), id="orientability-zero"),
         pytest.param(lambda: orientability_check(-1, []), id="orientability-negative"),
+        pytest.param(lambda: element_with_cycle_type(0, []), id="cycle-type-zero"),
+        pytest.param(lambda: element_with_cycle_type(-1, []), id="cycle-type-negative"),
     ])
     def test_every_strand_count_is_at_least_one(self, call):
         with pytest.raises(DomainError, match="^strand count must be at least 1$"):

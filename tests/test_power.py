@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnil import core
 from braidnil.core import (
     BraidWord,
     CommPart,
@@ -20,7 +21,8 @@ from braidnil.core import (
     power,
     sigma,
 )
-from conftest import elements, square_power
+from braidnil.expr import parse
+from conftest import counted, elements, square_power
 
 
 def same_n_elements(count: int):
@@ -33,6 +35,37 @@ def test_power_equals_squaring_near_multiples_of_the_permutation_order(a, s, res
     q = a.perm.order()
     m = s * q + rest % q  # r = 0, 1 or q - 1
     assert power(a, m) == square_power(a, m)
+
+
+# permutation orders 7 (a 7-cycle at n = 7) and 28 (cycle type (7, 4) at n = 11), with pure and level-2 parts
+SEVEN = parse("s1 s2^-1 s3 s4 s5^-1 s6 A[1,4]^2 A[3,7]^-1 a[2,4,6]", 7).element()
+TWENTY_EIGHT = parse("s1 s2^-1 s3 s4^-1 s5 s6 s7^2 s8 s9^-1 s10 A[1,11]^2 a[3,7,11]", 11).element()
+
+
+@pytest.mark.parametrize("a", [SEVEN, TWENTY_EIGHT], ids=["q7", "q28"])
+def test_power_equals_squaring_at_every_residue(a):
+    # every r, so a chain over a multi-bit r meets each branch of the power law: s = 0, 1, s >= 2 and negative
+    q = a.perm.order()
+    assert q in (7, 28)
+    for s in (0, 1, 2, 5, -3):
+        for r in range(q):
+            assert power(a, s * q + r) == square_power(a, s * q + r), (s, r)
+
+
+@pytest.mark.parametrize("m, freezes", [
+    (11, 4),  # s = 0: three squares, a^11
+    (28, 5),  # s = 1: four squares, a^28
+    (67, 6),  # s = 2, r = 11: four squares, (a^28)^2, a^11 (a^28)^2
+    (167, 6),  # s = 5, r = 27
+    (-89, 7),  # inv(a), then s = 3, r = 5
+    (0, 0),
+])
+def test_power_freezes_once_per_square_and_once_per_result(monkeypatch, m, freezes):
+    # max(0, bit_length - 1) + [s >= 1] + [r != 0] + [m < 0], bit_length that of q if s >= 1, else of r
+    expected = power(TWENTY_EIGHT, m)
+    calls = counted(monkeypatch, core, "_freeze")
+    assert power(TWENTY_EIGHT, m) == expected
+    assert calls[0] == freezes
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidnil import orbits
+from braidnil import orbits, torsion
 from braidnil.core import (
     BraidWord,
     CommPart,
@@ -209,6 +209,13 @@ class TestCycleTypes:
         calls = counted(monkeypatch, orbits, "orbit_basis_of")
         element_with_cycle_type(11, [11])
         assert calls[0] == 1
+
+    def test_the_block_product_is_chained_on_one_state(self, monkeypatch):
+        # each block's theta * delta is one product; the blocks are multiplied in with _times and frozen once
+        expected = element_with_cycle_type(12, [5, 7])
+        freezes, muls = counted(monkeypatch, torsion, "_freeze"), counted(monkeypatch, torsion, "mul")
+        assert element_with_cycle_type(12, [5, 7]) == expected
+        assert (freezes[0], muls[0]) == (1, 2)
 
     def test_a_first_column_residue_matrix_normalises_only_its_nonzero_cells(self, monkeypatch):
         calls = counted(monkeypatch, CommPart, "_norm")
