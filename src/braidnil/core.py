@@ -50,15 +50,19 @@ The group law is the letter fold `_fold` and the closed-form pure-block merge
 `_merge_pure_block`.  Both work on one level-1 state, the strand adjacency
 nbr: nbr[u][v] = nbr[v][u] is the exponent on A[u,v], never zero, and row 0
 stays empty.  `_thaw` builds it from a normal form, `_freeze` sorts it back
-into pure entries.  collect folds a word.  `_times` multiplies a state by b: it
-folds through b's section, merges b's pure block, adds b's level 2.
-`_times_inverse` multiplies by b^-1 without building it: it subtracts b's level
-2, merges b's pure factors reversed and negated, folds through the inverse
-section.  mul is `_times` on a thawed, inv `_times_inverse` on the origin, conj
-both on g thawed: one thaw, one freeze, and no g^-1.  An expression runs the
-same steps on one state from the origin: `_fold` for its generator runs,
-`_times` for its other atoms, one freeze.  A letter costs the degree of its two
-strands, a merged factor the degree of its two indices.
+into entries.  The letter loop `_fold_framed` keeps the state under its
+starting strand labels and returns the frame that places them: `_fold`
+relabels through it where a merge or a fold follows, and a fold that ends a
+product hands it to `_freeze`.  collect folds a word.  `_times` multiplies a
+state by b: it folds through b's section, merges b's pure block, adds b's
+level 2.  `_times_inverse` multiplies by b^-1 without building it: it
+subtracts b's level 2, merges b's pure factors reversed and negated, folds
+through the inverse section.  mul is `_times` on a thawed, inv
+`_times_inverse` on the origin, conj both on g thawed: one thaw, one freeze,
+and no g^-1.  An expression runs the same steps on one state from the origin:
+`_fold` for its generator runs, `_times` for its other atoms, one freeze.  A
+letter costs the degree of its two strands, a merged factor the degree of its
+two indices.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
 then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
@@ -77,6 +81,7 @@ Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 Letter = tuple[int, int]  # (generator index k, sign +1/-1)
 State = tuple[list[int], list[dict[int, int]], dict[Triple, int]]  # (image, nbr, comm): see the group law
+Framed = tuple[list[int], list[dict[int, int]], dict[Triple, int], list[int] | None]  # a State and its frame pos
 
 # Two constants of torsion.py and presentations.py, defined here so that the
 # CLI parser can read them without importing either module.
@@ -382,7 +387,7 @@ class _Coordinates(_Value):
             if type(e) is not int:
                 raise DomainError(f"exponent {e!r} on {cls.noun} {key} is not an int")
             acc[key] = acc.get(key, 0) + sign * e
-        return _trusted(cls, n=n, entries=tuple(key + (e,) for key, e in sorted(acc.items()) if e != 0))
+        return _trusted(cls, n=n, entries=tuple(sorted([key + (e,) for key, e in acc.items() if e])))
 
     def as_map(self) -> dict[tuple[int, ...], int]:
         return {row[:-1]: row[-1] for row in self.entries}
@@ -493,9 +498,9 @@ def tits_lift(perm: Permutation) -> BraidWord:
 # Collection: the group law on normal forms
 # ---------------------------------------------------------------------------
 
-def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
-          letters: Sequence[Letter]) -> State:
-    """Multiply the state (image, nbr, comm) on the right by the letters, in order.
+def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
+                 letters: Sequence[Letter]) -> Framed:
+    """Multiply the state (image, nbr, comm) on the right by the letters, in order, keyed by its starting labels.
 
     A letter s_k^eps conjugates the graded parts through s_k^-eps, then is
     absorbed into the section or deposits A[k,k+1]^eps at the head of the pure
@@ -509,11 +514,11 @@ def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
     {lab[x], lab[k+1]}, adds e_a*e_b - (e_a if eps = +1 else e_b), plus
     eps*(e_a - e_b) on a deposit when x < k, at the slot triple sort(x, k, k+1).
     Only labels adjacent to lab[k] or lab[k+1] contribute, so a letter costs
-    their degree.  One signed relabel to the final frame ends the fold.
-    nbr and comm are consumed; the new image, nbr and comm are returned.
+    their degree.  nbr and comm are consumed and returned under the starting
+    labels, with the new image and the frame pos, or None for no letters.
     """
     if not letters:
-        return image, nbr, comm
+        return image, nbr, comm, None
     n = len(image)
     lab = list(range(n + 1))  # 1-based slots and labels; index 0 unused
     pos = list(range(n + 1))
@@ -550,18 +555,26 @@ def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
                 na[lb] = nb[la] = e
             else:
                 del na[lb], nb[la]
+    out_image = [0] * n
+    for v in range(1, n + 1):
+        out_image[where[v]] = v
+    return out_image, nbr, comm, pos
+
+
+def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], letters: Sequence[Letter]) -> State:
+    """`_fold_framed`, then one signed relabel of nbr and comm into slot order, for a merge or a fold to follow."""
+    image, nbr, comm, pos = _fold_framed(image, nbr, comm, letters)
+    if pos is None:
+        return image, nbr, comm
     out_comm = {}
     for (u, v, w), c in comm.items():
         t, s = _sort3(pos[u], pos[v], pos[w])
         out_comm[t] = s * c
-    out_image = [0] * n
-    for v in range(1, n + 1):
-        out_image[where[v]] = v
-    out_nbr: list[dict[int, int]] = [{} for _ in lab]
+    out_nbr: list[dict[int, int]] = [{} for _ in pos]
     for u, row in enumerate(nbr):
         for v, e in row.items():
             out_nbr[pos[u]][pos[v]] = e
-    return out_image, out_nbr, out_comm
+    return image, out_nbr, out_comm
 
 
 def _pure_rows(nbr: list[dict[int, int]]) -> tuple[tuple[int, int, int], ...]:
@@ -569,11 +582,20 @@ def _pure_rows(nbr: list[dict[int, int]]) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted([(u, v, e) for u, row in enumerate(nbr) for v, e in row.items() if u < v]))
 
 
-def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int]) -> NilElement:
-    comm_rows = tuple([(i, j, k, c) for (i, j, k), c in sorted(comm.items()) if c != 0])
+def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
+            pos: list[int] | None = None) -> NilElement:
+    """The normal form: a level is one sort of flat rows, keys mapped through the frame pos if given, zeros dropped."""
+    if pos is None:
+        pure, comm_rows = _pure_rows(nbr), [(i, j, k, c) for (i, j, k), c in comm.items() if c]
+    else:
+        pure = tuple(sorted([(a, b, e) for u, row in enumerate(nbr) for a in (pos[u],)
+                             for v, e in row.items() if a < (b := pos[v])]))
+        comm_rows = [(i, j, k, s * c) for (u, v, w), c in comm.items() if c
+                     for (i, j, k), s in (_sort3(pos[u], pos[v], pos[w]),)]
+    comm_rows.sort()
     return _trusted(NilElement, n=n, perm=_trusted(Permutation, image=tuple(image)),
-                    pure=_trusted(PurePart, n=n, entries=_pure_rows(nbr)),
-                    comm=_trusted(CommPart, n=n, entries=comm_rows))
+                    pure=_trusted(PurePart, n=n, entries=pure),
+                    comm=_trusted(CommPart, n=n, entries=tuple(comm_rows)))
 
 
 def _thaw(a: NilElement) -> State:
@@ -593,7 +615,7 @@ def collect(word: BraidWord) -> NilElement:
 
     This is a homomorphism: collect(u * v) = mul(collect(u), collect(v)).
     """
-    return _freeze(word.n, *_fold(*_origin(word.n), word.letters))
+    return _freeze(word.n, *_fold_framed(*_origin(word.n), word.letters))
 
 
 def _merge_pure_block(nbr: list[dict[int, int]], comm: dict[Triple, int],
@@ -639,13 +661,13 @@ def _times(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
     return image, nbr, comm
 
 
-def _times_inverse(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> State:
-    """Multiply the state on the right by b^-1 = comm^-1 * pure^-1 * section^-1, without building b^-1."""
+def _times_inverse(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> Framed:
+    """Multiply the state on the right by b^-1 = comm^-1 * pure^-1 * section^-1, without building b^-1, framed."""
     for i, j, k, c in b.comm.entries:
         comm[(i, j, k)] = comm.get((i, j, k), 0) - c
     # the inverse of the lex-ordered pure product is the reversed product of inverses
     _merge_pure_block(nbr, comm, ((i, j, -e) for i, j, e in reversed(b.pure.entries)))
-    return _fold(image, nbr, comm, [(k, -1) for k in reversed(_lex_reduced_word(b.perm.image))])
+    return _fold_framed(image, nbr, comm, [(k, -1) for k in reversed(_lex_reduced_word(b.perm.image))])
 
 
 def mul(a: NilElement, b: NilElement) -> NilElement:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import re
 
-from .core import (CommPart, DomainError, NilElement, PurePart, _check_int, _check_strands, _fold, _freeze, _origin,
-                   _times, _Value, comm_gen, power, pure_gen, sigma)
+from .core import (CommPart, DomainError, NilElement, PurePart, _check_int, _check_strands, _fold, _fold_framed,
+                   _freeze, _origin, _times, _Value, comm_gen, power, pure_gen, sigma)
 
 
 class ExpressionError(ValueError):
@@ -79,7 +79,7 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
         else:
             base = _eval_terms(atom[1], n)
         state, letters = _times(*_fold(*state, letters), power(base, exponent)), []
-    return _freeze(n, *_fold(*state, letters))
+    return _freeze(n, *_fold_framed(*state, letters))
 
 
 # one token after optional whitespace (exactly what str.isspace() accepts): a signed integer of ASCII

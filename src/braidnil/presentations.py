@@ -38,6 +38,7 @@ from .core import (
     _Value,
     _check_strands,
     _fold,
+    _fold_framed,
     _freeze,
     _origin,
     collect,
@@ -90,7 +91,7 @@ def _run(suite: str, n: int, relations: Iterable[Relation]) -> RelationReport:
     for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
         if prefix is not last:
             last, (image, nbr, comm) = prefix, _fold(*_origin(n), prefix.letters)
-        le = _freeze(n, *_fold(image, [dict(row) for row in nbr], dict(comm), rest.letters))
+        le = _freeze(n, *_fold_framed(image, [dict(row) for row in nbr], dict(comm), rest.letters))
         re = rhs_forms.get(rhs.letters)
         if re is None:
             re = rhs_forms[rhs.letters] = collect(rhs)

@@ -8,21 +8,28 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnil import core, expr
 from braidnil.core import (
     BraidWord,
     CommPart,
+    NilElement,
     Permutation,
     PurePart,
     _fold,
+    _fold_framed,
     _freeze,
     _lex_reduced_word,
     _origin,
     _thaw,
     collect,
+    conj,
     conjugation_step,
+    inv,
     mul,
+    pure_gen,
+    triples,
 )
-from conftest import adjacency, eager_fold, generator_action, pair_dict, random_word
+from conftest import adjacency, counted, eager_fold, elements, generator_action, pair_dict, random_word
 
 
 def letters(n: int, max_size: int):
@@ -63,7 +70,45 @@ def test_a_folded_prefix_continues_from_copies_of_its_state(case):
         image, nbr, comm = shared
         continued = _freeze(n, *_fold(image, [dict(row) for row in nbr], dict(comm), rest))
         assert continued == collect(BraidWord(n, u + rest))
+        assert _freeze(n, *_fold_framed(image, [dict(row) for row in nbr], dict(comm), rest)) == continued
     assert shared == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(elements), st.data())
+def test_freezing_through_the_fold_frame_equals_freezing_the_relabelled_state(a, data):
+    n = a.n
+    word = tuple(data.draw(letters(n, 30))) if n > 1 else ()
+    # explicit zero level-2 entries, as the level-2 add of _times leaves them
+    zeros = data.draw(st.sets(st.sampled_from(list(triples(n))), max_size=6)) if n > 2 else set()
+
+    def state():
+        image, nbr, comm = _thaw(a)
+        return image, nbr, {**dict.fromkeys(zeros, 0), **comm}
+
+    for w in ((), word):
+        framed = _freeze(n, *_fold_framed(*state(), w))
+        image, nbr, comm = _fold(*state(), w)
+        assert framed == _freeze(n, image, nbr, comm)
+        assert framed == NilElement(n, Permutation(tuple(image)), PurePart.from_map(n, pair_dict(nbr)),
+                                    CommPart.from_map(n, comm))
+
+
+def test_only_a_fold_that_a_merge_follows_relabels_its_state(monkeypatch):
+    # a fold that ends a product freezes through its frame; conj relabels once, for x's section, as mul does
+    rng = random.Random(29)
+    word = random_word(rng, 7, 40)
+    g, x = mul(collect(word), pure_gen(7, 2, 5)), mul(collect(random_word(rng, 7, 40)), pure_gen(7, 1, 6))
+    assert not g.perm.is_identity() and not x.perm.is_identity()
+    cases = [(collect, (word,), 0), (inv, (g,), 0), (conj, (g, x), 1), (mul, (g, x), 1),
+             (expr.Expression.element, (expr.parse("s1 S3 s6 s2^3 s5", 7),), 0)]
+    results = [fn(*args) for fn, args, _ in cases]
+    relabels = counted(monkeypatch, core, "_fold")
+    expression_relabels = counted(monkeypatch, expr, "_fold")
+    for (fn, args, count), result in zip(cases, results):
+        relabels[0] = expression_relabels[0] = 0
+        assert fn(*args) == result
+        assert relabels[0] + expression_relabels[0] == count
 
 
 def test_single_letters_of_both_signs_and_both_section_cases():
