@@ -49,7 +49,8 @@ hash, repr and immutability of frozen dataclasses without importing
 The group law is the letter fold `_fold` and the closed-form pure-block merge
 `_merge_pure_block`.  Both work on one level-1 state, the strand adjacency
 nbr: nbr[u][v] = nbr[v][u] is the exponent on A[u,v], never zero, and row 0
-stays empty.  `_thaw` builds it from a normal form, `_freeze` sorts it back
+stays empty; the level-2 dict holds no zero either, since every writer deletes
+a sum that cancels.  `_thaw` builds it from a normal form, `_freeze` sorts it back
 into entries.  The letter loop `_fold_framed` keeps the state under its
 starting strand labels and returns the frame that places them: `_fold`
 relabels through it where a merge or a fold follows, and a fold that ends a
@@ -61,8 +62,11 @@ through the inverse section.  mul is `_times` on a thawed, inv
 `_times_inverse` on the origin, conj both on g thawed: one thaw, one freeze,
 and no g^-1.  An expression runs the same steps on one state from the origin:
 `_fold` for its generator runs, `_times` for its other atoms, one freeze.  A
-letter costs the degree of its two strands, a merged factor the degree of its
-two indices.
+letter's level-2 correction at each other strand is e*(e' - 1), e and e' that
+strand's exponents with the letter's two strands, so a letter scans only the
+rows whose e can be nonzero: one strand's row, or on a deposit that row above
+the letter and the other row below it.  It costs at most the degree of its
+two strands, a merged factor the degree of its two indices.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
 then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
@@ -513,9 +517,17 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     and each other slot x, with e_a, e_b the exponents on {lab[x], lab[k]} and
     {lab[x], lab[k+1]}, adds e_a*e_b - (e_a if eps = +1 else e_b), plus
     eps*(e_a - e_b) on a deposit when x < k, at the slot triple sort(x, k, k+1).
-    Only labels adjacent to lab[k] or lab[k+1] contribute, so a letter costs
-    their degree.  nbr and comm are consumed and returned under the starting
-    labels, with the new image and the frame pos, or None for no letters.
+
+    That correction is always d = e*(e' - 1), e the exponent on one row and e'
+    on the other, so only the entries of one row can make it nonzero.  Call
+    `one` the row of lab[k] for eps = +1, of lab[k+1] for eps = -1, and `two`
+    the other.  An absorbed letter has e on one at every slot x; a deposit has
+    e on one at the slots x > k+1 and e on two at the slots x < k, where the
+    rows trade places.  So a letter scans one row, or on a deposit one row
+    above k+1 and the other below k, with one lookup per entry, and costs at
+    most the degree of its two strands.  nbr and comm are consumed and
+    returned under the starting labels, with the new image and the frame pos,
+    or None for no letters.
     """
     if not letters:
         return image, nbr, comm, None
@@ -534,21 +546,28 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
         lab[k], lab[k + 1] = lb, la
         pos[la], pos[lb] = k + 1, k
         if na or nb:
-            for v in na.keys() | nb.keys():
-                if v == la or v == lb:
-                    continue
-                ea, eb = na.get(v, 0), nb.get(v, 0)
-                d = ea * eb - (ea if eps == 1 else eb)
-                if deposit and pos[v] < k:
-                    d += eps * (ea - eb)
-                if d:
-                    # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): one rotation, one sign
-                    t, s = _sort3(lb, la, v)
-                    c = comm.get(t, 0) + s * d
-                    if c:
-                        comm[t] = c
-                    else:
-                        del comm[t]
+            # d = e * (e' - 1), e on `row` and e' on `other`, at the slots of row outside lo..hi
+            one, two = (na, nb) if eps == 1 else (nb, na)
+            scans = ((one, two, 0, k + 1), (two, one, k, n)) if deposit else ((one, two, k, k + 1),)
+            # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): v placed around the sorted pair p < q
+            p, q, s = (lb, la, 1) if lb < la else (la, lb, -1)
+            for row, other, lo, hi in scans:
+                for v, e in row.items():
+                    if lo <= pos[v] <= hi:
+                        continue
+                    d = e * (other.get(v, 0) - 1)
+                    if d:
+                        if v < p:
+                            t = (v, p, q)
+                        elif v < q:
+                            t, d = (p, v, q), -d
+                        else:
+                            t = (p, q, v)
+                        c = comm.get(t, 0) + s * d
+                        if c:
+                            comm[t] = c
+                        else:
+                            del comm[t]
         if deposit:
             e = na.get(lb, 0) + eps
             if e:
@@ -650,21 +669,30 @@ def _merge_pure_block(nbr: list[dict[int, int]], comm: dict[Triple, int],
             del ni[j], nj[i]
 
 
+def _add_level2(comm: dict[Triple, int], entries: Iterable[tuple[int, int, int, int]], sign: int) -> None:
+    """Add sign times the level-2 entries (i, j, k, c) to comm, deleting the sums that cancel."""
+    for i, j, k, c in entries:
+        t = (i, j, k)
+        c = comm.get(t, 0) + sign * c
+        if c:
+            comm[t] = c
+        else:
+            del comm[t]
+
+
 def _times(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> State:
     """Multiply the state on the right by b: fold b's section, merge b's pure block, add b's level 2."""
     if len(image) != b.n:
         raise DomainError("cannot multiply elements on different strand counts")
     image, nbr, comm = _fold(image, nbr, comm, [(k, 1) for k in _lex_reduced_word(b.perm.image)])
     _merge_pure_block(nbr, comm, b.pure.entries)
-    for i, j, k, c in b.comm.entries:
-        comm[(i, j, k)] = comm.get((i, j, k), 0) + c  # _freeze drops the zeros
+    _add_level2(comm, b.comm.entries, 1)
     return image, nbr, comm
 
 
 def _times_inverse(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> Framed:
     """Multiply the state on the right by b^-1 = comm^-1 * pure^-1 * section^-1, without building b^-1, framed."""
-    for i, j, k, c in b.comm.entries:
-        comm[(i, j, k)] = comm.get((i, j, k), 0) - c
+    _add_level2(comm, b.comm.entries, -1)
     # the inverse of the lex-ordered pure product is the reversed product of inverses
     _merge_pure_block(nbr, comm, ((i, j, -e) for i, j, e in reversed(b.pure.entries)))
     return _fold_framed(image, nbr, comm, [(k, -1) for k in reversed(_lex_reduced_word(b.perm.image))])
@@ -715,8 +743,7 @@ def power(a: NilElement, m: int) -> NilElement:
     if s > 1:
         b: dict[Triple, int] = {}
         _merge_pure_block(nbr, b, _pure_rows(nbr))  # v merged onto itself: nbr holds 2v, b holds B(v)
-        for t in w.keys() | b.keys():
-            w[t] = s * w.get(t, 0) + s * (s - 1) // 2 * b.get(t, 0)
+        w = {t: c for t in w.keys() | b.keys() if (c := s * w.get(t, 0) + s * (s - 1) // 2 * b.get(t, 0))}
         nbr = [{x: e * s // 2 for x, e in row.items()} for row in nbr]
     aq = _freeze(n, image, nbr, w)
     return _freeze(n, *_times(*from_squares(r), aq)) if r else aq

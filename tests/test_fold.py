@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from braidnil.core import (
     conjugation_step,
     inv,
     mul,
+    pairs,
     pure_gen,
     triples,
 )
@@ -59,6 +61,53 @@ def test_fold_equals_eager_fold(case):
     assert _freeze(state.n, *_fold(*_thaw(state), word)) == eager(state, word)
 
 
+@st.composite
+def dense_states_and_letters(draw):
+    """A state with an exponent in {-2, -1, 1, 2} on most pairs, and a random word to fold into it.
+
+    A letter's level-2 correction at a strand is e*(e' - 1), e and e' that strand's exponents with the
+    letter's two strands; on these states e' = 1 is common, which collected short words rarely give.
+    """
+    n = draw(st.integers(3, 9))
+    image = tuple(draw(st.permutations(range(1, n + 1))))
+    keys = list(pairs(n))
+    exponents = draw(st.lists(st.sampled_from((0, -2, -1, 1, 2)), min_size=len(keys), max_size=len(keys)))
+    comm = draw(st.dictionaries(st.sampled_from(list(triples(n))), st.integers(-3, 3), max_size=12))
+    state = NilElement(n, Permutation(image), PurePart.from_map(n, zip(keys, exponents)), CommPart.from_map(n, comm))
+    return state, tuple(draw(letters(n, 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_states_and_letters())
+def test_fold_equals_eager_fold_on_dense_states(case):
+    state, word = case
+    folded = _freeze(state.n, *_fold(*_thaw(state), word))
+    assert folded == eager(state, word)
+    assert _freeze(state.n, *_fold_framed(*_thaw(state), word)) == folded
+
+
+# The row of strand 3 has e' = 1 at strand 6 (above the letter), the row of strand 4 at strand 1 (below it); both
+# rows have neighbours on both sides of slots 3 and 4, and the level-2 entries include the triples a letter writes.
+DENSE_PURE = {(1, 3): 2, (1, 4): 1, (2, 3): -1, (2, 4): 2, (3, 4): 1, (3, 5): -2, (4, 5): 2,
+              (3, 6): -2, (4, 6): 1, (5, 6): 1, (1, 5): -1}
+DENSE_COMM = {(1, 3, 4): 2, (2, 3, 4): -1, (3, 4, 5): 1, (3, 4, 6): -3, (1, 2, 5): 1}
+
+
+@pytest.mark.parametrize("eps", (1, -1))
+@pytest.mark.parametrize("deposit", (False, True))
+def test_one_letter_in_each_case_against_the_eager_fold(eps, deposit):
+    # s_3^eps on 6 strands: the letter deposits exactly when eps = +1 meets strands 3 and 4 already crossed
+    crossed = deposit == (eps == 1)
+    image = (1, 2, 4, 3, 5, 6) if crossed else (1, 2, 3, 4, 5, 6)
+    state = NilElement(6, Permutation(image), PurePart.from_map(6, DENSE_PURE), CommPart.from_map(6, DENSE_COMM))
+    word = ((3, eps),)
+    folded = _freeze(6, *_fold(*_thaw(state), word))
+    assert folded == eager(state, word)
+    assert _freeze(6, *_fold_framed(*_thaw(state), word)) == folded
+    # the letter swaps strands 3 and 4, so A[3,4] keeps its key; a deposit adds eps to it
+    assert folded.pure.as_map().get((3, 4), 0) == DENSE_PURE[3, 4] + (eps if deposit else 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), *(letters(n, 30).map(tuple) for _ in range(3)))))
 def test_a_folded_prefix_continues_from_copies_of_its_state(case):
@@ -79,7 +128,7 @@ def test_a_folded_prefix_continues_from_copies_of_its_state(case):
 def test_freezing_through_the_fold_frame_equals_freezing_the_relabelled_state(a, data):
     n = a.n
     word = tuple(data.draw(letters(n, 30))) if n > 1 else ()
-    # explicit zero level-2 entries, as the level-2 add of _times leaves them
+    # explicit zero level-2 entries, which no writer of the group law leaves but _freeze drops all the same
     zeros = data.draw(st.sets(st.sampled_from(list(triples(n))), max_size=6)) if n > 2 else set()
 
     def state():

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidnil import core, torsion
 from braidnil.core import (
     BraidWord,
     CommPart,
@@ -18,7 +19,9 @@ from braidnil.core import (
     collect,
     mul,
     pairs,
+    power,
 )
+from braidnil.expr import parse
 from conftest import elements, pair_dict
 
 
@@ -58,3 +61,19 @@ def test_thaw_freeze_round_trip_and_the_adjacency_after_fold_and_merge(a, data):
     merged = _freeze(n, image, nbr, comm)
     assert merged == mul(folded, NilElement(n, Permutation.identity(n), PurePart.from_map(n, block), CommPart.zero(n)))
     assert _freeze(n, *_thaw(merged)) == merged
+
+
+def test_no_state_is_frozen_with_a_zero_level2_entry(monkeypatch):
+    # the fold, the merge, the level-2 add of a product and power's closed form each delete a sum that cancels
+    frozen = []
+    for owner in (core, torsion):
+        def spy(n, image, nbr, comm, pos=None, freeze=owner._freeze):
+            frozen.append(list(comm.values()))
+            return freeze(n, image, nbr, comm, pos)
+        monkeypatch.setattr(owner, "_freeze", spy)
+    torsion.element_with_cycle_type(23, [5, 7, 11])
+    x = parse("(s1 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 s12 s13 s14)^3 (s2 s4^-1 s6 s8^-1 s10 s12^-1)^5"
+              " A[1,16]^2 a[3,7,11]", 16).element()
+    power(x, 999983)
+    assert len(frozen) > 2 and sum(map(len, frozen)) > 0
+    assert all(all(values) for values in frozen)
