@@ -52,13 +52,14 @@ nbr: nbr[u][v] = nbr[v][u] is the exponent on A[u,v], never zero, and row 0
 stays empty; the level-2 dict holds no zero either, since every writer deletes
 a sum that cancels.  `_thaw` builds it from a normal form, `_freeze` sorts it back
 into entries.  The letter loop `_fold_framed` keeps the state under its
-starting strand labels and returns the frame that places them: `_fold`
-relabels through it where a merge or a fold follows, and a fold that ends a
-product hands it to `_freeze`.  collect folds a word.  `_times` multiplies a
-state by b: it folds through b's section, merges b's pure block, adds b's
-level 2.  `_times_inverse` multiplies by b^-1 without building it: it
-subtracts b's level 2, merges b's pure factors reversed and negated, folds
-through the inverse section.  mul is `_times` on a thawed, inv
+starting strand labels and returns the frame that places them.  Where a merge
+or a fold follows, `_fold` first renames the state to the labels that the
+letters carry to slot order, so the loop ends on the identity frame; a fold
+that ends a product hands its frame to `_freeze`.  collect folds a word.
+`_times` multiplies a state by b: it folds through b's section, merges b's
+pure block, adds b's level 2.  `_times_inverse` multiplies by b^-1 without
+building it: it subtracts b's level 2, merges b's pure factors reversed and
+negated, folds through the inverse section.  mul is `_times` on a thawed, inv
 `_times_inverse` on the origin, conj both on g thawed: one thaw, one freeze,
 and no g^-1.  An expression runs the same steps on one state from the origin:
 `_fold` for its generator runs, `_times` for its other atoms, one freeze.  A
@@ -66,7 +67,8 @@ letter's level-2 correction at each other strand is e*(e' - 1), e and e' that
 strand's exponents with the letter's two strands, so a letter scans only the
 rows whose e can be nonzero: one strand's row, or on a deposit that row above
 the letter and the other row below it.  It costs at most the degree of its
-two strands, a merged factor the degree of its two indices.
+two strands, a merged factor the degree of its two indices: it scans the row
+of its first index above the second, then the row of the second.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
 then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
@@ -78,6 +80,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import combinations
 
@@ -472,20 +475,16 @@ def comm_gen(n: int, triple: Triple) -> NilElement:
 def _lex_reduced_word(image: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest reduced word for the permutation.
 
-    Greedy: the possible first letters of reduced words are the positions of
-    descents of the one-line form, so repeatedly take the smallest descent.
-    This is bubble sort with backtracking, recording swap positions.
+    The possible first letters of reduced words are the positions of descents
+    of the one-line form, and taking the smallest one each time is insertion
+    sort: the value at 1-based position p + 1 moves left past the c larger
+    values before it, through the letters p, p - 1, ..., p - c + 1.
     """
-    one = list(image)
-    word = []
-    i = 0
-    while i < len(one) - 1:
-        if one[i] > one[i + 1]:
-            word.append(i + 1)  # positions are 1-based generator indices
-            one[i], one[i + 1] = one[i + 1], one[i]
-            i = max(i - 1, 0)
-        else:
-            i += 1
+    word, seen = [], []  # seen: the values before position p + 1, sorted
+    for p, v in enumerate(image):
+        i = bisect_left(seen, v)  # so c = p - i
+        seen.insert(i, v)
+        word += range(p, i, -1)
     return tuple(word)
 
 
@@ -503,7 +502,7 @@ def tits_lift(perm: Permutation) -> BraidWord:
 # ---------------------------------------------------------------------------
 
 def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
-                 letters: Sequence[Letter]) -> Framed:
+                 letters: Sequence[Letter], frame: tuple[list[int], list[int]] | None = None) -> Framed:
     """Multiply the state (image, nbr, comm) on the right by the letters, in order, keyed by its starting labels.
 
     A letter s_k^eps conjugates the graded parts through s_k^-eps, then is
@@ -513,10 +512,12 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     Frame invariant: nbr and comm stay keyed by the strand labels they had
     when the fold started, lab[x] is the starting label now at slot x and pos
     its inverse; an entry stored under starting labels sits at their current
-    slots, with the sign of the sort.  So a letter only swaps lab[k], lab[k+1],
-    and each other slot x, with e_a, e_b the exponents on {lab[x], lab[k]} and
-    {lab[x], lab[k+1]}, adds e_a*e_b - (e_a if eps = +1 else e_b), plus
-    eps*(e_a - e_b) on a deposit when x < k, at the slot triple sort(x, k, k+1).
+    slots, with the sign of the sort.  The frame starts as the given (lab,
+    pos), 1-based with index 0 fixed, or else as the identity.  So a letter
+    only swaps lab[k], lab[k+1], and each other slot x, with e_a, e_b the
+    exponents on {lab[x], lab[k]} and {lab[x], lab[k+1]}, adds e_a*e_b - (e_a
+    if eps = +1 else e_b), plus eps*(e_a - e_b) on a deposit when x < k, at
+    the slot triple sort(x, k, k+1).
 
     That correction is always d = e*(e' - 1), e the exponent on one row and e'
     on the other, so only the entries of one row can make it nonzero.  Call
@@ -532,8 +533,7 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     if not letters:
         return image, nbr, comm, None
     n = len(image)
-    lab = list(range(n + 1))  # 1-based slots and labels; index 0 unused
-    pos = list(range(n + 1))
+    lab, pos = frame or (list(range(n + 1)), list(range(n + 1)))  # 1-based slots and labels; index 0 unused
     where = [0] * (n + 1)  # where[v]: the index of the value v in the one-line image
     for i, v in enumerate(image):
         where[v] = i
@@ -581,19 +581,26 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
 
 
 def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], letters: Sequence[Letter]) -> State:
-    """`_fold_framed`, then one signed relabel of nbr and comm into slot order, for a merge or a fold to follow."""
-    image, nbr, comm, pos = _fold_framed(image, nbr, comm, letters)
-    if pos is None:
+    """`_fold_framed` from the labels that its letters carry to slot order, keyed by slot for a merge or a fold to
+    follow: one signed rename of nbr and comm, made before the letters add entries to them."""
+    if not letters:
         return image, nbr, comm
-    out_comm = {}
+    pos = list(range(len(image) + 1))
+    for k, _ in letters:
+        pos[k], pos[k + 1] = pos[k + 1], pos[k]
+    lab = sorted(range(len(pos)), key=pos.__getitem__)  # pos[x] is the label carried to slot x; lab renames it x
+    renamed = {}
     for (u, v, w), c in comm.items():
-        t, s = _sort3(pos[u], pos[v], pos[w])
-        out_comm[t] = s * c
-    out_nbr: list[dict[int, int]] = [{} for _ in pos]
-    for u, row in enumerate(nbr):
-        for v, e in row.items():
-            out_nbr[pos[u]][pos[v]] = e
-    return image, out_nbr, out_comm
+        u, v, w = lab[u], lab[v], lab[w]
+        if u > v:
+            u, v, c = v, u, -c
+        if v > w:
+            v, w, c = w, v, -c
+            if u > v:
+                u, v, c = v, u, -c
+        renamed[u, v, w] = c
+    out_nbr = [{lab[v]: e for v, e in nbr[u].items()} for u in pos]
+    return _fold_framed(image, out_nbr, renamed, letters, (lab, pos))[:3]
 
 
 def _pure_rows(nbr: list[dict[int, int]]) -> tuple[tuple[int, int, int], ...]:
@@ -609,8 +616,17 @@ def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Trip
     else:
         pure = tuple(sorted([(a, b, e) for u, row in enumerate(nbr) for a in (pos[u],)
                              for v, e in row.items() if a < (b := pos[v])]))
-        comm_rows = [(i, j, k, s * c) for (u, v, w), c in comm.items() if c
-                     for (i, j, k), s in (_sort3(pos[u], pos[v], pos[w]),)]
+        comm_rows = []
+        for (u, v, w), c in comm.items():
+            if c:
+                u, v, w = pos[u], pos[v], pos[w]
+                if u > v:
+                    u, v, c = v, u, -c
+                if v > w:
+                    v, w, c = w, v, -c
+                    if u > v:
+                        u, v, c = v, u, -c
+                comm_rows.append((u, v, w, c))
     comm_rows.sort()
     return _trusted(NilElement, n=n, perm=_trusted(Permutation, image=tuple(image)),
                     pure=_trusted(PurePart, n=n, entries=pure),
@@ -644,24 +660,33 @@ def _merge_pure_block(nbr: list[dict[int, int]], comm: dict[Triple, int],
     Each incoming A[i,j]^e moves left past the residents A_p, p > (i,j), with
     the correction e * e_p * [A_p, A[i,j]], nonzero only for p sharing one
     index: A[x,j] for i < x < j adds e * e_(x,j) to a[i,x,j], and A[i,x], A[j,x]
-    for x > j add e * (e_(i,x) - e_(j,x)) to a[i,j,x].  So a factor costs the
-    degree of its two indices in nbr, which it updates in place with comm.
+    for x > j add e * (e_(i,x) - e_(j,x)) to a[i,j,x].  So a factor scans the
+    row of i above j, then the row of j without the keys above j that the row
+    of i holds: one update per level-2 key, at the cost of the degree of its
+    two indices.  It updates nbr in place with comm.
     """
     for i, j, e in block:
         ni, nj = nbr[i], nbr[j]
-        for x in ni.keys() | nj.keys():
-            if x > j:
-                t, d = (i, j, x), ni.get(x, 0) - nj.get(x, 0)
-            elif i < x < j:
-                t, d = (i, x, j), nj.get(x, 0)
-            else:
-                continue
-            if d:
+        for x, d in ni.items():
+            if x > j and (d := d - nj.get(x, 0)):
+                t = (i, j, x)
                 c = comm.get(t, 0) + e * d
                 if c:
                     comm[t] = c
                 else:
                     del comm[t]
+        for x, d in nj.items():
+            if x > j and x not in ni:
+                t, d = (i, j, x), -d
+            elif i < x < j:
+                t = (i, x, j)
+            else:
+                continue
+            c = comm.get(t, 0) + e * d
+            if c:
+                comm[t] = c
+            else:
+                del comm[t]
         c = ni.get(j, 0) + e
         if c:
             ni[j] = nj[i] = c

@@ -3,9 +3,10 @@ counters, a child process's memory peak, the independent oracles, and the
 helpers only tests read (expression formatting, adjacent transpositions,
 Coxeter length, the closed-form orbit transversal).
 
-The oracles are the permutation of a word and the strand-tracking normal form
-at level 1, the conjugation rules of one generator on one pair or triple, the
-graded action of a permutation folded from those rules along a word, the eager
+The oracles are the permutation of a word, its lex-smallest reduced word by
+repeated smallest descents, and the strand-tracking normal form at level 1,
+the conjugation rules of one generator on one pair or triple, the graded
+action of a permutation folded from those rules along a word, the eager
 letter-by-letter fold built on the same rules, which relabels every graded
 entry on each letter, the bracket table of two pure generators with the
 pure-block merge that scans every resident against it, power by plain
@@ -150,6 +151,22 @@ def transposition(n: int, k: int) -> Permutation:
 def inversions(image) -> int:
     """Coxeter length of a permutation image: the number of out-of-order pairs."""
     return sum(1 for i, j in combinations(range(len(image)), 2) if image[i] > image[j])
+
+
+def descent_greedy_word(image: tuple[int, ...]) -> tuple[int, ...]:
+    """The lex-smallest reduced word by its definition: take the smallest descent of the one-line form, swap it,
+    and step back one position, since the swap can open a descent just before it."""
+    one = list(image)
+    word = []
+    i = 0
+    while i < len(one) - 1:
+        if one[i] > one[i + 1]:
+            word.append(i + 1)  # positions are 1-based generator indices
+            one[i], one[i + 1] = one[i + 1], one[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(word)
 
 
 def satisfies(targets: tuple[int, ...], residues: list[list[int]]) -> bool:

@@ -20,6 +20,7 @@ from braidnil.core import (
     NilElement,
     Permutation,
     PurePart,
+    _lex_reduced_word,
     collect,
     comm_gen,
     comm_gen_word,
@@ -63,6 +64,7 @@ from conftest import (
     _pair_action,
     _triple_action,
     counted,
+    descent_greedy_word,
     elements,
     inversions,
     random_word,
@@ -138,6 +140,16 @@ class TestTitsLift:
                 assert tuple(k for k, _ in lift.letters) == words[0]
                 assert len(lift.letters) == inversions(perm.image)
                 assert collect(lift).perm == perm
+
+    def test_reduced_word_equals_the_descent_greedy_definition(self):
+        # the section builds the greedy word as an insertion sort; the oracle backtracks through the descents
+        rng = random.Random(1)
+        images = [image for n in range(1, 8) for image in all_permutations(range(1, n + 1))]
+        images += [tuple(rng.sample(range(1, 33), 32)) for _ in range(200)]
+        for image in images:
+            word = _lex_reduced_word(image)
+            assert word == descent_greedy_word(image)
+            assert len(word) == inversions(image)
 
     def test_all_reduced_words_collect_equally(self):
         # exchange-property invariance: the section does not depend on the word

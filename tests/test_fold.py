@@ -31,7 +31,8 @@ from braidnil.core import (
     pure_gen,
     triples,
 )
-from conftest import adjacency, counted, eager_fold, elements, generator_action, pair_dict, random_word
+from conftest import (adjacency, counted, eager_fold, elements, generator_action, pair_dict, random_word,
+                      word_permutation)
 
 
 def letters(n: int, max_size: int):
@@ -84,6 +85,25 @@ def test_fold_equals_eager_fold_on_dense_states(case):
     folded = _freeze(state.n, *_fold(*_thaw(state), word))
     assert folded == eager(state, word)
     assert _freeze(state.n, *_fold_framed(*_thaw(state), word)) == folded
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_states_and_letters(), st.data())
+def test_the_starting_labelling_on_empty_one_letter_and_identity_words(case, data):
+    # _fold renames the state to the labels its letters carry to slot order; for a word whose permutation is the
+    # identity that rename is a no-op, and the framed fold ends on the identity frame with the same state
+    state, word = case
+    n = state.n
+    k = data.draw(st.integers(1, n - 1))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(word), max_size=len(word)))
+    back = tuple((k2, eps) for (k2, _), eps in zip(reversed(word), signs))
+    for w in ((), ((k, data.draw(st.sampled_from((1, -1)))),), ((k, 1), (k, 1)), word + back):
+        folded = _fold(*_thaw(state), w)
+        assert _freeze(n, *folded) == _freeze(n, *_fold_framed(*_thaw(state), w)) == eager(state, w)
+        if w and word_permutation(BraidWord(n, w)).is_identity():
+            image, nbr, comm, pos = _fold_framed(*_thaw(state), w)
+            assert pos == list(range(n + 1))
+            assert (image, nbr, comm) == folded
 
 
 # The row of strand 3 has e' = 1 at strand 6 (above the letter), the row of strand 4 at strand 1 (below it); both

@@ -82,6 +82,32 @@ def test_every_bracket_family_is_met():
     assert got[1] == {(2, 3, 4): 2 * 5, (2, 4, 5): 2 * (7 - 11)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(EXPONENTS, min_size=28, max_size=28))
+def test_a_full_pure_part_merged_onto_itself_equals_scan_oracle(exponents):
+    # power's Hall-Petresco step merges the residents' own lex rows onto them: every pair of n = 8 is set, so
+    # each factor's two rows hold every other strand, above and below it
+    pure = dict(zip(pairs(8), exponents))
+    block = sorted(pure.items())
+    got = merged(adjacency_merge(8), pure, {}, block)
+    assert got == merged(scan_merge_pure_block, pure, {}, block)
+    assert got[0] == {p: 2 * e for p, e in pure.items()}
+
+
+def test_keys_above_j_in_both_rows_update_once():
+    # A[2,4]^3 on 8 strands: above 4, strand 5 sits in both rows with equal exponents (no bracket), strand 6 in
+    # both with different ones, strand 7 in row 2 only and strand 8 in row 4 only; below 4, strands 3 (between the
+    # indices) and 1 (below both) sit in both rows
+    pure = {(2, 5): 2, (4, 5): 2, (2, 6): 1, (4, 6): -2, (2, 7): 5, (4, 8): -1,
+            (2, 3): 11, (3, 4): 7, (1, 4): 13, (1, 2): 17}
+    comm = {(2, 4, 5): 4, (2, 4, 6): -9}
+    got = merged(adjacency_merge(8), pure, comm, [((2, 4), 3)])
+    assert got == merged(scan_merge_pure_block, pure, comm, [((2, 4), 3)])
+    # a[2,4,6] gains 3 * (1 - (-2)) and cancels; a[2,4,5] gains nothing
+    assert got[1] == {(2, 4, 5): 4, (2, 4, 7): 3 * 5, (2, 4, 8): 3 * 1, (2, 3, 4): 3 * 7}
+    assert got[0] == {**pure, (2, 4): 3}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 12), st.data())
 def test_mul_and_inv_equal_collected_words(n, data):
