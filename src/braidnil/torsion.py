@@ -6,9 +6,14 @@ element of finite order has order equal to the order of its permutation, and
 orders divisible by 2 or 3 never occur.  Finite-order elements are built as
 theta * delta where delta is the standard mixed-sign cycle word and theta is a
 level-2 correction whose orbit row sums must cancel the coefficients of
-delta^n; blocks of such elements realise arbitrary admissible cycle types.
-delta_power_coefficients returns the orbit basis it reads those coefficients
-in, so a construction walks the cycle-element orbits once, for both uses.
+delta^n.  A cycle type is one product Theta * D: Theta holds every block's
+theta, shifted to the block's offset, and D collects the blocks' cycle words
+concatenated.  Each block's theta lies on its own strands, so it commutes with
+the other blocks' delta, and level-2 elements commute with each other; so
+Theta * D is the product of the blocks' theta * delta.  delta_power_coefficients
+returns the orbit basis it reads the coefficients in, so a block walks the
+cycle-element orbits once.  Everything here uses the group law alone, not the
+engine's working state.
 
 Conjugacy of finite-order elements is decided by cycle type alone, and a
 witness is produced constructively, deciding conjugacy on the way: align the
@@ -35,13 +40,9 @@ from .core import (
     PurePart,
     _check_int,
     _check_strands,
-    _freeze,
-    _thaw,
-    _times,
     _trusted,
     collect,
     conj,
-    identity,
     mul,
     order,
     power,
@@ -85,7 +86,7 @@ def delta_power_coefficients(n: int) -> tuple[OrbitBasis, CommPart, list[int]]:
     the per-orbit constants in that basis's orbit order.  For even n the power
     never lies in the level-2 kernel.
     """
-    _check_int("strand count", n)
+    _check_strands(n, 3, "cycle element power")
     if n % 2 == 0:
         raise DomainError("for even n no power of the cycle element enters the level-2 kernel")
     e = power(delta(0, n, n), n)
@@ -116,22 +117,11 @@ def finite_order_element(n: int, residues: list[list[int]]) -> NilElement:
     _check_int("strand count", n)
     if n < 5 or math.gcd(n, 6) != 1:
         raise DomainError(f"strand count must be coprime to 6 and >= 5, got {n}")
-    return _theta_delta(orbit_partition(n), residues)
-
-
-def _theta_delta(basis: OrbitBasis, residues: list[list[int]]) -> NilElement:
-    """theta * delta on basis.n strands, with theta read in the orbit layout of basis = orbit_partition(n)."""
-    n = basis.n
+    basis = orbit_partition(n)
     if len(residues) != basis.count or any(len(row) != len(orb) for row, orb in zip(residues, basis.orbits)):
         raise DomainError(f"residue matrix shape does not match the {basis.count} orbits of n={n}")
     theta = part_from_orbits(CommPart, basis, residues)
     return mul(NilElement(n, Permutation.identity(n), PurePart.zero(n), theta), delta(0, n, n))
-
-
-def _compatible(n: int) -> tuple[OrbitBasis, list[list[int]]]:
-    """orbit_partition(n) and the first-column residue matrix in its layout."""
-    basis, _, constants = delta_power_coefficients(n)
-    return basis, [[-m] + [0] * (len(orb) - 1) for m, orb in zip(constants, basis.orbits)]
 
 
 def compatible_residues(n: int) -> list[list[int]]:
@@ -139,7 +129,8 @@ def compatible_residues(n: int) -> list[list[int]]:
 
     Row i is minus the i-th constant of delta_power_coefficients(n), then zeros.
     """
-    return _compatible(n)[1]
+    basis, _, constants = delta_power_coefficients(n)
+    return [[-m] + [0] * (len(orb) - 1) for m, orb in zip(constants, basis.orbits)]
 
 
 def shift_embed(elem: NilElement, offset: int, n: int) -> NilElement:
@@ -168,7 +159,11 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
 
     Parts must each be 1 (a fixed point) or coprime to 6, and sum to at most
     n; the blocks sit at consecutive offsets and the order of the result is
-    the lcm of the parts.
+    the lcm of the parts.  The result is Theta * D: a block p at offset o puts
+    minus each constant of delta_power_coefficients(p) into Theta at its
+    orbit's representative shifted by o, and delta_word(o, p, n) into D.  It
+    equals the product of shift_embed(finite_order_element(p,
+    compatible_residues(p)), o, n) over the blocks.
     """
     _check_strands(n)
     parts = list(parts)  # read once: a one-shot iterable would lose its parts to the checks
@@ -176,18 +171,17 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
         _check_int("cycle length", p)
     if sum(parts) > n:
         raise DomainError(f"parts {parts} do not fit in {n} strands")
-    state = _thaw(identity(n))
-    offset = 0
+    theta, word, offset = [], BraidWord(n, ()), 0
     for p in parts:
-        if p == 1:
-            offset += 1
-            continue
-        if p < 5 or math.gcd(p, 6) != 1:
-            raise DomainError(f"cycle length {p} is not realisable (must be 1 or coprime to 6)")
-        block = _theta_delta(*_compatible(p))  # one orbit basis for the constants and theta
-        state = _times(*state, shift_embed(block, offset, n))
+        if p != 1:
+            if p < 5 or math.gcd(p, 6) != 1:
+                raise DomainError(f"cycle length {p} is not realisable (must be 1 or coprime to 6)")
+            basis, _, constants = delta_power_coefficients(p)
+            theta += [((i + offset, j + offset, k + offset), -c)
+                      for (i, j, k), c in zip(basis.representatives(), constants) if c]
+            word *= delta_word(offset, p, n)
         offset += p
-    return _freeze(n, *state)
+    return mul(NilElement(n, Permutation.identity(n), PurePart.zero(n), CommPart.from_map(n, theta)), collect(word))
 
 
 def torsion_spectrum(n: int) -> list[int]:
@@ -297,11 +291,12 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
         # (2) level-1 circulant systems over the pair orbits of conjugation by b, where every sign is +1
         g2 = NilElement(n, Permutation.identity(n), _solve_level(b.perm, b.pure, a1.pure), zero_c)
 
-        # (3) level-2 circulant systems over the signed triple orbits of conjugation by b
-        g3 = NilElement(n, Permutation.identity(n), zero_p, _solve_level(b.perm, b.comm, conj(g2, a1).comm))
+        # (3) level-2 circulant systems over the signed triple orbits of conjugation by b, solved for g3 = (id, 0, w)
+        w = _solve_level(b.perm, b.comm, conj(g2, a1).comm)
 
-        # (4) g a = b g is conj(g, a) = b without the inverse of g
-        g = _freeze(n, *_times(*_times(*_thaw(g3), g2), g1))
+        # (4) g = g3 g2 g1, where g3 g2 is the normal form (id, v, w) since level 2 is central in the pure part;
+        # g a = b g is conj(g, a) = b without the inverse of g
+        g = mul(NilElement(n, Permutation.identity(n), g2.pure, w), g1)
         if mul(g, a) != mul(b, g):
             raise DomainError("witness final check failed: conj(g, a) differs from b")
     except DomainError:

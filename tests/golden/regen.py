@@ -13,8 +13,11 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regen.py --changed   # rewrite only the records whose outcome changed
     PYTHONPATH=src python tests/golden/regen.py --cold      # replay a sample in fresh interpreters
 
---changed keeps the header and the file's requests, and prints each request
-it rewrites; a change that alters an output lists those in CHANGES.md.
+A full write keeps the requests already in the file in their places, since
+the replay test names a record by its index, appends the new ones and drops
+those no longer listed.  --changed keeps the header and the file's requests,
+and prints each request it rewrites; a change that alters an output lists
+those in CHANGES.md.
 --cold runs every diagnostic record and every tenth other one through
 `python -X dev -W error -m braidnil.cli` and exits 1 if any differs.  Both
 replays fix COLUMNS at 80, the width argparse wraps its usage lines to.
@@ -170,6 +173,11 @@ DIAGNOSTICS = [
     ["delta", "--n", "6", "--k", "4"],
     ["delta", "--n", "3", "--k", "5"],
     ["delta-pow", "--n", "6"],
+    ["delta-pow", "--n", "1"],
+    ["delta-pow", "--n", "-1"],
+    ["delta-pow", "--n", "-3"],
+    ["delta-pow", "--n", "0"],
+    ["delta-pow", "--n", "2"],
     ["orbits", "--n", "2"],
     ["orbits", "--n", "0"],
     ["verify", "--suite", "pn3", "--n", "2"],
@@ -209,7 +217,8 @@ MIXED_EXPRESSIONS = [
 
 
 def _largest() -> list[list[str]]:
-    """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness at 23, pow and order at 32."""
+    """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness and a cycle type at 23, pow and
+    order at 32."""
     from braidnil import BraidWord, collect, conj, element_to_dict, element_with_cycle_type
     from braidnil.core import dumps_canonical
     from braidnil.torsion import delta_word
@@ -225,6 +234,7 @@ def _largest() -> list[list[str]]:
         ["verify", "--suite", "bn3", "--n", "9"],
         ["conjugacy", "witness", "--n", "23", *witness],
         ["conjugacy", "decide", "--n", "23", *witness],
+        ["torsion", "--n", "23", "--cycle-type", "1,5,1,7,1,7"],
         ["pow", "--n", "32", word, "1000000"],
         ["order", "--n", "32", word],
         ["order", "--n", "32", delta31],
@@ -266,7 +276,10 @@ def main_regen(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     commit = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True, cwd=ROOT).stdout.strip()
-    _write({"commit": commit, "python": sys.version.split()[0]}, [_record(argv) for argv in requests()])
+    wanted = requests()
+    kept = [r["argv"] for r in read_corpus()[1] if r["argv"] in wanted] if CORPUS.exists() else []
+    ordered = kept + [argv for argv in wanted if argv not in kept]
+    _write({"commit": commit, "python": sys.version.split()[0]}, [_record(argv) for argv in ordered])
     return 0
 
 

@@ -313,6 +313,14 @@ class TestGroupLaw:
             assert mul(x, identity(5)) == x == mul(identity(5), x)
             assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
+    @settings(max_examples=100, deadline=None)
+    @given(elements(pure_only=True))
+    def test_a_pure_normal_form_is_its_level1_part_times_its_level2_part_in_either_order(self, a):
+        # level 2 is central in the pure part; the conjugacy witness builds g3 g2 as one normal form by this
+        n, ident = a.n, Permutation.identity(a.n)
+        v, w = NilElement(n, ident, a.pure, CommPart.zero(n)), NilElement(n, ident, PurePart.zero(n), a.comm)
+        assert mul(v, w) == a == mul(w, v)
+
     def test_mul_rejects_mismatched_strand_counts(self):
         with pytest.raises(DomainError):
             mul(identity(3), identity(4))

@@ -87,6 +87,33 @@ def test_package_has_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
+# the group law's working state (image, nbr, comm) and its frame protocol, owned by core
+WORKING_STATE = {"_fold", "_fold_framed", "_freeze", "_thaw", "_times", "_times_inverse", "_origin", "_merge_pure_block"}
+
+
+def working_state_names(source: str) -> set[str]:
+    """The working-state names that source imports from a module or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names & WORKING_STATE
+
+
+def test_the_check_finds_a_working_state_name():
+    source = "from .core import _thaw as thaw, mul\nfrom . import core\nstate = core._times(*thaw(x), y)\n"
+    assert working_state_names(source) == {"_thaw", "_times"}
+
+
+def test_outside_core_only_expr_and_presentations_use_the_working_state():
+    # an expression runs its atoms on one state, and a verify suite folds each relation's rest from a shared prefix
+    users = {p.name: sorted(names) for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "core.py" and (names := working_state_names(p.read_text()))}
+    assert users.keys() <= {"expr.py", "presentations.py"}, users
+
+
 # the package surface: each public name by the submodule that defines it, the submodules themselves included
 SURFACE = {
     "core": ["BraidWord", "CommPart", "DomainError", "NilElement", "Permutation", "PurePart", "SUBGROUPS", "collect",

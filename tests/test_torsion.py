@@ -210,12 +210,26 @@ class TestCycleTypes:
         element_with_cycle_type(11, [11])
         assert calls[0] == 1
 
-    def test_the_block_product_is_chained_on_one_state(self, monkeypatch):
-        # each block's theta * delta is one product; the blocks are multiplied in with _times and frozen once
+    @pytest.mark.parametrize("n, parts", [
+        (5, [5]), (7, [1, 5, 1]), (12, [7, 5]), (15, [5, 5, 5]), (17, [1, 1, 5, 1, 7]), (19, [5, 1, 13]),
+        (23, [1, 5, 1, 7, 1, 7]), (23, [11, 1, 11]), (23, [1, 17, 5]), (23, [23]),
+    ])
+    def test_a_cycle_type_is_the_product_of_its_shifted_blocks(self, n, parts):
+        # fixed points before, between and after the blocks
+        expected, offset = identity(n), 0
+        for p in parts:
+            if p != 1:
+                expected = mul(expected, shift_embed(finite_order_element(p, compatible_residues(p)), offset, n))
+            offset += p
+        assert element_with_cycle_type(n, parts) == expected
+
+    def test_a_cycle_type_is_one_theta_delta_product(self, monkeypatch):
+        # Theta and D are built once for all the blocks and multiplied once; each block's constants collect its
+        # delta, and D is the one other collect
         expected = element_with_cycle_type(12, [5, 7])
-        freezes, muls = counted(monkeypatch, torsion, "_freeze"), counted(monkeypatch, torsion, "mul")
+        muls, collects = counted(monkeypatch, torsion, "mul"), counted(monkeypatch, torsion, "collect")
         assert element_with_cycle_type(12, [5, 7]) == expected
-        assert (freezes[0], muls[0]) == (1, 2)
+        assert (muls[0], collects[0]) == (1, 3)
 
     def test_a_first_column_residue_matrix_normalises_only_its_nonzero_cells(self, monkeypatch):
         calls = counted(monkeypatch, CommPart, "_norm")
