@@ -26,8 +26,8 @@ the one strand-count rule: an int, at least 1, or at least the named minimum
 of a construction that needs more strands (the orbit partition, the
 presentation suites).  PurePart and CommPart are one coordinate type,
 differing only in arity, key name and sort sign; it owns the one key check
-`_norm` and the key symmetry `_sort`, and its constructor accepts exactly
-the fixed points of `from_map`, the one definition of canonical entries.
+`_norm`, the key symmetry `_sort`, and `_canonical`, the one test of canonical
+entries, by columns, which its constructor and the element JSON reader share.
 
 Conventions, used consistently everywhere:
 
@@ -82,7 +82,7 @@ import json
 import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import combinations
+from itertools import chain, combinations
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -169,8 +169,8 @@ def _trusted(cls, **fields):
     """An instance of the value type cls from fields already known to be valid.
 
     It skips __post_init__, so only code that builds valid values by
-    construction may call it: the group law and from_map for normal forms, and
-    word concatenation, inversion and powers for braid words.
+    construction may call it: the group law and from_map for normal forms, words
+    built from checked words, and the element JSON reader for canonical rows.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -340,7 +340,7 @@ class _Coordinates(_Value):
     A subclass supplies, as plain class attributes, `arity` and `noun`, the length and name of a
     key; `keys(n)`, its canonical keys in lex order; and `_sort(*key)`, the unchecked canonical key
     with its sign (the key symmetry).  `_norm` checks a key.  The constructor accepts canonical
-    entries only, those that from_map leaves as they are; from_map canonicalises any others.
+    entries only, those that pass `_canonical`; from_map canonicalises any others.
     """
 
     n: int
@@ -353,9 +353,21 @@ class _Coordinates(_Value):
         for row in self.entries:
             if not isinstance(row, tuple) or not row:
                 raise DomainError(f"invalid entry {row!r} for n={self.n}")
-        if self.from_map(self.n, ((row[:-1], row[-1]) for row in self.entries)).entries != self.entries:
+        if not self._canonical(self.n, self.entries):
+            self.from_map(self.n, ((row[:-1], row[-1]) for row in self.entries))  # raises for a bad key or exponent
             raise DomainError(f"entries {self.entries!r} are not canonical for n={self.n}: keys must be sorted"
                               " and strictly increasing, exponents nonzero (from_map canonicalises)")
+
+    @classmethod
+    def _canonical(cls, n: int, rows: Sequence[tuple]) -> bool:
+        """Whether rows are canonical entries for n, those that from_map leaves as they are; tested by columns."""
+        if not rows:
+            return n > 0
+        a, cols = cls.arity, list(zip(*rows))
+        return ({*map(len, rows)} == {a + 1} and {*map(type, chain.from_iterable(cols))} == {int}
+                and 0 < min(cols[0]) and max(cols[a - 1]) <= n and all(cols[a])
+                and all(all(map(int.__lt__, cols[c], cols[c + 1])) for c in range(a - 1))
+                and all(map(tuple.__lt__, keys := list(zip(*cols[:a])), keys[1:])))
 
     @classmethod
     def _norm(cls, key: Iterable[int], n: int) -> tuple[tuple[int, ...], int]:
@@ -838,13 +850,20 @@ def json_keys(d, what: str, allowed: tuple[str, ...]) -> None:
 
 
 def _json_rows(rows, width: int) -> list[tuple[int, ...]]:
-    """A JSON list of integer rows, each of the given width."""
+    """A JSON list of integer rows, each of the given width; the first faulty row or cell in reading order raises."""
     out = []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != width:
             raise DomainError(f"expected a list of {width} integers, got {row!r}")
-        out.append(tuple(json_int(x) for x in row))
+        out.append(tuple(row) if {*map(type, row)} == {int} else tuple(map(json_int, row)))
     return out
+
+
+def _json_part(cls: type[PurePart] | type[CommPart], n: int, rows) -> PurePart | CommPart:
+    """A part from JSON rows: canonical rows as they are, unchecked; any others as ever, through from_map."""
+    if type(rows) is list and {*map(type, rows)} <= {list} and cls._canonical(n, entries := tuple(map(tuple, rows))):
+        return _trusted(cls, n=n, entries=entries)
+    return cls.from_map(n, [(row[:-1], row[-1]) for row in _json_rows(rows, cls.arity + 1)])
 
 
 def element_from_dict(d: dict) -> NilElement:
@@ -852,8 +871,8 @@ def element_from_dict(d: dict) -> NilElement:
     try:
         n = json_int(d["n"])
         perm = Permutation(tuple(json_int(x) for x in d["perm"]))
-        pure = PurePart.from_map(n, [((i, j), e) for i, j, e in _json_rows(d.get("pure", []), 3)])
-        comm = CommPart.from_map(n, [((i, j, k), c) for i, j, k, c in _json_rows(d.get("comm", []), 4)])
+        pure = _json_part(PurePart, n, d.get("pure", []))
+        comm = _json_part(CommPart, n, d.get("comm", []))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed element JSON: {exc}") from exc
     return NilElement(n, perm, pure, comm)

@@ -11,9 +11,9 @@ theta, shifted to the block's offset, and D collects the blocks' cycle words
 concatenated.  Each block's theta lies on its own strands, so it commutes with
 the other blocks' delta, and level-2 elements commute with each other; so
 Theta * D is the product of the blocks' theta * delta.  delta_power_coefficients
-returns the orbit basis it reads the coefficients in, so a block walks the
-cycle-element orbits once.  Everything here uses the group law alone, not the
-engine's working state.
+returns the orbit basis it reads the coefficients in, and runs once per distinct
+part, so a part walks the cycle-element orbits once.  Everything here uses the
+group law alone, not the engine's working state.
 
 Conjugacy of finite-order elements is decided by cycle type alone, and a
 witness is produced constructively, deciding conjugacy on the way: align the
@@ -28,6 +28,7 @@ checks g a = b g: the other order follows, or is decided if a stage fails.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import accumulate
 
 from .core import (
@@ -160,9 +161,9 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     Parts must each be 1 (a fixed point) or coprime to 6, and sum to at most
     n; the blocks sit at consecutive offsets and the order of the result is
     the lcm of the parts.  The result is Theta * D: a block p at offset o puts
-    minus each constant of delta_power_coefficients(p) into Theta at its
-    orbit's representative shifted by o, and delta_word(o, p, n) into D.  It
-    equals the product of shift_embed(finite_order_element(p,
+    minus each constant of delta_power_coefficients(p), read once per distinct
+    p, into Theta at its orbit's representative shifted by o, and delta_word(o,
+    p, n) into D.  It equals the product of shift_embed(finite_order_element(p,
     compatible_residues(p)), o, n) over the blocks.
     """
     _check_strands(n)
@@ -171,12 +172,12 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
         _check_int("cycle length", p)
     if sum(parts) > n:
         raise DomainError(f"parts {parts} do not fit in {n} strands")
-    theta, word, offset = [], BraidWord(n, ()), 0
+    theta, word, offset, coefficients = [], BraidWord(n, ()), 0, cache(delta_power_coefficients)
     for p in parts:
         if p != 1:
             if p < 5 or math.gcd(p, 6) != 1:
                 raise DomainError(f"cycle length {p} is not realisable (must be 1 or coprime to 6)")
-            basis, _, constants = delta_power_coefficients(p)
+            basis, _, constants = coefficients(p)
             theta += [((i + offset, j + offset, k + offset), -c)
                       for (i, j, k), c in zip(basis.representatives(), constants) if c]
             word *= delta_word(offset, p, n)

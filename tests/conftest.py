@@ -15,7 +15,10 @@ matrices with the CLI text they encode to, the presentation check that
 collects both sides of every relation whole, and the expression parser that
 scans one character at a time.  The fold and merge oracles keep level 1 as a
 pair dict; pair_dict and adjacency convert to and from the strand adjacency of
-the group law.
+the group law.  The element JSON reader and the coordinate constructors are
+checked against their earlier forms, which read every row cell by cell and
+compared the entries with their from_map form, on the documents that
+element_documents draws.
 
 With the CI environment variable set, Hypothesis runs derandomized and
 without its example database, so a failing CI run repeats exactly; per-test
@@ -42,14 +45,20 @@ import braidnil
 from braidnil.core import (
     BraidWord,
     CommPart,
+    DomainError,
     NilElement,
     Pair,
     Permutation,
     PurePart,
     Triple,
+    _check_strands,
+    _trusted,
     collect,
+    element_to_dict,
     identity,
     inv,
+    json_int,
+    json_keys,
     mul,
     pairs,
     triples,
@@ -99,6 +108,119 @@ def elements(draw, n=None, pure_only=False):
         return graded
     letters = draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=3 * n))
     return mul(collect(BraidWord(n, tuple(letters))), graded)
+
+
+def _json_rows_before(rows, width: int) -> list[tuple[int, ...]]:
+    """A JSON list of integer rows, each of the given width."""
+    out = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise DomainError(f"expected a list of {width} integers, got {row!r}")
+        out.append(tuple(json_int(x) for x in row))
+    return out
+
+
+def element_from_dict_before(d: dict) -> NilElement:
+    """The element JSON reader that sent every row through from_map: the oracle of the column check."""
+    json_keys(d, "element", ("n", "perm", "pure", "comm"))
+    try:
+        n = json_int(d["n"])
+        perm = Permutation(tuple(json_int(x) for x in d["perm"]))
+        pure = PurePart.from_map(n, [((i, j), e) for i, j, e in _json_rows_before(d.get("pure", []), 3)])
+        comm = CommPart.from_map(n, [((i, j, k), c) for i, j, k, c in _json_rows_before(d.get("comm", []), 4)])
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed element JSON: {exc}") from exc
+    return NilElement(n, perm, pure, comm)
+
+
+def coordinates_before(cls, n, entries):
+    """cls(n, entries) as the constructor built it when its check was from_map and compare."""
+    _check_strands(n)
+    if not isinstance(entries, tuple):
+        raise DomainError(f"entries must be a tuple, got {type(entries).__name__}")
+    for row in entries:
+        if not isinstance(row, tuple) or not row:
+            raise DomainError(f"invalid entry {row!r} for n={n}")
+    if cls.from_map(n, ((row[:-1], row[-1]) for row in entries)).entries != entries:
+        raise DomainError(f"entries {entries!r} are not canonical for n={n}: keys must be sorted"
+                          " and strictly increasing, exponents nonzero (from_map canonicalises)")
+    return _trusted(cls, n=n, entries=entries)
+
+
+def outcome(build, *args):
+    """What build(*args) gives: ("value", the value), or the type and the message of what it raises."""
+    try:
+        return "value", build(*args)
+    except Exception as exc:  # any type, so that a reader raising a new one is told apart
+        return type(exc), str(exc)
+
+
+# a cell that JSON can carry but that is no integer, and a row that is no list
+NON_INTEGERS = (True, False, 1.0, 2.5, "1", None, [1])
+NON_ROWS = (5, "ab", None, {"a": 1}, (1, 2, 3))
+
+
+@st.composite
+def element_rows(draw, n: int, rows: list, width: int) -> list:
+    """rows with up to three faults drawn: a shuffle, a key in another order, a duplicated key, a zero exponent, a
+    cell that is no integer, a row of width 2 or 5 or no list, an index of 0 or n + 1, a repeated index."""
+    rows = [list(row) for row in rows]
+    index = st.integers(0, n + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(("shuffle", "order", "duplicate", "zero", "cell", "width", "row", "index",
+                                      "repeat")))
+        if fault == "shuffle":
+            rows = draw(st.permutations(rows))
+        elif fault == "zero":
+            key = draw(st.lists(index, min_size=width - 1, max_size=width - 1))
+            rows.insert(draw(st.integers(0, len(rows))), key + [0])
+        if fault in ("shuffle", "zero") or not rows:
+            continue
+        at = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[at]) if isinstance(rows[at], list) else [1] * width
+        if fault == "order":
+            rows[at] = draw(st.permutations(row[:-1])) + row[-1:]
+        elif fault == "duplicate":
+            rows.insert(at + draw(st.integers(0, 1)), row[:-1] + [draw(st.integers(-2, 2))])
+        elif fault == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NON_INTEGERS))
+            rows[at] = row
+        elif fault == "width":
+            rows[at] = (row + [1, 1, 1])[:draw(st.sampled_from((2, 5)))]
+        elif fault == "row":
+            rows[at] = draw(st.sampled_from(NON_ROWS))
+        elif fault in ("index", "repeat"):
+            spot = draw(st.integers(0, len(row) - 2))  # a cell before the last
+            row[spot] = draw(st.sampled_from((0, n + 1))) if fault == "index" else row[spot - 1 if spot else 1]
+            rows[at] = row
+    return rows
+
+
+@st.composite
+def coordinate_arguments(draw) -> tuple:
+    """(cls, n, entries) for a coordinate constructor: a drawn element's canonical rows as tuples, with faults drawn
+    by element_rows, and at times an n of 0, or one off."""
+    n, cls = draw(st.integers(1, 6)), draw(st.sampled_from((PurePart, CommPart)))
+    rows = element_to_dict(draw(elements(n, pure_only=True)))["pure" if cls is PurePart else "comm"]
+    entries = tuple(tuple(row) if type(row) is list else row for row in draw(element_rows(n, rows, cls.arity + 1)))
+    return cls, draw(st.sampled_from((n,) * 6 + (0, n - 1, n + 1))), entries
+
+
+@st.composite
+def element_documents(draw) -> dict:
+    """Element JSON: the canonical form of a drawn element, its rows with faults drawn by element_rows, and at times
+    a part that is no list, a missing part, an n of 0 or below, or an n that is not the permutation's."""
+    n = draw(st.integers(1, 6))
+    doc = element_to_dict(draw(elements(n)))
+    for part, width in (("pure", 3), ("comm", 4)):
+        doc[part] = draw(element_rows(n, doc[part], width))
+        kind = draw(st.sampled_from(("rows",) * 10 + ("no list", "missing")))
+        if kind == "no list":
+            doc[part] = draw(st.sampled_from(NON_ROWS + ((),)))
+        elif kind == "missing":
+            del doc[part]
+    doc["n"] = draw(st.sampled_from((n,) * 10 + (0, -1, n - 1, n + 1, True, 1.0)))
+    return doc
 
 
 def counted(monkeypatch, owner, name):

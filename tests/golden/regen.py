@@ -6,7 +6,8 @@ code, the sha256 of its stdout bytes and its stderr text.  The requests are
 the README's command lines, each subcommand's valid request from
 tests/test_cli.py (with its --pretty form where there is one), one request
 per distinct diagnostic, the north star's largest sizes, integer options
-that are not ASCII integers, and expressions that mix every kind of atom.
+that are not ASCII integers, expressions that mix every kind of atom, and
+element JSON that is not canonical next to its canonical form.
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py             # write every record; the header names HEAD
@@ -151,6 +152,11 @@ DIAGNOSTICS = [
     ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2,1.7]],"comm":[]}'],
     ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2]],"comm":[]}'],
     ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,4,1]],"comm":[]}'],
+    ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1,2,true]],"comm":[]}'],
+    ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[1.0,2,1]],"comm":[]}'],
+    ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[],"comm":[[1,2,3]]}'],
+    ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":[[0,2,1]],"comm":[]}'],
+    ["inv", "--n", "3", '{"n":3,"perm":[1,2,3],"pure":7,"comm":[]}'],
     ["mul", "--n", "4", '{"n":3,"perm":[1,2,3],"pure":[],"comm":[]}', "s1"],
     ["torsion", "--n", "5", "--residues", '{"n":5,"residues":[[1,1,1,1,1]],"rows":[]}'],
     ["torsion", "--n", "5", "--residues", '{"n":5,"residues":[["x"]]}'],
@@ -216,6 +222,15 @@ MIXED_EXPRESSIONS = [
 ]
 
 
+# element JSON that is not canonical (rows out of order, a pair and a triple key reversed, a duplicated key, zero
+# exponents) reads as its canonical form, next to it
+ELEMENT_JSON = [
+    ["mul", "--n", "4", '{"n":4,"perm":[2,1,3,4],"pure":[[4,3,-1],[1,2,1],[3,4,-1],[1,3,0]],'
+                        '"comm":[[4,3,2,1],[1,2,3,1],[1,2,4,0]]}', "s1 s3"],
+    ["mul", "--n", "4", '{"n":4,"perm":[2,1,3,4],"pure":[[1,2,1],[3,4,-2]],"comm":[[1,2,3,1],[2,3,4,-1]]}', "s1 s3"],
+]
+
+
 def _largest() -> list[list[str]]:
     """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness and a cycle type at 23, pow and
     order at 32."""
@@ -245,7 +260,8 @@ def _largest() -> list[list[str]]:
 def requests() -> list[list[str]]:
     """Every request once, in the order of first appearance."""
     out = []
-    for argv in _readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS:
+    for argv in (_readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS
+                 + ELEMENT_JSON):
         if argv not in out:
             out.append(argv)
     return out

@@ -9,7 +9,7 @@ import re
 from itertools import permutations as all_permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidnil import core
@@ -63,10 +63,15 @@ from conftest import (
     _bracket,
     _pair_action,
     _triple_action,
+    coordinate_arguments,
+    coordinates_before,
     counted,
     descent_greedy_word,
+    element_documents,
+    element_from_dict_before,
     elements,
     inversions,
+    outcome,
     random_word,
     transposition,
     two_product_conj,
@@ -475,6 +480,20 @@ class TestJson:
         with pytest.raises(DomainError):
             element_from_dict({"n": 3, "perm": [1, 2]})
 
+    @settings(max_examples=200, deadline=None)
+    @given(element_documents())
+    @example({"n": 3, "perm": [1, 2, 3], "pure": [[1, 3, 1]], "comm": []})  # the largest index is n
+    @example({"n": 3, "perm": [1, 2, 3], "pure": [[1, 2, True]], "comm": []})  # true is no integer
+    @example({"n": 4, "perm": [1, 2, 3, 4], "pure": [], "comm": [[1, 2, 4, 1], [1, 2, 3, -1]]})  # rows out of order
+    def test_the_reader_gives_the_element_or_the_error_of_its_earlier_form(self, doc):
+        expected = outcome(element_from_dict_before, doc)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = [counted(mp, part, "from_map") for part in (PurePart, CommPart)]
+            got = outcome(element_from_dict, doc)
+        assert got == expected
+        if got[0] == "value" and element_to_dict(got[1]) == doc:
+            assert calls == [[0], [0]]  # canonical rows pass the column check, without from_map
+
 
 class TestDegenerateStrandCounts:
     def test_one_strand(self):
@@ -560,6 +579,14 @@ class TestCanonicalForm:
             NilElement(4, Permutation.identity(4), PurePart.zero(3), CommPart.zero(4))
         with pytest.raises(DomainError):
             NilElement(3, Permutation.identity(3), CommPart.zero(3), PurePart.zero(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coordinate_arguments())
+    @example((PurePart, 3, ((1, 3, 1),)))  # the largest index is n
+    @example((PurePart, 3, ((1, 2, True),)))  # True is no int, though it compares as 1
+    @example((CommPart, 4, ((1, 2, 4, 1), (1, 2, 3, -1))))  # rows out of order
+    def test_a_constructor_gives_the_value_or_the_error_of_from_map_and_compare(self, args):
+        assert outcome(*args) == outcome(coordinates_before, *args)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5), st.sampled_from((PurePart, CommPart)), st.data())

@@ -1,6 +1,7 @@
 """Every module-level import in a braidnil module is used there, and every module-level private name is read
-somewhere in the package.  The package exports its names lazily, and a cold CLI start loads only the modules
-that its subcommand runs."""
+somewhere in the package.  Outside core only expr and presentations use the working state, and only listed
+functions build values unchecked.  The package exports its names lazily, and a cold CLI start loads only the
+modules that its subcommand runs."""
 
 from __future__ import annotations
 
@@ -112,6 +113,53 @@ def test_outside_core_only_expr_and_presentations_use_the_working_state():
     users = {p.name: sorted(names) for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "core.py" and (names := working_state_names(p.read_text()))}
     assert users.keys() <= {"expr.py", "presentations.py"}, users
+
+
+# the functions that may build a value with `_trusted`, skipping its check, by module: each builds values that are
+# valid by construction (normal forms of the group law, sums of from_map, words of checked words, shifted normal
+# forms, holonomy row permutations), or, in _json_part, element JSON rows that passed the canonical column check
+TRUSTED_CALLERS = {
+    "core.py": {"BraidWord.__mul__", "BraidWord.__pow__", "BraidWord.inverse", "_Coordinates.from_map", "_freeze",
+                "_json_part"},
+    "invariants.py": {"holonomy_matrix"},
+    "torsion.py": {"shift_embed"},
+}
+
+
+def trusted_callers(source: str) -> set[str]:
+    """The qualified names of the functions in source that read `_trusted`, by name or as an attribute.
+
+    A read outside any function counts as "<module>"; an import is not a read.
+    """
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Name) and child.id == "_trusted" and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == "_trusted"):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_finds_each_function_that_builds_unchecked():
+    source = ("from .core import _trusted\nfrom . import core\n"
+              "class C:\n    def m(self):\n        return _trusted(C)\n"
+              "def f():\n    build = core._trusted\n    return build(C)\n"
+              "def g(x):\n    return C(x)\n"
+              "DEFAULT = _trusted(C)\n")
+    assert trusted_callers(source) == {"C.m", "f", "<module>"}
+
+
+def test_only_the_listed_functions_build_values_unchecked():
+    # a new unchecked path, from user input above all, fails here until it is listed and argued for
+    found = {p.name: callers for p in sorted(PACKAGE.glob("*.py")) if (callers := trusted_callers(p.read_text()))}
+    assert found == TRUSTED_CALLERS
 
 
 # the package surface: each public name by the submodule that defines it, the submodules themselves included

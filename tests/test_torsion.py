@@ -231,6 +231,15 @@ class TestCycleTypes:
         assert element_with_cycle_type(12, [5, 7]) == expected
         assert (muls[0], collects[0]) == (1, 3)
 
+    @pytest.mark.parametrize("n, parts, distinct", [(17, [5, 5, 7], [5, 7]), (21, [7, 7, 7], [7])])
+    def test_a_repeated_part_reads_its_coefficients_once(self, monkeypatch, n, parts, distinct):
+        expected = element_with_cycle_type(n, parts)
+        seen = []
+        read = torsion.delta_power_coefficients
+        monkeypatch.setattr(torsion, "delta_power_coefficients", lambda p: seen.append(p) or read(p))
+        assert element_with_cycle_type(n, parts) == expected
+        assert seen == distinct
+
     def test_a_first_column_residue_matrix_normalises_only_its_nonzero_cells(self, monkeypatch):
         calls = counted(monkeypatch, CommPart, "_norm")
         element_with_cycle_type(23, [23])
