@@ -361,12 +361,10 @@ class _Coordinates(_Value):
     @classmethod
     def _canonical(cls, n: int, rows: Sequence[tuple]) -> bool:
         """Whether rows are canonical entries for n, those that from_map leaves as they are; tested by columns."""
-        if not rows:
-            return n > 0
-        a, cols = cls.arity, list(zip(*rows))
-        return ({*map(len, rows)} == {a + 1} and {*map(type, chain.from_iterable(cols))} == {int}
-                and 0 < min(cols[0]) and max(cols[a - 1]) <= n and all(cols[a])
-                and all(all(map(int.__lt__, cols[c], cols[c + 1])) for c in range(a - 1))
+        cols = list(zip(*rows))
+        return (not rows and n > 0) or ({*map(len, rows)} == {(a := cls.arity) + 1}
+                and {*map(type, chain.from_iterable(cols))} == {int} and 0 < min(cols[0]) and max(cols[a - 1]) <= n
+                and all(cols[a]) and all(all(map(int.__lt__, cols[c], cols[c + 1])) for c in range(a - 1))
                 and all(map(tuple.__lt__, keys := list(zip(*cols[:a])), keys[1:])))
 
     @classmethod
@@ -850,20 +848,13 @@ def json_keys(d, what: str, allowed: tuple[str, ...]) -> None:
 
 
 def _json_rows(rows, width: int) -> list[tuple[int, ...]]:
-    """A JSON list of integer rows, each of the given width; the first faulty row or cell in reading order raises."""
+    """A JSON list of integer rows, each of the given width."""
     out = []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != width:
             raise DomainError(f"expected a list of {width} integers, got {row!r}")
-        out.append(tuple(row) if {*map(type, row)} == {int} else tuple(map(json_int, row)))
+        out.append(tuple(map(json_int, row)))
     return out
-
-
-def _json_part(cls: type[PurePart] | type[CommPart], n: int, rows) -> PurePart | CommPart:
-    """A part from JSON rows: canonical rows as they are, unchecked; any others as ever, through from_map."""
-    if type(rows) is list and {*map(type, rows)} <= {list} and cls._canonical(n, entries := tuple(map(tuple, rows))):
-        return _trusted(cls, n=n, entries=entries)
-    return cls.from_map(n, [(row[:-1], row[-1]) for row in _json_rows(rows, cls.arity + 1)])
 
 
 def element_from_dict(d: dict) -> NilElement:
@@ -871,11 +862,16 @@ def element_from_dict(d: dict) -> NilElement:
     try:
         n = json_int(d["n"])
         perm = Permutation(tuple(json_int(x) for x in d["perm"]))
-        pure = _json_part(PurePart, n, d.get("pure", []))
-        comm = _json_part(CommPart, n, d.get("comm", []))
+        parts = []
+        for cls, rows in ((PurePart, d.get("pure", [])), (CommPart, d.get("comm", []))):  # canonical rows as they are
+            if (type(rows) is list and {*map(type, rows)} <= {list}
+                    and cls._canonical(n, entries := tuple(map(tuple, rows)))):
+                parts.append(_trusted(cls, n=n, entries=entries))
+            else:
+                parts.append(cls.from_map(n, [(row[:-1], row[-1]) for row in _json_rows(rows, cls.arity + 1)]))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed element JSON: {exc}") from exc
-    return NilElement(n, perm, pure, comm)
+    return NilElement(n, perm, *parts)
 
 
 def word_to_dict(w: BraidWord) -> dict:

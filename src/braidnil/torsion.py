@@ -28,7 +28,6 @@ checks g a = b g: the other order follows, or is decided if a stage fails.
 from __future__ import annotations
 
 import math
-from functools import cache
 from itertools import accumulate
 
 from .core import (
@@ -172,12 +171,12 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
         _check_int("cycle length", p)
     if sum(parts) > n:
         raise DomainError(f"parts {parts} do not fit in {n} strands")
-    theta, word, offset, coefficients = [], BraidWord(n, ()), 0, cache(delta_power_coefficients)
+    theta, word, offset, read = [], BraidWord(n, ()), 0, {}
     for p in parts:
         if p != 1:
             if p < 5 or math.gcd(p, 6) != 1:
                 raise DomainError(f"cycle length {p} is not realisable (must be 1 or coprime to 6)")
-            basis, _, constants = coefficients(p)
+            basis, _, constants = read[p] if p in read else read.setdefault(p, delta_power_coefficients(p))
             theta += [((i + offset, j + offset, k + offset), -c)
                       for (i, j, k), c in zip(basis.representatives(), constants) if c]
             word *= delta_word(offset, p, n)

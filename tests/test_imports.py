@@ -117,10 +117,10 @@ def test_outside_core_only_expr_and_presentations_use_the_working_state():
 
 # the functions that may build a value with `_trusted`, skipping its check, by module: each builds values that are
 # valid by construction (normal forms of the group law, sums of from_map, words of checked words, shifted normal
-# forms, holonomy row permutations), or, in _json_part, element JSON rows that passed the canonical column check
+# forms, holonomy row permutations), or, in element_from_dict, JSON rows that passed the canonical column check
 TRUSTED_CALLERS = {
     "core.py": {"BraidWord.__mul__", "BraidWord.__pow__", "BraidWord.inverse", "_Coordinates.from_map", "_freeze",
-                "_json_part"},
+                "element_from_dict"},
     "invariants.py": {"holonomy_matrix"},
     "torsion.py": {"shift_embed"},
 }
