@@ -536,28 +536,31 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     e on one at the slots x > k+1 and e on two at the slots x < k, where the
     rows trade places.  So a letter scans one row, or on a deposit one row
     above k+1 and the other below k, with one lookup per entry, and costs at
-    most the degree of its two strands.  nbr and comm are consumed and
-    returned under the starting labels, with the new image and the frame pos,
-    or None for no letters.
+    most the degree of its two strands.  The index of slot x's value in the
+    one-line image swaps with lab, so it is at[lab[x]], with `at` fixed: at[l]
+    is the index, in the starting image, of the value at label l's starting
+    slot.  nbr and comm are consumed and returned under the starting labels,
+    with the new image and the frame pos, or None for no letters.
     """
     if not letters:
         return image, nbr, comm, None
     n = len(image)
     lab, pos = frame or (list(range(n + 1)), list(range(n + 1)))  # 1-based slots and labels; index 0 unused
-    where = [0] * (n + 1)  # where[v]: the index of the value v in the one-line image
+    at = [0] * (n + 1)  # at[l]: the index, in the starting image, of the value at label l's starting slot
     for i, v in enumerate(image):
-        where[v] = i
+        at[lab[v]] = i
     for k, eps in letters:
         la, lb = lab[k], lab[k + 1]
         na, nb = nbr[la], nbr[lb]
         # section dichotomy: absorb the letter when it extends the reduced word
-        deposit = (eps == 1) != (where[k] < where[k + 1])
-        where[k], where[k + 1] = where[k + 1], where[k]
+        if eps == 1:
+            deposit, one, two = at[la] > at[lb], na, nb
+        else:
+            deposit, one, two = at[la] < at[lb], nb, na
         lab[k], lab[k + 1] = lb, la
         pos[la], pos[lb] = k + 1, k
         if na or nb:
             # d = e * (e' - 1), e on `row` and e' on `other`, at the slots of row outside lo..hi
-            one, two = (na, nb) if eps == 1 else (nb, na)
             scans = ((one, two, 0, k + 1), (two, one, k, n)) if deposit else ((one, two, k, k + 1),)
             # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): v placed around the sorted pair p < q
             p, q, s = (lb, la, 1) if lb < la else (la, lb, -1)
@@ -586,7 +589,7 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
                 del na[lb], nb[la]
     out_image = [0] * n
     for v in range(1, n + 1):
-        out_image[where[v]] = v
+        out_image[at[lab[v]]] = v
     return out_image, nbr, comm, pos
 
 

@@ -9,7 +9,9 @@ A relation's lhs is a table-word prefix times a rest: consecutive relations
 with one prefix fold it once and continue from copies of its state, and each
 distinct rhs is collected once.  A relation passes iff the two normal forms
 are identical, so a clean report certifies that the engine satisfies the
-presented group, relation instance by relation instance.
+presented group, relation instance by relation instance.  An identity
+relation (empty rhs) is decided on its folded lhs state, empty iff the lhs is
+the identity: no move, no pure and no level-2 entry; only a failure is frozen.
 
 Suites:
 
@@ -84,15 +86,19 @@ def _run(suite: str, n: int, relations: Iterable[Relation]) -> RelationReport:
     """Collect both sides of each relation as it arrives, keeping only the failures and the count.
 
     A prefix is folded once for each run of relations that share the prefix object, and each rest
-    from a copy of that state, since the fold consumes its rows.  Each distinct rhs is collected
-    once, keyed by its letters.
+    from a copy of that state, since the fold consumes its rows.  A relation whose rhs is the empty
+    word passes iff its folded state is empty; only a failing one is frozen.  Any other lhs is
+    frozen and compared with its rhs, each distinct rhs collected once, keyed by its letters.
     """
-    failures, total, last, rhs_forms = [], 0, None, {}
+    failures, total, last, rhs_forms, unmoved = [], 0, None, {}, list(range(1, n + 1))
     for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
         if prefix is not last:
             last, (image, nbr, comm) = prefix, _fold(*_origin(n), prefix.letters)
-        le = _freeze(n, *_fold_framed(image, [dict(row) for row in nbr], dict(comm), rest.letters))
-        re = rhs_forms.get(rhs.letters)
+        lhs = _fold_framed(image, [dict(row) for row in nbr], dict(comm), rest.letters)
+        # an identity relation passes iff its folded state is empty: no level-2 entry, no move, no pure entry
+        if not rhs.letters and not lhs[2] and lhs[0] == unmoved and not any(lhs[1]):
+            continue
+        le, re = _freeze(n, *lhs), rhs_forms.get(rhs.letters)
         if re is None:
             re = rhs_forms[rhs.letters] = collect(rhs)
         if le != re:

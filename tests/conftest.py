@@ -12,8 +12,9 @@ entry on each letter, the bracket table of two pure generators with the
 pure-block merge that scans every resident against it, power by plain
 squaring, conjugation as two products and an inverse, the dense holonomy
 matrices with the CLI text they encode to, the presentation check that
-collects both sides of every relation whole, and the expression parser that
-scans one character at a time.  The fold and merge oracles keep level 1 as a
+collects both sides of every relation whole, the earlier relation loop that
+freezes every relation's folded lhs and compares normal forms, and the
+expression parser that scans one character at a time.  The fold and merge oracles keep level 1 as a
 pair dict; pair_dict and adjacency convert to and from the strand adjacency of
 the group law.  The element JSON reader and the coordinate constructors are
 checked against their earlier forms, which read every row cell by cell and
@@ -52,6 +53,10 @@ from braidnil.core import (
     PurePart,
     Triple,
     _check_strands,
+    _fold,
+    _fold_framed,
+    _freeze,
+    _origin,
     _trusted,
     collect,
     element_to_dict,
@@ -693,6 +698,26 @@ def whole_word_report(suite: str, n: int, relations) -> RelationReport:
     failures, total = [], 0
     for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
         le, re = collect(prefix * rest), collect(rhs)
+        if le != re:
+            failures.append((rid, le, re))
+    return RelationReport(suite, n, total, tuple(failures))
+
+
+def run_before(suite: str, n: int, relations) -> RelationReport:
+    """Collect both sides of each relation as it arrives, keeping only the failures and the count.
+
+    A prefix is folded once for each run of relations that share the prefix object, and each rest
+    from a copy of that state, since the fold consumes its rows.  Each distinct rhs is collected
+    once, keyed by its letters.
+    """
+    failures, total, last, rhs_forms = [], 0, None, {}
+    for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
+        if prefix is not last:
+            last, (image, nbr, comm) = prefix, _fold(*_origin(n), prefix.letters)
+        le = _freeze(n, *_fold_framed(image, [dict(row) for row in nbr], dict(comm), rest.letters))
+        re = rhs_forms.get(rhs.letters)
+        if re is None:
+            re = rhs_forms[rhs.letters] = collect(rhs)
         if le != re:
             failures.append((rid, le, re))
     return RelationReport(suite, n, total, tuple(failures))

@@ -217,3 +217,51 @@ def test_conjugation_step_equals_the_generator_fold_at_both_levels():
 
 def test_reduced_word_cache_is_bounded():
     assert _lex_reduced_word.cache_info().maxsize is not None
+
+
+class CountedRow(dict):
+    """A strand row that counts, across all rows, the entries its .items() yields and its .get calls."""
+
+    tally = [0, 0]
+
+    def items(self):
+        for item in super().items():
+            CountedRow.tally[0] += 1
+            yield item
+
+    def get(self, key, default=None):
+        CountedRow.tally[1] += 1
+        return super().get(key, default)
+
+
+@st.composite
+def dense_adjacencies_and_letters(draw):
+    """A permutation and a strand adjacency with an exponent in {-2, -1, 1, 2} on 30, 60 or 90% of the pairs, at
+    n <= 32, and a random word to fold into them."""
+    n = draw(st.integers(3, 32))
+    rng, density = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from((0.3, 0.6, 0.9)))
+    image = list(range(1, n + 1))
+    rng.shuffle(image)
+    pure = {p: rng.choice((-2, -1, 1, 2)) for p in pairs(n) if rng.random() < density}
+    return n, image, adjacency(n, pure), tuple(draw(letters(n, 60)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_adjacencies_and_letters())
+def test_a_letter_scans_at_most_the_rows_of_its_two_strands(case):
+    # an absorbed letter iterates the row of lab[k] for eps = +1, of lab[k+1] for eps = -1; a deposit both rows, and
+    # one more lookup for A[k,k+1]; each scanned entry takes at most one lookup in the other row
+    n, start, adj, word = case
+    image, nbr, comm = list(start), [CountedRow(row) for row in adj], {}
+    lab, pos = list(range(n + 1)), list(range(n + 1))
+    for k, eps in word:
+        deposit = (eps == 1) != (image.index(k) < image.index(k + 1))
+        deg_a, deg_b = len(nbr[lab[k]]), len(nbr[lab[k + 1]])
+        CountedRow.tally[:] = [0, 0]
+        image, nbr, comm, pos = _fold_framed(image, nbr, comm, ((k, eps),), (list(lab), list(pos)))
+        lab = sorted(range(n + 1), key=pos.__getitem__)
+        entries, gets = CountedRow.tally
+        assert entries <= (deg_a + deg_b if deposit else deg_a if eps == 1 else deg_b)
+        assert gets <= entries + deposit
+    whole = _fold_framed(list(start), [dict(row) for row in adj], {}, word)
+    assert _freeze(n, image, nbr, comm, pos) == _freeze(n, *whole)

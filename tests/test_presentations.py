@@ -6,19 +6,23 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidnil import presentations
-from braidnil.core import BraidWord, DomainError, identity, pairs, pure_gen_word
+from braidnil.core import (BraidWord, DomainError, collect, comm_gen_word, commutator_word, identity, pairs,
+                           pure_gen_word, triples)
 from braidnil.presentations import (
     SUBGROUPS,
     _braid_relations,
     _pure_relations,
+    _run,
     braid_presentation,
     full_twist,
     pure_presentation,
     subgroup_presentation,
 )
-from conftest import whole_word_report
+from conftest import run_before, whole_word_report
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -108,6 +112,77 @@ def test_the_prefix_fold_reports_as_whole_words_do(monkeypatch, suite, arg):
     folded = suite(arg).to_dict()
     monkeypatch.setattr(presentations, "_run", whole_word_report)
     assert suite(arg).to_dict() == folded
+
+
+def relators(n: int) -> list[BraidWord]:
+    """Words that collect to the identity: the commuting and braid relators and the centrality of a[1,2,3]."""
+    s = lambda k, e=1: BraidWord(n, ((k, e),))
+    found = [commutator_word(s(i), s(j)) for i in range(1, n - 1) for j in range(i + 2, n)]
+    found += [s(i + 1) * s(i) * s(i + 1) * s(i, -1) * s(i + 1, -1) * s(i, -1) for i in range(1, n - 1)]
+    if n > 2:
+        found.append(commutator_word(comm_gen_word(n, (1, 2, 3)), pure_gen_word(n, 1, n)))
+    return found
+
+
+def misses(n: int) -> list[BraidWord]:
+    """Words that miss the identity at one level: a letter (the permutation), a square (the pure part only), the
+    commutator of two pure generators that share one index (level 2 only)."""
+    found = [BraidWord(n, ((k, e),) * m) for k in range(1, n) for e in (1, -1) for m in (1, 2)]
+    return found + [commutator_word(pure_gen_word(n, i, j), pure_gen_word(n, j, k)) for i, j, k in triples(n)]
+
+
+@st.composite
+def relation_runs(draw):
+    """Relations at n <= 6 in runs that share a prefix object.  Each lhs is the prefix times a rest that undoes it
+    around an inserted relator (lhs = 1) or an inserted miss (lhs a conjugate of the miss, != 1), or a random rest;
+    the rhs is the shared empty word, an empty word of its own, the lhs's letters, or a random word."""
+    n = draw(st.integers(2, 6))
+    words = st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=12).map(
+        lambda letters: BraidWord(n, tuple(letters)))
+    one, inserts = BraidWord(n, ()), relators(n) + misses(n)
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        prefix = draw(words)
+        for _ in range(draw(st.integers(1, 5))):
+            if draw(st.integers(0, 3)):
+                back = prefix.inverse().letters
+                cut = draw(st.integers(0, len(back)))
+                rest = BraidWord(n, back[:cut] + draw(st.sampled_from(inserts)).letters + back[cut:])
+            else:
+                rest = draw(words)
+            lhs = BraidWord(n, prefix.letters + rest.letters)
+            rhs = draw(st.sampled_from((one, BraidWord(n, ()), lhs, lhs, draw(words))))
+            relations.append((f"r{len(relations)}", prefix, rest, rhs))
+    return n, relations
+
+
+@settings(max_examples=100, deadline=None)
+@given(relation_runs())
+def test_an_identity_relation_decided_on_its_state_reports_as_the_full_check(case):
+    n, relations = case
+    assert _run("mixed", n, relations) == run_before("mixed", n, relations)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("name, rest, level", [
+    pytest.param("s1", lambda n: BraidWord(n, ((1, 1),)), "perm", id="s1"),
+    pytest.param("s1 s1", lambda n: BraidWord(n, ((1, 1), (1, 1))), "pure", id="s1s1"),
+    pytest.param("[A[1,2], A[2,3]]", lambda n: commutator_word(pure_gen_word(n, 1, 2), pure_gen_word(n, 2, 3)),
+                 "comm", id="A12-A23"),
+])
+def test_a_failing_identity_relation_reports_its_lhs_and_the_identity(n, name, rest, level):
+    # each lhs misses the identity at one level only, so each of the image, row and level-2 tests decides one
+    one, prefix = BraidWord(n, ()), BraidWord(n, ((2, 1), (1, -1), (2, 1)))
+    miss = rest(n)
+    lhs = collect(miss)
+    assert [not lhs.perm.is_identity(), not lhs.pure.is_zero(), not lhs.comm.is_zero()] == [
+        level == "perm", level == "pure", level == "comm"]
+    relations = [("passes", one, one, one), (name, one, miss, one), ("passes after", prefix, prefix.inverse(), one),
+                 (f"{name} after", prefix, prefix.inverse() * miss, BraidWord(n, ()))]
+    report = _run("misses", n, relations)
+    assert report.total == 4
+    assert report.failures == ((name, lhs, identity(n)), (f"{name} after", lhs, identity(n)))
+    assert report == run_before("misses", n, relations)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
