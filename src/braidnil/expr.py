@@ -13,10 +13,12 @@ and ignored; an int is ASCII digits with an optional sign):
           | '(' expr ')'
 
 Concatenation is group multiplication left to right; the empty expression is
-the identity.  One compiled token pattern, matched at each position in turn,
-reads the text: an int, any other single character, or the end.  Syntax errors
-carry the UTF-8 byte offset of the offending token; index-range errors are
-domain errors, raised against the strand count the expression is parsed for.
+the identity.  At an 's' or 'S', one compiled run pattern takes the longest
+run of letters without an exponent; letters of one text share one term object,
+which is validated once.  One compiled token pattern, matched at each position
+in turn, reads the rest: an int, any other single character, or the end.
+Syntax errors carry the UTF-8 byte offset of the offending token; an index out
+of range is a domain error against the strand count the expression is for.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
     state, letters = _origin(n), []
     for atom, exponent in terms:
         kind = atom[0]
+        if kind == "gen" and exponent == 1:
+            letters.append(atom[1:])
+            continue
         if kind == "gen" and abs(exponent) <= _RUN_EXPONENT_LIMIT:
             letters += [(atom[1], atom[2] if exponent > 0 else -atom[2])] * abs(exponent)
             continue
@@ -85,6 +90,9 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
 # one token after optional whitespace (exactly what str.isspace() accepts): a signed integer of ASCII
 # digits (not isdigit(), which takes '²' and '٣'), any other single character, or "" at the end
 _TOKEN = re.compile(r"\s*([+-]?[0-9]+|.|\Z)", re.DOTALL)
+# a run of letters without an exponent, split by _LETTER; the digit guard keeps 's12^3' from matching as 's1' '2^3'
+_RUN = re.compile(r"(?:\s*[sS]\s*[+-]?[0-9]+(?![0-9])(?!\s*\^))+")
+_LETTER = re.compile(r"[sS]\s*[+-]?[0-9]+")
 
 # deepest parenthesis nesting accepted; parsing, validation and evaluation each recurse once per level
 _MAX_NESTING = 500
@@ -114,13 +122,20 @@ def _integer(text: str, m: re.Match) -> tuple[int, re.Match]:
 
 def _parse_terms(text: str, m: re.Match, depth: int) -> tuple[tuple, re.Match]:
     """The terms from the token of m on, and the match of the ')' or the end that stops them."""
-    terms = []
+    terms, shared = [], {}  # shared: one term per distinct letter text of a run
     while True:
         token = m[1]
         if token == "" or token == ")":
             if token == ")" and depth == 0:
                 raise _error(text, "unbalanced ')'", m)
             return tuple(terms), m
+        if (token == "s" or token == "S") and (run := _RUN.match(text, m.start(1))):
+            letters = _LETTER.findall(text, m.start(1), run.end())
+            for letter in set(letters).difference(shared):  # int() takes no '\x1c'..'\x1f', lstrip() does
+                shared[letter] = (("gen", int(letter[1:].lstrip()), 1 if letter[0] == "s" else -1), 1)
+            terms += map(shared.__getitem__, letters)
+            m = _TOKEN.match(text, run.end())
+            continue
         after = _TOKEN.match(text, m.end())
         if token == "s" or token == "S":
             k, m = _integer(text, after)
@@ -151,7 +166,7 @@ def _validate(terms: tuple, n: int) -> None:
     """Check terms against n: (atom, exponent) pairs, int exponents, atoms of a known kind and shape, valid indices."""
     if type(terms) is not tuple:
         raise DomainError(f"terms must be a tuple, got {type(terms).__name__}")
-    for term in terms:  # once per term of a long word, so the common generator atom is tested first and inline
+    for term in dict(zip(map(id, terms), terms)).values():  # each distinct object once, by id: a term may not hash
         if type(term) is not tuple or len(term) != 2 or type(term[0]) is not tuple:
             raise DomainError(f"a term is an (atom, exponent) pair, got {term!r}")
         atom, exponent = term

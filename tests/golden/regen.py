@@ -6,8 +6,9 @@ code, the sha256 of its stdout bytes and its stderr text.  The requests are
 the README's command lines, each subcommand's valid request from
 tests/test_cli.py (with its --pretty form where there is one), one request
 per distinct diagnostic, the north star's largest sizes, integer options
-that are not ASCII integers, expressions that mix every kind of atom, and
-element JSON that is not canonical next to its canonical form.
+that are not ASCII integers, expressions that mix every kind of atom,
+element JSON that is not canonical next to its canonical form, and runs of
+generator letters broken by an exponent, a bad index or a stray integer.
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py             # write every record; the header names HEAD
@@ -231,6 +232,16 @@ ELEMENT_JSON = [
 ]
 
 
+# runs of generator letters that a letter with an exponent, whitespace before '^', an index out of range in the
+# middle or an integer after the run ends
+GENERATOR_RUNS = [
+    ["collect", "--n", "13", "s1 s12^3 s12"],
+    ["collect", "--n", "4", "s1 s2 s3 ^2 S1"],
+    ["collect", "--n", "4", "s1 s2 s9 s0"],
+    ["collect", "--n", "4", "s1 s2 2"],
+]
+
+
 def _largest() -> list[list[str]]:
     """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness and a cycle type at 23, pow and
     order at 32."""
@@ -261,7 +272,7 @@ def requests() -> list[list[str]]:
     """Every request once, in the order of first appearance."""
     out = []
     for argv in (_readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS
-                 + ELEMENT_JSON):
+                 + ELEMENT_JSON + GENERATOR_RUNS):
         if argv not in out:
             out.append(argv)
     return out

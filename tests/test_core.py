@@ -742,6 +742,9 @@ class TestCanonicalForm:
         pytest.param([(("gen", 1, 1), 1)], "terms must be a tuple, got list", id="list-of-terms"),
         pytest.param(((("group", ((("gen", 1, -2), 1),)), 1),), "letter sign must be +1 or -1, got -2",
                      id="nested-sign"),
+        # each distinct term object is checked once, and the first that fails is named
+        pytest.param(((("gen", 1, 1), 1),) * 2 + ((("gen", 5, 1), 1), (("gen", 0, 1), 1)) * 2,
+                     "generator index 5 out of range for n=3", id="shared-terms"),
     ])
     def test_an_expression_checks_its_own_terms(self, terms, message):
         # parse is not the only way in: an Expression built directly is checked as a parsed one is

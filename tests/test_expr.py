@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidnil import expr
-from braidnil.core import DomainError, collect, comm_gen, identity, mul, power, pure_gen, sigma
+from braidnil.core import BraidWord, DomainError, collect, comm_gen, identity, mul, power, pure_gen, sigma
 from braidnil.expr import ExpressionError, parse
 from braidnil.torsion import delta, delta_word
 from conftest import counted, format_terms
@@ -138,6 +138,35 @@ def test_generator_runs_equal_atom_by_atom_products():
                 expected = mul(expected, power(group, m))
         assert parse(" ".join(atoms), n).element() == expected
     assert parse("s1^1000000000 s2", 3).element() == mul(power(sigma(3, 1), 10 ** 9), sigma(3, 2))
+
+
+# spaces between letters and inside them: ASCII, and others that str.isspace() accepts ('\x1c' is one int() rejects)
+SPACES = ("", " ", "  ", "\t", "\n", "\u3000", "\u00a0", "\u0085", "\x1c")
+
+
+def test_long_words_parse_to_their_collected_letters():
+    # runs of plain letters, broken by letters with an exponent (some after whitespace), spaces inside letters and
+    # signed indices
+    rng = random.Random(43)
+    for _ in range(8):
+        n, length = rng.randint(2, 32), rng.randint(0, 5000)
+        pieces, letters = [], []
+        while len(letters) < length:
+            k, eps = rng.randint(1, n - 1), rng.choice((1, -1))
+            inside = rng.choice(SPACES) if rng.random() < 0.1 else ""
+            sign = rng.choice(("", "+")) if rng.random() < 0.05 else ""
+            m = rng.choice((-2, -1, 0, 2, 3)) if rng.random() < 0.1 else 1
+            exponent = f"{rng.choice(SPACES)}^{m}" if m != 1 or rng.random() < 0.01 else ""
+            pieces.append(f"{'s' if eps == 1 else 'S'}{inside}{sign}{k}{exponent}{rng.choice(SPACES)}")
+            letters += [(k, eps if m > 0 else -eps)] * abs(m)
+        assert parse("".join(pieces), n).element() == collect(BraidWord(n, tuple(letters)))
+
+
+def test_a_long_word_shares_one_term_per_distinct_letter():
+    rng = random.Random(44)
+    terms = parse(" ".join(f"{rng.choice('sS')}{rng.randint(1, 31)}" for _ in range(20000)), 32).terms
+    assert len(terms) == 20000
+    assert len({id(term) for term in terms}) <= 2 * 31
 
 
 @pytest.mark.parametrize("text, freezes", [

@@ -20,6 +20,7 @@ from braidnil.core import (
     _fold_framed,
     _freeze,
     _lex_reduced_word,
+    _merge_pure_block,
     _origin,
     _thaw,
     collect,
@@ -32,7 +33,7 @@ from braidnil.core import (
     triples,
 )
 from conftest import (adjacency, counted, eager_fold, elements, generator_action, pair_dict, random_word,
-                      word_permutation)
+                      scan_merge_pure_block, word_permutation)
 
 
 def letters(n: int, max_size: int):
@@ -220,7 +221,8 @@ def test_reduced_word_cache_is_bounded():
 
 
 class CountedRow(dict):
-    """A strand row that counts, across all rows, the entries its .items() yields and its .get calls."""
+    """A strand row that counts, across all rows, the entries its .items() yields and its lookups: .get calls and
+    `in` tests."""
 
     tally = [0, 0]
 
@@ -232,6 +234,10 @@ class CountedRow(dict):
     def get(self, key, default=None):
         CountedRow.tally[1] += 1
         return super().get(key, default)
+
+    def __contains__(self, key):
+        CountedRow.tally[1] += 1
+        return super().__contains__(key)
 
 
 @st.composite
@@ -265,3 +271,34 @@ def test_a_letter_scans_at_most_the_rows_of_its_two_strands(case):
         assert gets <= entries + deposit
     whole = _fold_framed(list(start), [dict(row) for row in adj], {}, word)
     assert _freeze(n, image, nbr, comm, pos) == _freeze(n, *whole)
+
+
+@st.composite
+def dense_adjacencies_and_blocks(draw):
+    """A pure part with an exponent in {-2, -1, 1, 2} on 30, 60 or 90% of the pairs, at n <= 32, and a lex-ordered
+    block of up to 40 pure factors onto it, where a third of those on a resident pair cancel it."""
+    n = draw(st.integers(3, 32))
+    rng, density = random.Random(draw(st.integers(0, 2**32))), draw(st.sampled_from((0.3, 0.6, 0.9)))
+    pure = {p: rng.choice((-2, -1, 1, 2)) for p in pairs(n) if rng.random() < density}
+    block = sorted(rng.sample(list(pairs(n)), min(40, n * (n - 1) // 2)))
+    return n, pure, [(i, j, -pure[i, j] if (i, j) in pure and rng.random() < 1 / 3 else rng.choice((-3, -1, 1, 2)))
+                     for i, j in block]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_adjacencies_and_blocks())
+def test_a_merged_factor_scans_at_most_the_rows_of_its_two_indices(case):
+    # A[i,j]^e iterates the row of i and the row of j, each entry with at most one lookup in the other row, and
+    # looks up its own exponent once
+    n, pure, block = case
+    nbr, comm = [CountedRow(row) for row in adjacency(n, pure)], {}
+    for i, j, e in block:
+        deg_i, deg_j = len(nbr[i]), len(nbr[j])
+        CountedRow.tally[:] = [0, 0]
+        _merge_pure_block(nbr, comm, [(i, j, e)])
+        entries, lookups = CountedRow.tally
+        assert entries <= deg_i + deg_j
+        assert lookups <= entries + 1
+    expected_pure, expected_comm = dict(pure), {}
+    scan_merge_pure_block(expected_pure, expected_comm, [((i, j), e) for i, j, e in block])
+    assert (pair_dict(nbr), comm) == (expected_pure, expected_comm)
