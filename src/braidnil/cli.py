@@ -40,15 +40,15 @@ from .expr import ExpressionError, parse
 
 
 # an integer on the command line, as in an expression: an optional sign and ASCII digits, with surrounding
-# whitespace; int() alone also takes '٣' and '1_0'
+# whitespace; int() alone also takes '٣' and '1_0', and rejects the spaces '\x1c'..'\x1f' that \s takes
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _ascii_int(text: str) -> int:
-    """int(text) for an integer that _INTEGER matches; anything else is int()'s ValueError."""
+    """The integer that _INTEGER matches, stripped of the spaces it allows; anything else is int()'s ValueError."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    return int(text.strip())
 
 
 def _int_option(text: str) -> int:
@@ -88,15 +88,29 @@ def _render_element(e: NilElement) -> str:
     return " ".join(bits)
 
 
-def _block_rows(rows, signs, width: int, offset: int, zero: str, sep: str, fmt):
-    """Text rows of the signed permutation block with signs[c] at (rows[c], offset + c).
+def _write_block(write, rows, signs, width: int, offset: int, zero: str, sep: str, fmt, row_open: str,
+                 row_close: str, join: str) -> None:
+    """Write the signed permutation block with signs[c] at (rows[c], offset + c), row by row.
 
-    Each row is `width` cells joined by `sep`: a run of zero cells, its one
-    nonzero entry, then another run of zero cells, never encoded cell by cell.
+    A row is row_open, `width` cells joined by `sep`, then row_close, and rows
+    are joined by `join`.  Each row is two writes: one slice of the template
+    `gap`, which runs from the last row's nonzero cell to this row's, and this
+    row's one formatted entry.  So no row string is built or concatenated, and
+    memory holds one template of O(width) characters.
     """
-    for c in sorted(range(len(rows)), key=rows.__getitem__):  # the column of each row's nonzero
+    step, between = len(sep + zero), row_close + join + row_open  # a zero cell with its separator, on either side
+    gap = (sep + zero) * width + between + (zero + sep) * width
+    start = step * width + len(row_close + join)  # the first row's open
+    cols = [0] * len(rows)
+    for c, r in enumerate(rows):  # the column of each row's nonzero
+        cols[r] = c
+    for c in cols:
         at = offset + c
-        yield (zero + sep) * at + fmt(signs[c]) + (sep + zero) * (width - at - 1)
+        write(gap[start:step * (width + at) + len(between)])
+        write(fmt(signs[c]))
+        start = step * (at + 1)
+    if cols:
+        write(gap[start:step * width + len(row_close)])
 
 
 def _write_holonomy(h, pretty: bool) -> None:
@@ -111,14 +125,12 @@ def _write_holonomy(h, pretty: bool) -> None:
     blocks = ((h.pair_rows, (1,) * p, 0), (h.triple_rows, h.triple_signs, p))
     if pretty:
         for rows, signs, offset in blocks:
-            for row in _block_rows(rows, signs, p + t, offset, " 0", " ", "{:>2}".format):
-                write(row + "\n")
+            _write_block(write, rows, signs, p + t, offset, " 0", " ", "{:>2}".format, "", "\n", "")
         write(f"det = {h.det}\n")
         return
     for head, (rows, signs, _) in zip(('{"block1":[', '],"block2":['), blocks):
         write(head)
-        for i, row in enumerate(_block_rows(rows, signs, len(rows), 0, "0", ",", str)):
-            write(("[" if i == 0 else ",[") + row + "]")
+        _write_block(write, rows, signs, len(rows), 0, "0", ",", str, "[", "]", ",")
     rest = dumps_canonical({"n": h.n, "pair_basis": h.pair_basis, "triple_basis": h.triple_basis, "det": h.det})
     write("]," + rest[1:] + "\n")
 

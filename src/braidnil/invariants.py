@@ -11,21 +11,23 @@ The Hirsch length of the class-(k-1) quotient, which is the dimension of the
 ambient almost-crystallographic group, is the sum of the first k-1 ranks.
 
 Holonomy matrices record the conjugation action of an element on the two
-graded lattices, core.conjugation_step of each basis key: all signs are +1 on
-pair coordinates, and the triple coordinates carry the signs of the sort.
-Both blocks are stored as signed permutations, O(C(n,3)) integers rather
-than O(C(n,3)^2) matrix cells; the dense matrix exists only as
-combined_matrix's view, and the CLI writes its text rows straight from the
-permutations.  Determinant +1 on every generator of a finite quotient group
-is the orientability criterion for the corresponding infra-nilmanifold.
-Bases are lexicographic, except that an explicit pair order may be passed
-(the 3-strand regression uses the ordering of the source matrices).
+graded lattices, core.conjugation_step of each basis key, taken in one pass:
+the lex keys of the inverse permutation's image, each sorted.  All signs are
++1 on pair coordinates, and the triple coordinates carry the signs of the
+sort.  Both blocks are stored as signed permutations, O(C(n,3)) integers
+rather than O(C(n,3)^2) matrix cells; the dense matrix exists only as
+combined_matrix's view, and the CLI writes each text row straight from the
+permutations, as one slice of a template and one entry.  Determinant +1 on
+every generator of a finite quotient group is the orientability criterion for
+the corresponding infra-nilmanifold.  Bases are lexicographic, except that an
+explicit pair order may be passed (the 3-strand regression uses the ordering
+of the source matrices), which reorders the images of the lex keys.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, combinations, starmap
 
 from .core import (
     CommPart,
@@ -39,7 +41,6 @@ from .core import (
     _check_strands,
     _trusted,
     _Value,
-    conjugation_step,
 )
 
 
@@ -180,12 +181,16 @@ def holonomy_matrix(g: NilElement, pair_basis: tuple[Pair, ...] | None = None) -
             valid = False
         if not valid:
             raise DomainError("the pair basis order must enumerate every pair exactly once")
-    blocks, det = [], 1
+    blocks, det, inverse = [], 1, g.perm.inverse().image
     for cls, basis in ((PurePart, pair_basis), (CommPart, None)):
-        basis = tuple(cls.keys(g.n)) if basis is None else basis
-        idx = {key: i for i, key in enumerate(basis)}
-        images = list(map(conjugation_step(g.perm, cls), basis))
-        rows, signs = tuple(idx[key] for key, _ in images), tuple(s for _, s in images)
+        lex = tuple(cls.keys(g.n))
+        images = list(starmap(cls._sort, combinations(inverse, cls.arity)))  # conjugation_step of each lex key
+        if basis is None:
+            basis = lex
+        else:  # an explicit pair order reorders them
+            images = list(map(dict(zip(lex, images)).__getitem__, basis))
+        idx = dict(zip(basis, range(len(basis))))
+        rows, signs = tuple(map(idx.__getitem__, [key for key, _ in images])), tuple([s for _, s in images])
         perm = _trusted(Permutation, image=tuple(r + 1 for r in rows))  # a bijection by construction
         det *= (-1) ** (len(rows) - len(perm.cycles())) * math.prod(signs)  # sign: (-1)^(m - #cycles)
         blocks.append((basis, rows, signs))

@@ -7,8 +7,9 @@ the README's command lines, each subcommand's valid request from
 tests/test_cli.py (with its --pretty form where there is one), one request
 per distinct diagnostic, the north star's largest sizes, integer options
 that are not ASCII integers, expressions that mix every kind of atom,
-element JSON that is not canonical next to its canonical form, and runs of
-generator letters broken by an exponent, a bad index or a stray integer.
+element JSON that is not canonical next to its canonical form, runs of
+generator letters broken by an exponent, a bad index or a stray integer, and
+holonomy's empty and --pretty blocks.
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py             # write every record; the header names HEAD
@@ -202,7 +203,7 @@ DIAGNOSTICS = [
     ["conjugacy", "decide", "--n", "5", "s1", "s2"],
 ]
 
-# integer options that are not an optional sign and ASCII digits
+# integer options that are not an optional sign and ASCII digits, and spaces around one that int() alone rejects
 NON_ASCII_INTEGERS = [
     ["collect", "--n", "٣", "s1"],
     ["collect", "--n", "1_0", "s1"],
@@ -212,6 +213,7 @@ NON_ASCII_INTEGERS = [
     ["torsion", "--n", "12", "--cycle-type", "5,1_1"],
     ["collect", "--n", " 3 ", "s1"],
     ["torsion", "--n", "12", "--cycle-type", " 5 , +7"],
+    ["collect", "--n", "\x1c3", "s1"],
 ]
 
 # expressions that mix generator runs, coordinate atoms, generator powers past the run limit and nested groups
@@ -239,6 +241,16 @@ GENERATOR_RUNS = [
     ["collect", "--n", "4", "s1 s2 s3 ^2 S1"],
     ["collect", "--n", "4", "s1 s2 s9 s0"],
     ["collect", "--n", "4", "s1 s2 2"],
+]
+
+# holonomy's edge blocks, both empty at n = 1 and an empty triple block at n = 2, and --pretty past n = 3: a
+# 60-letter word at n = 20 writes 1330 rows of 1330 cells
+HOLONOMY_FORMS = [
+    ["holonomy", "--n", "1", ""],
+    ["holonomy", "--n", "2", "s1", "--pretty"],
+    ["holonomy", "--n", "20", "s9 s11 s1 S14 s4 s11 S19 S14 s7 S11 S14 s17 S13 s7 s2 s4 s7 S10 S9 s4 s9 s8 s2 s10 S5 S15 s9"
+     " S6 s13 s5 S12 s4 s17 s14 s6 s4 S1 S13 S17 s6 s15 S1 s19 s3 S9 s10 s1 s8 s6 s17 s10 s14 S4 S4 s8 s8 s10 s18 S5"
+     " s15", "--pretty"],
 ]
 
 
@@ -272,7 +284,7 @@ def requests() -> list[list[str]]:
     """Every request once, in the order of first appearance."""
     out = []
     for argv in (_readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS
-                 + ELEMENT_JSON + GENERATOR_RUNS):
+                 + ELEMENT_JSON + GENERATOR_RUNS + HOLONOMY_FORMS):
         if argv not in out:
             out.append(argv)
     return out

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import braidnil
 from braidnil import orbits, presentations, torsion
-from braidnil.cli import _COMMANDS, build_parser, main
+from braidnil.cli import _COMMANDS, _int_option, build_parser, main
 from braidnil.core import (
     Permutation,
     PurePart,
@@ -274,11 +274,12 @@ def test_holonomy_paper_basis(capsys):
     assert doc["det"] == 1
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_holonomy_output_equals_the_dense_oracle(capsys, n):
+    # both blocks are empty at n = 1, and the triple block at n = 2
     rng = random.Random(n)
     for _ in range(3):
-        g = collect(random_word(rng, n, 40))
+        g = collect(random_word(rng, n, 40 if n > 1 else 0))
         doc = dense_holonomy(g)
         arg = json.dumps(element_to_dict(g))
         assert run(capsys, "holonomy", "--n", str(n), arg) == (0, holonomy_json(doc), "")
@@ -298,9 +299,43 @@ def test_paper_basis_off_three_strands_exits_3(capsys):
     assert (code, out, err) == (3, "", "domain error: --paper-basis is only defined for n=3\n")
 
 
+class _Pieces:
+    """A stdout that keeps each written piece."""
+
+    def __init__(self):
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_a_holonomy_row_is_two_writes_of_at_most_one_template(monkeypatch, n, pretty):
+    # a row is one slice of its block's template, which runs from one row's nonzero cell to the next row's, and
+    # one entry; a writer that encodes cell by cell writes more pieces, and one that builds a block writes longer ones
+    g = collect(random_word(random.Random(n), n, 40 if n > 1 else 0))
+    doc = dense_holonomy(g)
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["holonomy", "--n", str(n), json.dumps(element_to_dict(g))] + ["--pretty"] * pretty) == 0
+    pieces = stdout.pieces
+    assert "".join(pieces) == (holonomy_pretty if pretty else holonomy_json)(doc)
+    p, t = len(doc["block1"]), len(doc["block2"])
+    assert len(pieces) <= 2 * (p + t) + 2 * 2 + 1  # two per row, two per block, and the keys after the blocks
+    step, between, widths = (3, "\n", (p + t, p + t)) if pretty else (2, "],[", (p, t))
+    gap = max(2 * step * width + len(between) for width in widths)
+    heads = ("{\"block1\":[", "],\"block2\":[")
+    assert all(len(piece) <= gap for piece in pieces[:-1] if pretty or piece not in heads)
+
+
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 def test_holonomy_memory_stays_bounded(pretty):
-    # dense n=28 blocks would take over 200 MB; the signed permutations and one text row take well under 1 MB
+    # dense n=28 blocks would take over 200 MB; the signed permutations and one row template take well under 1 MB
     argv = ["holonomy", "--n", "28", "s1 s2 s5 S27"] + (["--pretty"] if pretty else [])
     code, hwm_kb = peak_in_child("from braidnil.cli import main\nresult = main(sys.argv[1:])", *argv)
     assert code == 0
@@ -409,6 +444,14 @@ def test_an_integer_option_is_an_ascii_integer(capsys, argv, option, text):
 ])
 def test_an_integer_may_keep_its_sign_and_surrounding_whitespace(capsys, argv, same):
     assert run(capsys, *argv) == run(capsys, *same)
+
+
+@pytest.mark.parametrize("text, value", [("\x1c3", 3), ("3\x1f", 3), ("\x1d-3 ", -3)])
+def test_an_integer_option_takes_every_space_that_its_pattern_takes(text, value):
+    # the pattern's \s takes the separators '\x1c'..'\x1f', which int() alone rejects
+    assert _int_option(text) == value
+    for space in (chr(i) for i in range(0x3001) if chr(i).isspace()):
+        assert _int_option(space + text + space) == value
 
 
 def test_parse_error_exit_code(capsys):
@@ -650,11 +693,13 @@ def test_running_out_of_memory_exits_3():
 
 @pytest.mark.parametrize("argv, keep", [
     pytest.param(["holonomy", "--n", "28", "s1"], 10, id="while-writing"),
+    pytest.param(["holonomy", "--n", "28", "s1"], 1, id="after-one-byte"),
+    pytest.param(["holonomy", "--n", "28", "s1", "--pretty"], 1, id="pretty-after-one-byte"),
     pytest.param(["collect", "--n", "5", "s1"], 0, id="at-the-last-flush"),
 ])
 def test_a_closed_stdout_exits_3_with_one_line(argv, keep):
-    # the reader takes `keep` bytes and closes the pipe; the 21 MB holonomy document fails while it is written, and
-    # the collect one sits in stdout's buffer until main flushes it
+    # the reader takes `keep` bytes and closes the pipe, one byte as `head -c 1` does; the 21 MB holonomy document,
+    # in either form, fails while it is written, and the collect one sits in stdout's buffer until main flushes it
     env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
     read, write = os.pipe()

@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 from braidnil import invariants
 from braidnil.core import (
     BraidWord,
+    CommPart,
     DomainError,
+    NilElement,
     Permutation,
+    PurePart,
     collect,
     comm_gen,
     conj,
+    conjugation_step,
     mul,
     pairs,
     pure_gen,
     sigma,
     tits_lift,
+    triples,
 )
 from braidnil.invariants import (
     combined_matrix,
@@ -261,6 +266,33 @@ class TestHolonomy:
                 assert [list(r[p:]) for r in dense[p:]] == doc["block2"]
                 assert all(not any(r[p:]) for r in dense[:p]) and all(not any(r[:p]) for r in dense[p:])
                 assert h.det == doc["det"]
+
+
+@st.composite
+def permutation_elements(draw):
+    """An element with a random permutation on n <= 12 strands and a random pair basis order, or the paper's at
+    n = 3; its pure and level-2 parts are zero, since the action depends on the permutation alone."""
+    n = draw(st.integers(1, 12))
+    perm = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    g = NilElement(n, perm, PurePart.zero(n), CommPart.zero(n))
+    if n == 3 and draw(st.booleans()):
+        return g, TestHolonomy.PAPER_PAIRS
+    return g, tuple(draw(st.permutations(list(pairs(n))))) if draw(st.booleans()) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutation_elements())
+def test_holonomy_rows_and_signs_are_the_conjugation_step_of_each_basis_key(case):
+    # holonomy_matrix reads the images of the lex keys in one pass; the step, one key at a time, is the stated rule
+    g, pair_basis = case
+    h = holonomy_matrix(g, pair_basis=pair_basis)
+    assert h.pair_basis == (tuple(pairs(g.n)) if pair_basis is None else pair_basis)
+    assert h.triple_basis == tuple(triples(g.n))
+    for cls, basis, rows, signs in ((PurePart, h.pair_basis, h.pair_rows, (1,) * len(h.pair_basis)),
+                                    (CommPart, h.triple_basis, h.triple_rows, h.triple_signs)):
+        images = list(map(conjugation_step(g.perm, cls), basis))
+        assert rows == tuple(basis.index(key) for key, _ in images)
+        assert signs == tuple(sign for _, sign in images)
 
 
 def _matmul(a, b):
