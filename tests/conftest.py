@@ -96,8 +96,9 @@ def peak_in_child(statement: str, *argv: str) -> tuple[int, int]:
 
 
 def random_word(rng: random.Random, n: int, max_len: int = 40) -> BraidWord:
+    """A word of a random length up to max_len; at n = 1, which has no generator, the empty word."""
     length = rng.randint(0, max_len)
-    return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length)))
+    return BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length if n > 1 else 0)))
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Regenerate or replay the golden CLI corpus, cli.jsonl next to this script.
+"""Regenerate or replay the golden CLI corpus, cli.jsonl next to this script, and check the CLI identities.
 
 The first line of the corpus is a header naming the commit it was generated
 at.  Each further line is one request: its argv after `braidnil`, its exit
@@ -10,20 +10,24 @@ that are not ASCII integers, expressions that mix every kind of atom,
 element JSON that is not canonical next to its canonical form, runs of
 generator letters broken by an exponent, a bad index or a stray integer, and
 holonomy's empty and --pretty blocks.
+IDENTITIES are group laws, each two chains of requests whose last stdout
+bytes must be equal; tests/test_golden.py replays them and the corpus.
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py             # write every record; the header names HEAD
     PYTHONPATH=src python tests/golden/regen.py --changed   # rewrite only the records whose outcome changed
-    PYTHONPATH=src python tests/golden/regen.py --cold      # replay a sample in fresh interpreters
+    PYTHONPATH=src python tests/golden/regen.py --cold      # replay a sample and the identities in fresh interpreters
 
 A full write keeps the requests already in the file in their places, since
 the replay test names a record by its index, appends the new ones and drops
 those no longer listed.  --changed keeps the header and the file's requests,
 and prints each request it rewrites; a change that alters an output lists
 those in CHANGES.md.
---cold runs every diagnostic record and every tenth other one through
-`python -X dev -W error -m braidnil.cli` and exits 1 if any differs.  Both
-replays fix COLUMNS at 80, the width argparse wraps its usage lines to.
+--cold runs every diagnostic record, every request at the largest sizes and
+every tenth other record, then both sides of every identity, each request
+through `python -X dev -W error -m braidnil.cli`, and exits 1 if any record
+differs or any identity fails.  Both replays fix COLUMNS at 80, the width
+argparse wraps its usage lines to.
 """
 
 from __future__ import annotations
@@ -41,14 +45,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from braidnil.cli import main
+from braidnil.core import dumps_canonical
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "cli.jsonl"
 ROOT = HERE.parent.parent
 
 
-def replay(argv: list[str]) -> tuple[int, str, str]:
-    """main(argv) in this process: its exit code, the sha256 of its stdout bytes and its stderr text."""
+def replay(argv: list[str]) -> tuple[int, bytes, str]:
+    """main(argv) in this process: its exit code, its stdout bytes and its stderr text."""
     out, err = io.BytesIO(), io.StringIO()
     stdout = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
     with redirect_stdout(stdout), redirect_stderr(err):
@@ -57,14 +62,20 @@ def replay(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse's own errors and --help
             code = exc.code
     stdout.flush()
-    return code, hashlib.sha256(out.getvalue()).hexdigest(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def cold(argv: list[str]) -> tuple[int, str, str]:
+def cold(argv: list[str]) -> tuple[int, bytes, str]:
     """The same outcome from a fresh `python -X dev -W error -m braidnil.cli` process."""
     proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "braidnil.cli", *argv],
                           capture_output=True)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode()
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def hashed(outcome: tuple[int, bytes, str]) -> tuple[int, str, str]:
+    """An outcome with its stdout bytes replaced by their sha256, as a record holds it."""
+    code, out, err = outcome
+    return code, hashlib.sha256(out).hexdigest(), err
 
 
 def read_corpus() -> tuple[dict, list[dict]]:
@@ -74,7 +85,7 @@ def read_corpus() -> tuple[dict, list[dict]]:
 
 
 def recorded(record: dict) -> tuple[int, str, str]:
-    """The outcome a record holds, in the order replay and cold give it."""
+    """The outcome a record holds, in the order that hashed gives it."""
     return record["exit"], record["stdout_sha256"], record["stderr"]
 
 
@@ -83,13 +94,14 @@ def is_diagnostic(record: dict) -> bool:
 
 
 def cold_sample(records: list[dict]) -> list[dict]:
-    """Every diagnostic record, and every tenth of the others."""
-    others = [r for r in records if not is_diagnostic(r)]
-    return [r for r in records if is_diagnostic(r)] + others[::10]
+    """Every diagnostic record, every request at the north star's largest sizes, and every tenth of the others."""
+    largest = _largest()
+    others = [r for r in records if not is_diagnostic(r) and r["argv"] not in largest]
+    return [r for r in records if is_diagnostic(r) or r["argv"] in largest] + others[::10]
 
 
 def _record(argv: list[str]) -> dict:
-    code, digest, stderr = replay(argv)
+    code, digest, stderr = hashed(replay(argv))
     return {"argv": argv, "exit": code, "stdout_sha256": digest, "stderr": stderr}
 
 
@@ -177,6 +189,7 @@ DIAGNOSTICS = [
     ["ranks", "--n", "5", "--q", "2", "--qmax", "3"],
     ["ranks", "--n", "-5", "--qmax", "0"],
     ["ranks", "--n", "1", "--q", "1"],
+    ["ranks", "--n", "1", "--qmax", "0"],
     ["table", "--nmax", "2", "--kmax", "2"],
     ["delta", "--n", "6", "--k", "4"],
     ["delta", "--n", "3", "--k", "5"],
@@ -256,9 +269,8 @@ HOLONOMY_FORMS = [
 
 def _largest() -> list[list[str]]:
     """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness and a cycle type at 23, pow and
-    order at 32."""
+    order at 32, and the benchmark's fulltwist at 16."""
     from braidnil import BraidWord, collect, conj, element_to_dict, element_with_cycle_type
-    from braidnil.core import dumps_canonical
     from braidnil.torsion import delta_word
     rng = random.Random(1)
     a = element_with_cycle_type(23, [23])
@@ -277,7 +289,73 @@ def _largest() -> list[list[str]]:
         ["order", "--n", "32", word],
         ["order", "--n", "32", delta31],
         ["pow", "--n", "32", delta31, "-31"],
+        ["verify", "--suite", "fulltwist", "--n", "16"],
     ]
+
+
+# the benchmark's fold audit: a 2000-letter word of both signs at n = 32
+_rng = random.Random(1)
+_LONG = [_rng.choice("sS") + str(_rng.randint(1, 31)) for _ in range(2000)]
+
+# (name, left, right): two chains of requests whose final stdout bytes must be equal, every step exiting 0 with an
+# empty stderr.  An argv item is a string, an int i for step i's stdout on the same side without its newline, or
+# (i, key) for one field of that stdout's JSON, re-encoded canonically.
+_G12 = "(s1 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11)^4 (s2 s4^-1 s6 s8^-1 s10)^3 A[1,12]^2 a[3,7,11]"
+_X12 = "(s11 s9^-1 s7 s5^-1 s3 s1^-1)^3 (s1 s2 s3 s4 s5 s6)^5 A[2,9]"
+_X16 = "(s1 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 s12 s13 s14)^3 (s2 s4^-1 s6 s8^-1 s10 s12^-1)^5 A[1,16]^2 a[3,7,11]"
+_D16 = "(s1 s3 S5 s7 s9 S11 s13 s15 s2 S4 s6 s8 S10 s12 s14)^9 (s15 s13 S11 s9 s7 S5 s3 s1)^11 A[1,16]^2 a[3,7,11]"
+_A32 = ("(s1 s3 S5 s7 s9 S11 s13 s15 s17 S19 s21 s23 S25 s27 s29 S31 s2 S4 s6 s8 S10 s12 s14 S16 s18 s20 S22 s24 s26"
+        " S28 s30)^7 (s31 s29 S27 s25 s23 S21 s19 s17 S15 s13 s11 S9 s7 s5 S3 s1)^9 A[1,32]^2 a[3,17,29]")
+_B32 = ("(s2 s5 S8 s11 s14 S17 s20 s23 S26 s29 s1 S4 s7 s10 S13 s16 s19 S22 s25 s28 S31)^8 (s30 S24 s18 s12 S6 s3 s9"
+        " S15 s21 s27 s4 S10 s16 s22 S28)^11 (s31 S30 s29 s28 S27 s26 s25 S24 s23 s22 S21 s20 s19 S18 s17 s16)^5"
+        " A[2,31]^-3 a[1,16,32]^2")
+IDENTITIES = [
+    # conj runs g x g^-1 in one pass: two products and an inverse, passed on as element JSON
+    ("conj", [["conj", "--n", "12", _G12, _X12]],
+     [["mul", "--n", "12", _G12, _X12], ["inv", "--n", "12", _G12], ["mul", "--n", "12", 0, 1]]),
+    # pow chains its products on one state; cycle type (7, 4, 4, 1) gives q = 28, r = 11 and s = 35714, so both
+    # chains and the closed-form step run: one product onto the power before
+    ("pow", [["pow", "--n", "16", _X16, "1000003"]],
+     [["pow", "--n", "16", _X16, "1000002"], ["mul", "--n", "16", 0, _X16]]),
+    # inv and collect freeze through the fold's frame: a dense element (46 pure and 170 level-2 entries)
+    ("inv-inv", [["collect", "--n", "16", _D16]],
+     [["inv", "--n", "16", _D16], ["inv", "--n", "16", 0]]),
+    # mul renames a's state before b's section and merges b's pure block; inv merges its pure block reversed and
+    # negated: two dense elements (87 pure and 519 level-2 entries, and 54 and 121), the product of the inverses
+    # taken in the other order
+    ("inv-of-a-product", [["mul", "--n", "32", _A32, _B32], ["inv", "--n", "32", 0]],
+     [["inv", "--n", "32", _A32], ["inv", "--n", "32", _B32], ["mul", "--n", "32", 1, 0]]),
+    # the long word against the product of its two halves' collects
+    ("collect-of-halves", [["collect", "--n", "32", " ".join(_LONG)]],
+     [["collect", "--n", "32", " ".join(_LONG[:1000])], ["collect", "--n", "32", " ".join(_LONG[1000:])],
+      ["mul", "--n", "32", 0, 1]]),
+    # a cycle type is one product Theta * D; with fixed points before, between and after its blocks, the element of
+    # type 1,5,1,7,1,7 has order 35, so its 35th power is the identity
+    ("torsion-order",
+     [["torsion", "--n", "23", "--cycle-type", "1,5,1,7,1,7"], ["pow", "--n", "23", (0, "element"), "35"]],
+     [["collect", "--n", "23", ""]]),
+]
+
+
+def _argument(item: str | int | tuple[int, str], outs: list[bytes]) -> str:
+    if isinstance(item, str):
+        return item
+    if isinstance(item, int):
+        return outs[item].decode().removesuffix("\n")
+    return dumps_canonical(json.loads(outs[item[0]])[item[1]])
+
+
+def chain(steps: list[list], run) -> bytes:
+    """The stdout bytes of a chain's last step, each step through run; a step that exits nonzero or writes to stderr
+    raises RuntimeError."""
+    outs: list[bytes] = []
+    for step in steps:
+        argv = [_argument(item, outs) for item in step]
+        code, out, err = run(argv)
+        if code or err:
+            raise RuntimeError(f"{argv[:3]} exited {code}: {err}")
+        outs.append(out)
+    return outs[-1]
 
 
 def requests() -> list[list[str]]:
@@ -299,9 +377,11 @@ def main_regen(argv: list[str]) -> int:
     os.environ["COLUMNS"] = "80"
     if argv == ["--cold"]:
         _, records = read_corpus()
-        bad = [r["argv"] for r in cold_sample(records) if cold(r["argv"]) != recorded(r)]
-        for request in bad:
-            print(f"differs: {json.dumps(request, ensure_ascii=False)}", file=sys.stderr)
+        bad = [json.dumps(r["argv"], ensure_ascii=False)
+               for r in cold_sample(records) if hashed(cold(r["argv"])) != recorded(r)]
+        bad += [f"identity {name}" for name, left, right in IDENTITIES if chain(left, cold) != chain(right, cold)]
+        for failure in bad:
+            print(f"differs: {failure}", file=sys.stderr)
         return 1 if bad else 0
     if argv == ["--changed"]:
         header, records = read_corpus()

@@ -279,7 +279,7 @@ def test_holonomy_output_equals_the_dense_oracle(capsys, n):
     # both blocks are empty at n = 1, and the triple block at n = 2
     rng = random.Random(n)
     for _ in range(3):
-        g = collect(random_word(rng, n, 40 if n > 1 else 0))
+        g = collect(random_word(rng, n))
         doc = dense_holonomy(g)
         arg = json.dumps(element_to_dict(g))
         assert run(capsys, "holonomy", "--n", str(n), arg) == (0, holonomy_json(doc), "")
@@ -318,7 +318,7 @@ class _Pieces:
 def test_a_holonomy_row_is_two_writes_of_at_most_one_template(monkeypatch, n, pretty):
     # a row is one slice of its block's template, which runs from one row's nonzero cell to the next row's, and
     # one entry; a writer that encodes cell by cell writes more pieces, and one that builds a block writes longer ones
-    g = collect(random_word(random.Random(n), n, 40 if n > 1 else 0))
+    g = collect(random_word(random.Random(n), n))
     doc = dense_holonomy(g)
     stdout = _Pieces()
     monkeypatch.setattr(sys, "stdout", stdout)

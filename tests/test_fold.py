@@ -228,16 +228,22 @@ class CountedRow(dict):
 
     def items(self):
         for item in super().items():
-            CountedRow.tally[0] += 1
+            self.tally[0] += 1
             yield item
 
     def get(self, key, default=None):
-        CountedRow.tally[1] += 1
+        self.tally[1] += 1
         return super().get(key, default)
 
     def __contains__(self, key):
-        CountedRow.tally[1] += 1
+        self.tally[1] += 1
         return super().__contains__(key)
+
+
+class CountedComm(CountedRow):
+    """A level-2 dict that counts as CountedRow does, apart from the rows."""
+
+    tally = [0, 0]
 
 
 @st.composite
@@ -302,3 +308,21 @@ def test_a_merged_factor_scans_at_most_the_rows_of_its_two_indices(case):
     expected_pure, expected_comm = dict(pure), {}
     scan_merge_pure_block(expected_pure, expected_comm, [((i, j), e) for i, j, e in block])
     assert (pair_dict(nbr), comm) == (expected_pure, expected_comm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_adjacencies_and_letters(), st.integers(0, 2**32))
+def test_the_rename_reads_each_starting_entry_once_and_the_letters_fold_its_copy(case, seed):
+    # _fold renames nbr and comm into new dicts before its letters: one pass over each row's entries and over comm's,
+    # no lookup, and the letters neither read nor write the objects it was given
+    n, image, adj, word = case
+    nbr = [CountedRow(row) for row in adj]
+    rng = random.Random(seed)
+    comm = CountedComm({t: rng.choice((-2, -1, 1, 2)) for t in triples(n) if rng.random() < 0.3})
+    start = [dict(row) for row in adj], dict(comm)
+    CountedRow.tally[:], CountedComm.tally[:] = [0, 0], [0, 0]
+    state = _fold(list(image), nbr, comm, word)
+    assert CountedRow.tally == [sum(map(len, adj)) if word else 0, 0]
+    assert CountedComm.tally == [len(comm) if word else 0, 0]
+    assert ([dict(row) for row in nbr], dict(comm)) == start
+    assert _freeze(n, *state) == _freeze(n, *_fold_framed(list(image), *copy.deepcopy(start), word))
