@@ -27,8 +27,7 @@ _MODULE_OF = {name: module for module, names in {
     ),
     "torsion": (
         "compatible_residues", "conjugacy_decide", "conjugacy_witness", "delta", "delta_power_coefficients",
-        "delta_word", "element_with_cycle_type", "finite_order_element", "shift_embed", "torsion",
-        "torsion_spectrum",
+        "delta_word", "element_with_cycle_type", "finite_order_element", "torsion", "torsion_spectrum",
     ),
 }.items() for name in names}
 

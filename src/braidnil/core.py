@@ -818,9 +818,10 @@ def conjugation_step(perm: Permutation,
     trivially on level 2, so the step is exact for every element with this
     permutation.
     """
-    at = ((0,) + perm.inverse().image).__getitem__
-    sort = cls._sort
-    return lambda key: sort(*map(at, key))
+    at, sort = (0,) + perm.inverse().image, cls._sort
+    if cls.arity == 2:  # indexed, not mapped: the step runs once per key of an orbit walk
+        return lambda key: sort(at[key[0]], at[key[1]])
+    return lambda key: sort(at[key[0]], at[key[1]], at[key[2]])
 
 
 # ---------------------------------------------------------------------------

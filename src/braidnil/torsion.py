@@ -21,14 +21,14 @@ permutations, then solve one circulant system x_{j+1} - x_j = r_j per
 conjugation orbit (_solve_level), at level 1 and again at level 2.  It is
 solvable exactly when the r_j sum to zero, which the finite-order hypothesis
 guarantees; the free variable per orbit is pinned to x_0 = 0 at the
-representative.  The witness computes one order, the sparser input's, and
-checks g a = b g: the other order follows, or is decided if a stage fails.
+representative, so x is a running sum along the orbit, taken in one pass.
+The witness computes one order, the sparser input's, and checks
+conj(g, a) = b: the other order follows, or is decided if a stage fails.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 from .core import (
     BraidWord,
@@ -40,7 +40,6 @@ from .core import (
     PurePart,
     _check_int,
     _check_strands,
-    _trusted,
     collect,
     conj,
     mul,
@@ -133,27 +132,6 @@ def compatible_residues(n: int) -> list[list[int]]:
     return [[-m] + [0] * (len(orb) - 1) for m, orb in zip(constants, basis.orbits)]
 
 
-def shift_embed(elem: NilElement, offset: int, n: int) -> NilElement:
-    """Translate an element on n0 strands by offset into the group on n strands.
-
-    The block inclusion sending generator i to generator i+offset is injective
-    and preserves orders; on normal forms it translates every strand index.
-    """
-    _check_int("offset", offset)
-    _check_int("strand count", n)
-    n0 = elem.n
-    if offset < 0 or offset + n0 > n:
-        raise DomainError(f"cannot shift {n0} strands by {offset} into {n}")
-    image = list(range(1, n + 1))
-    for i, v in enumerate(elem.perm.image):
-        image[offset + i] = offset + v
-    # translating every index keeps the keys sorted and lex-ordered, so the parts stay canonical
-    pure = tuple((i + offset, j + offset, e) for i, j, e in elem.pure.entries)
-    comm = tuple((i + offset, j + offset, k + offset, c) for i, j, k, c in elem.comm.entries)
-    return _trusted(NilElement, n=n, perm=Permutation(tuple(image)),
-                    pure=_trusted(PurePart, n=n, entries=pure), comm=_trusted(CommPart, n=n, entries=comm))
-
-
 def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     """A finite-order element whose permutation has the given cycle type.
 
@@ -162,8 +140,9 @@ def element_with_cycle_type(n: int, parts: list[int]) -> NilElement:
     the lcm of the parts.  The result is Theta * D: a block p at offset o puts
     minus each constant of delta_power_coefficients(p), read once per distinct
     p, into Theta at its orbit's representative shifted by o, and delta_word(o,
-    p, n) into D.  It equals the product of shift_embed(finite_order_element(p,
-    compatible_residues(p)), o, n) over the blocks.
+    p, n) into D.  It equals the product over the blocks of
+    finite_order_element(p, compatible_residues(p)) with every strand index
+    raised by o.
     """
     _check_strands(n)
     parts = list(parts)  # read once: a one-shot iterable would lose its parts to the checks
@@ -240,9 +219,10 @@ def conjugating_permutation(pa: Permutation, pb: Permutation) -> Permutation:
 def _solve_level(perm: Permutation, want: PurePart | CommPart, have: PurePart | CommPart):
     """The part x solving x_{j+1} - x_j = r_j, x_0 = 0, along each orbit of conjugation by permutation perm.
 
-    Rows r and x are the orbit layouts of want - have and of the result, so x
-    is the prefix sum of r.  The differences around an orbit cycle sum to zero,
-    so a nonzero row sum is the obstruction.  It raises DomainError naming the
+    r is want - have, signed along the orbit, and x its running sum, one pass
+    per orbit; each key lies in one orbit, so x's nonzero cells, sorted once,
+    are the part.  The differences around an orbit cycle sum to zero, so a
+    nonzero row sum is the obstruction.  It raises DomainError naming the
     level and either the orbit and its row sum or the orbit that closes with sign -1.
     """
     level = f"level {want.arity - 1} ({want.noun} orbits)"
@@ -250,13 +230,20 @@ def _solve_level(perm: Permutation, want: PurePart | CommPart, have: PurePart | 
         basis = orbit_basis_of(perm, type(want))
     except DomainError as err:
         raise DomainError(f"witness {level} failed: {err}") from err
-    xs = []
-    for i, (w, h) in enumerate(zip(coefficients_by_orbit(basis, want), coefficients_by_orbit(basis, have))):
-        r = [u - v for u, v in zip(w, h)]
-        if sum(r):
-            raise DomainError(f"witness {level} failed: orbit {i} at {basis.orbits[i][0][0]} has row sum {sum(r)}")
-        xs.append(list(accumulate(r[:-1], initial=0)))
-    return part_from_orbits(type(want), basis, xs)
+    r = want.as_map()
+    for row in have.entries:
+        r[row[:-1]] = r.get(row[:-1], 0) - row[-1]
+    rows = []
+    for i, orbit in enumerate(basis.orbits):
+        x = 0
+        for key, s in orbit:
+            if x:
+                rows.append(key + (s * x,))
+            x += s * r.get(key, 0)
+        if x:
+            raise DomainError(f"witness {level} failed: orbit {i} at {orbit[0][0]} has row sum {x}")
+    rows.sort()
+    return type(want)(want.n, tuple(rows))
 
 
 def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
@@ -269,7 +256,7 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
     permutation aligning the cycles; (2) match the level-1 parts by solving
     circulant systems over the pair orbits of conjugation by b; (3) match the
     level-2 parts likewise over its signed triple orbits; (4) verify g by
-    g a = b g.  A stage that fails raises DomainError naming it.
+    conj(g, a) = b.  A stage that fails raises DomainError naming it.
     """
     if a.n != b.n:
         raise DomainError("elements live on different strand counts")
@@ -295,9 +282,9 @@ def conjugacy_witness(a: NilElement, b: NilElement) -> NilElement:
         w = _solve_level(b.perm, b.comm, conj(g2, a1).comm)
 
         # (4) g = g3 g2 g1, where g3 g2 is the normal form (id, v, w) since level 2 is central in the pure part;
-        # g a = b g is conj(g, a) = b without the inverse of g
+        # conj(g, a) runs on g's state, without building g's inverse
         g = mul(NilElement(n, Permutation.identity(n), g2.pure, w), g1)
-        if mul(g, a) != mul(b, g):
+        if conj(g, a) != b:
             raise DomainError("witness final check failed: conj(g, a) differs from b")
     except DomainError:
         if order(second) is None:

@@ -1,7 +1,8 @@
 """Shared test helpers: random words, the Hypothesis element strategy, call
 counters, a child process's memory peak, the independent oracles, and the
 helpers only tests read (expression formatting, adjacent transpositions,
-Coxeter length, the closed-form orbit transversal).
+Coxeter length, the closed-form orbit transversal, the block shift of an
+element).
 
 The oracles are the permutation of a word, its lex-smallest reduced word by
 repeated smallest descents, and the strand-tracking normal form at level 1,
@@ -13,8 +14,10 @@ pure-block merge that scans every resident against it, power by plain
 squaring, conjugation as two products and an inverse, the dense holonomy
 matrices with the CLI text they encode to, the presentation check that
 collects both sides of every relation whole, the earlier relation loop that
-freezes every relation's folded lhs and compares normal forms, and the
-expression parser that scans one character at a time.  The fold and merge oracles keep level 1 as a
+freezes every relation's folded lhs and compares normal forms, the
+expression parser that scans one character at a time, and the conjugation
+step that maps over a key with the level solve in orbit layout, which the
+witness's indexed step and one-pass solve are checked against.  The fold and merge oracles keep level 1 as a
 pair dict; pair_dict and adjacency convert to and from the strand adjacency of
 the group law.  The element JSON reader and the coordinate constructors are
 checked against their earlier forms, which read every row cell by cell and
@@ -35,7 +38,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -52,6 +55,7 @@ from braidnil.core import (
     Permutation,
     PurePart,
     Triple,
+    _check_int,
     _check_strands,
     _fold,
     _fold_framed,
@@ -69,6 +73,7 @@ from braidnil.core import (
     triples,
 )
 from braidnil.expr import _MAX_NESTING, ExpressionError, _validate
+from braidnil.orbits import OrbitBasis, coefficients_by_orbit, part_from_orbits, signed_orbits
 from braidnil.presentations import RelationReport
 
 settings.register_profile("ci", derandomize=True, database=None)
@@ -295,6 +300,51 @@ def descent_greedy_word(image: tuple[int, ...]) -> tuple[int, ...]:
         else:
             i += 1
     return tuple(word)
+
+
+def conjugation_step_oracle(perm: Permutation, cls):
+    """The conjugation step as it mapped the inverse image over a key of any arity, then sorted it."""
+    at = ((0,) + perm.inverse().image).__getitem__
+    sort = cls._sort
+    return lambda key: sort(*map(at, key))
+
+
+def solve_level_oracle(perm: Permutation, want, have):
+    """The level solve in orbit layout, over orbits walked by conjugation_step_oracle: read want and have as two
+    tables of rows, check each row sum of their difference, take its prefix sums and write them back with
+    part_from_orbits.  Raises DomainError with the witness's messages."""
+    cls = type(want)
+    level = f"level {want.arity - 1} ({want.noun} orbits)"
+    try:
+        basis = OrbitBasis(perm.n, signed_orbits(cls.keys(perm.n), conjugation_step_oracle(perm, cls)))
+    except DomainError as err:
+        raise DomainError(f"witness {level} failed: {err}") from err
+    xs = []
+    for i, (w, h) in enumerate(zip(coefficients_by_orbit(basis, want), coefficients_by_orbit(basis, have))):
+        r = [u - v for u, v in zip(w, h)]
+        if sum(r):
+            raise DomainError(f"witness {level} failed: orbit {i} at {basis.orbits[i][0][0]} has row sum {sum(r)}")
+        xs.append(list(accumulate(r[:-1], initial=0)))
+    return part_from_orbits(cls, basis, xs)
+
+
+def shift_embed(elem: NilElement, offset: int, n: int) -> NilElement:
+    """Translate an element on n0 strands by offset into the group on n strands, through the checked constructors.
+
+    The block inclusion sending generator i to generator i+offset is injective
+    and preserves orders; on normal forms it translates every strand index.
+    """
+    _check_int("offset", offset)
+    _check_int("strand count", n)
+    n0 = elem.n
+    if offset < 0 or offset + n0 > n:
+        raise DomainError(f"cannot shift {n0} strands by {offset} into {n}")
+    image = list(range(1, n + 1))
+    for i, v in enumerate(elem.perm.image):
+        image[offset + i] = offset + v
+    pure = tuple((i + offset, j + offset, e) for i, j, e in elem.pure.entries)
+    comm = tuple((i + offset, j + offset, k + offset, c) for i, j, k, c in elem.comm.entries)
+    return NilElement(n, Permutation(tuple(image)), PurePart(n, pure), CommPart(n, comm))
 
 
 def satisfies(targets: tuple[int, ...], residues: list[list[int]]) -> bool:

@@ -26,8 +26,11 @@ those in CHANGES.md.
 --cold runs every diagnostic record, every request at the largest sizes and
 every tenth other record, then both sides of every identity, each request
 through `python -X dev -W error -m braidnil.cli`, and exits 1 if any record
-differs or any identity fails.  Both replays fix COLUMNS at 80, the width
-argparse wraps its usage lines to.
+differs or any identity fails.  If the library raises while it builds the
+largest sizes' inputs, that is one `differs: _largest(): ...` line, and the
+replay goes on with those requests sampled as the others; an identity whose
+step fails is one line naming the step.  Both replays fix COLUMNS at 80, the
+width argparse wraps its usage lines to.
 """
 
 from __future__ import annotations
@@ -93,11 +96,15 @@ def is_diagnostic(record: dict) -> bool:
     return record["exit"] != 0 or record["stderr"] != ""
 
 
-def cold_sample(records: list[dict]) -> list[dict]:
-    """Every diagnostic record, every request at the north star's largest sizes, and every tenth of the others."""
-    largest = _largest()
+def cold_sample(records: list[dict]) -> tuple[list[dict], list[str]]:
+    """Every diagnostic record, every request at the north star's largest sizes, and every tenth of the others;
+    and the failure to build those sizes, if the library raises there, with them then sampled as the others."""
+    try:
+        largest, failed = _largest(), []
+    except Exception as exc:  # a library defect is one failed record: the replay still lists every other one
+        largest, failed = [], [f"_largest(): {type(exc).__name__}: {exc}"]
     others = [r for r in records if not is_diagnostic(r) and r["argv"] not in largest]
-    return [r for r in records if is_diagnostic(r) or r["argv"] in largest] + others[::10]
+    return [r for r in records if is_diagnostic(r) or r["argv"] in largest] + others[::10], failed
 
 
 def _record(argv: list[str]) -> dict:
@@ -353,7 +360,7 @@ def chain(steps: list[list], run) -> bytes:
         argv = [_argument(item, outs) for item in step]
         code, out, err = run(argv)
         if code or err:
-            raise RuntimeError(f"{argv[:3]} exited {code}: {err}")
+            raise RuntimeError(f"{argv[:3]} exited {code}: {err.rstrip()}")
         outs.append(out)
     return outs[-1]
 
@@ -376,10 +383,14 @@ def _write(header: dict, records: list[dict]) -> None:
 def main_regen(argv: list[str]) -> int:
     os.environ["COLUMNS"] = "80"
     if argv == ["--cold"]:
-        _, records = read_corpus()
-        bad = [json.dumps(r["argv"], ensure_ascii=False)
-               for r in cold_sample(records) if hashed(cold(r["argv"])) != recorded(r)]
-        bad += [f"identity {name}" for name, left, right in IDENTITIES if chain(left, cold) != chain(right, cold)]
+        sample, bad = cold_sample(read_corpus()[1])
+        bad += [json.dumps(r["argv"], ensure_ascii=False) for r in sample if hashed(cold(r["argv"])) != recorded(r)]
+        for name, left, right in IDENTITIES:
+            try:
+                if chain(left, cold) != chain(right, cold):
+                    bad.append(f"identity {name}")
+            except RuntimeError as exc:  # a failed step: the other identities still run
+                bad.append(f"identity {name}: {exc}")
         for failure in bad:
             print(f"differs: {failure}", file=sys.stderr)
         return 1 if bad else 0

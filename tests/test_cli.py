@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -18,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import braidnil
-from braidnil import orbits, presentations, torsion
+from braidnil import invariants, orbits, presentations, torsion
 from braidnil.cli import _COMMANDS, _int_option, build_parser, main
 from braidnil.core import (
+    DomainError,
     Permutation,
     PurePart,
     collect,
@@ -38,8 +40,15 @@ from braidnil.core import (
     triples,
 )
 from braidnil.expr import _MAX_NESTING
-from braidnil.orbits import OrbitBasis
-from braidnil.torsion import SPECTRUM_MAX_N, delta, element_with_cycle_type, finite_order_element
+from braidnil.invariants import lcs_rank, power_sum
+from braidnil.orbits import OrbitBasis, orbit_partition, signed_orbits
+from braidnil.torsion import (
+    SPECTRUM_MAX_N,
+    delta,
+    delta_power_coefficients,
+    element_with_cycle_type,
+    finite_order_element,
+)
 from conftest import counted, dense_holonomy, holonomy_json, holonomy_pretty, peak_in_child, random_word
 
 
@@ -246,6 +255,42 @@ def test_a_failed_witness_stage_exits_3_naming_it(capsys, monkeypatch, module, n
     a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
     code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", a, f"A[1,2] s2 ({a}) s2^-1 A[1,2]^-1")
     assert (code, out, err) == (3, "", f"domain error: {stage}\n")
+
+
+def _two_sign_flips(perm, cls):
+    """The true step with the signs of the first two steps of each orbit flipped, so every orbit closes with +1."""
+    step = conjugation_step(perm, cls)
+    flipped = {orbit[j][0] for orbit in signed_orbits(cls.keys(perm.n), step) for j in (0, 1)}
+    return lambda key: (step(key)[0], -step(key)[1] if key in flipped else step(key)[1])
+
+
+# each self-check stands between a broken engine step and a wrong answer: with the step faked, the library raises
+# the check's message and the CLI request exits 3 with that one line
+@pytest.mark.parametrize("module, name, fake, call, argv, message", [
+    # a power sum one too large at r = 2 leaves the level-2 Moebius sum 91 - 21 = 70 odd
+    pytest.param(invariants, "power_sum", lambda r, n: power_sum(r, n) + (r == 2), lambda: lcs_rank(7, 2),
+                 ["ranks", "--n", "7", "--q", "2"], "Moebius sum 71 not divisible by 2 at n=7",
+                 id="lcs-rank-divisibility"),
+    # every triple is fixed, so the 5 orbits of length 7 become 35 of length 1
+    pytest.param(orbits, "conjugation_step", lambda perm, cls: lambda k: (k, 1), lambda: orbit_partition(7),
+                 ["orbits", "--n", "7"], f"orbit lengths {[1] * 35} differ from closed form {[7] * 5}",
+                 id="orbit-partition-closed-form"),
+    pytest.param(orbits, "conjugation_step", _two_sign_flips, lambda: orbit_partition(7), ["orbits", "--n", "7"],
+                 "cycle-element orbits must have all signs +1", id="orbit-partition-signs"),
+    # the seventh power of the cycle element is the cycle element itself
+    pytest.param(torsion, "power", lambda a, m: a, lambda: delta_power_coefficients(7), ["delta-pow", "--n", "7"],
+                 "cycle element power left the level-2 kernel; engine inconsistency", id="delta-power-kernel"),
+    # a[1,2,3] more on orbit 0, whose constant is 0
+    pytest.param(torsion, "power", lambda a, m: mul(power(a, m), comm_gen(a.n, (1, 2, 3))),
+                 lambda: delta_power_coefficients(7), ["delta-pow", "--n", "7"],
+                 "orbit 0 coefficients [1, 0, 0, 0, 0, 0, 0] are not constant", id="delta-power-constant"),
+])
+def test_a_self_check_raises_in_the_library_and_exits_3_in_the_cli(capsys, monkeypatch, module, name, fake, call,
+                                                                   argv, message):
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+    assert run(capsys, *argv) == (3, "", f"domain error: {message}\n")
 
 
 def test_a_witness_request_decides_conjugacy_once(capsys, monkeypatch):

@@ -56,7 +56,6 @@ from braidnil.torsion import (
     delta_power_coefficients,
     element_with_cycle_type,
     finite_order_element,
-    shift_embed,
     torsion_spectrum,
 )
 from conftest import (
@@ -73,6 +72,7 @@ from conftest import (
     inversions,
     outcome,
     random_word,
+    shift_embed,
     transposition,
     two_product_conj,
     word_permutation,
@@ -688,6 +688,7 @@ class TestCanonicalForm:
                      id="cycle-type-float-n"),
         pytest.param(lambda: delta(0, 5.0, 5), "cycle length must be an int, got 5.0", id="delta-float-k"),
         pytest.param(lambda: delta(True, 3, 5), "block offset must be an int, got True", id="delta-bool-r"),
+        # shift_embed is the cycle-type oracle's helper in conftest, with the library's int checks
         pytest.param(lambda: shift_embed(sigma(3, 1), 1.0, 5), "offset must be an int, got 1.0",
                      id="shift-float-offset"),
         pytest.param(lambda: shift_embed(sigma(3, 1), True, 5), "offset must be an int, got True",

@@ -116,13 +116,12 @@ def test_outside_core_only_expr_and_presentations_use_the_working_state():
 
 
 # the functions that may build a value with `_trusted`, skipping its check, by module: each builds values that are
-# valid by construction (normal forms of the group law, sums of from_map, words of checked words, shifted normal
-# forms, holonomy row permutations), or, in element_from_dict, JSON rows that passed the canonical column check
+# valid by construction (normal forms of the group law, sums of from_map, words of checked words, holonomy row
+# permutations), or, in element_from_dict, JSON rows that passed the canonical column check
 TRUSTED_CALLERS = {
     "core.py": {"BraidWord.__mul__", "BraidWord.__pow__", "BraidWord.inverse", "_Coordinates.from_map", "_freeze",
                 "element_from_dict"},
     "invariants.py": {"holonomy_matrix"},
-    "torsion.py": {"shift_embed"},
 }
 
 
@@ -175,14 +174,13 @@ SURFACE = {
     "presentations": ["RelationReport", "braid_presentation", "full_twist", "presentations", "pure_presentation",
                       "subgroup_presentation"],
     "torsion": ["compatible_residues", "conjugacy_decide", "conjugacy_witness", "delta", "delta_power_coefficients",
-                "delta_word", "element_with_cycle_type", "finite_order_element", "shift_embed", "torsion",
-                "torsion_spectrum"],
+                "delta_word", "element_with_cycle_type", "finite_order_element", "torsion", "torsion_spectrum"],
 }
 
 
 def test_the_package_surface():
     names = sorted(name for names in SURFACE.values() for name in names)
-    assert len(names) == 62 and braidnil.__all__ == names
+    assert len(names) == 61 and braidnil.__all__ == names
     star: dict = {}
     exec("from braidnil import *", star)
     assert star.keys() - {"__builtins__"} == set(names)

@@ -11,12 +11,19 @@ from braidnil.core import (
     DomainError,
     Permutation,
     PurePart,
+    conjugation_step,
     pairs,
     triples,
 )
 from braidnil.orbits import OrbitBasis, coefficients_by_orbit, orbit_basis_of, part_from_orbits, signed_orbits
 from braidnil.torsion import _solve_level
-from conftest import generator_action, peak_in_child
+from conftest import (
+    conjugation_step_oracle,
+    generator_action,
+    outcome,
+    peak_in_child,
+    solve_level_oracle,
+)
 
 
 def closing_signs(keys, step) -> list[int]:
@@ -132,3 +139,66 @@ def test_level_solver_solves_the_forward_difference_recurrence(perm, data):
     diffs = [[row[(j + 1) % len(row)] - row[j] for j in range(len(row))] for row in rows]
     solved = _solve_level(perm, part_from_orbits(PurePart, basis, diffs), PurePart.zero(perm.n))
     assert coefficients_by_orbit(basis, solved) == [[v - row[0] for v in row] for row in rows]
+
+
+@st.composite
+def permutations_by_cycle_type(draw):
+    """A permutation on n <= 9 strands of a drawn cycle type: even cycles make triple orbits close with sign -1."""
+    n = draw(st.integers(2, 9))
+    parts, left = [], n
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    points, image, at = draw(st.permutations(range(1, n + 1))), [0] * n, 0
+    for p in parts:
+        cycle = points[at:at + p]
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            image[u - 1] = v
+        at += p
+    return Permutation(tuple(image))
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutations_by_cycle_type())
+def test_the_indexed_step_is_the_mapped_step(perm):
+    for cls in (PurePart, CommPart):
+        step, oracle = conjugation_step(perm, cls), conjugation_step_oracle(perm, cls)
+        assert [step(key) for key in cls.keys(perm.n)] == [oracle(key) for key in cls.keys(perm.n)]
+
+
+@st.composite
+def level_systems(draw):
+    """A level solve's input: a permutation, and want and have of one coordinate class.
+
+    have is random.  want is random too, or have plus forward differences along each orbit of the oracle's walk, so
+    that every row sum cancels; then one cell may move, so that the row sum of its orbit, often not the first, does
+    not.
+    """
+    perm = draw(permutations_by_cycle_type())
+    n, cls = perm.n, draw(st.sampled_from((PurePart, CommPart)))
+    keys = list(cls.keys(n))
+    cells = lambda: draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=8)) if keys else {}
+    have = cls.from_map(n, cells())
+    try:
+        orbits = signed_orbits(keys, conjugation_step_oracle(perm, cls))
+    except DomainError:
+        orbits = None  # a closure with sign -1: every want fails the same way
+    if orbits is None or draw(st.booleans()):
+        return perm, cls.from_map(n, cells()), have
+    want = have.as_map()
+    for orbit in orbits:
+        x = draw(st.lists(st.integers(-3, 3), min_size=len(orbit), max_size=len(orbit)))
+        for j, (key, s) in enumerate(orbit):
+            want[key] = want.get(key, 0) + s * (x[(j + 1) % len(x)] - x[j])
+    if keys and draw(st.booleans()):
+        key = draw(st.sampled_from(keys))
+        want[key] = want.get(key, 0) + draw(st.sampled_from((-2, -1, 1, 2)))
+    return perm, cls.from_map(n, want), have
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_systems())
+def test_the_one_pass_solve_is_the_orbit_layout_solve(case):
+    # an equal part, or the same DomainError text: a row sum, or a closure with sign -1
+    perm, want, have = case
+    assert outcome(_solve_level, perm, want, have) == outcome(solve_level_oracle, perm, want, have)

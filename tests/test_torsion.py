@@ -36,10 +36,9 @@ from braidnil.torsion import (
     delta_word,
     element_with_cycle_type,
     finite_order_element,
-    shift_embed,
     torsion_spectrum,
 )
-from conftest import counted, elements, random_word, satisfies
+from conftest import counted, elements, random_word, satisfies, shift_embed
 
 
 class TestDelta:
