@@ -36,12 +36,12 @@ from .core import (
     power,
     word_from_dict,
 )
-from .expr import ExpressionError, parse
+from .expr import _INT, ExpressionError, parse
 
 
 # an integer on the command line, as in an expression: an optional sign and ASCII digits, with surrounding
 # whitespace; int() alone also takes '٣' and '1_0', and rejects the spaces '\x1c'..'\x1f' that \s takes
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+_INTEGER = re.compile(rf"\s*{_INT}\s*")
 
 
 def _ascii_int(text: str) -> int:

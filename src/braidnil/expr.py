@@ -14,11 +14,11 @@ and ignored; an int is ASCII digits with an optional sign):
 
 Concatenation is group multiplication left to right; the empty expression is
 the identity.  At an 's' or 'S', one compiled run pattern takes the longest
-run of letters without an exponent; letters of one text share one term object,
-which is validated once.  One compiled token pattern, matched at each position
-in turn, reads the rest: an int, any other single character, or the end.
-Syntax errors carry the UTF-8 byte offset of the offending token; an index out
-of range is a domain error against the strand count the expression is for.
+run of well-formed letters, exponents included; equal letters share one term
+object, validated once.  A compiled token pattern, matched at each position,
+reads the rest (an int, any other single character, or the end) and a letter
+only to diagnose it.  A syntax error carries the UTF-8 byte offset of its
+token; an index out of range is a domain error against the strand count.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
     return _freeze(n, *_fold_framed(*state, letters))
 
 
-# one token after optional whitespace (exactly what str.isspace() accepts): a signed integer of ASCII
-# digits (not isdigit(), which takes '²' and '٣'), any other single character, or "" at the end
-_TOKEN = re.compile(r"\s*([+-]?[0-9]+|.|\Z)", re.DOTALL)
-# a run of letters without an exponent, split by _LETTER; the digit guard keeps 's12^3' from matching as 's1' '2^3'
-_RUN = re.compile(r"(?:\s*[sS]\s*[+-]?[0-9]+(?![0-9])(?!\s*\^))+")
-_LETTER = re.compile(r"[sS]\s*[+-]?[0-9]+")
+# one token after optional whitespace (exactly what str.isspace() accepts): an int, which is an optional sign
+# and ASCII digits (not isdigit(), which takes '²' and '٣'), any other single character, or "" at the end
+_INT = r"[+-]?[0-9]+"
+_TOKEN = re.compile(rf"\s*({_INT}|.|\Z)", re.DOTALL)
+# a run of well-formed letters, exponents included, split by _LETTER; the guard keeps 's12^' from reading as 's1' '2'
+_RUN = re.compile(rf"(?:[sS]\s*{_INT}(?![0-9])\s*(?:\^\s*{_INT}\s*|(?![\s^])))+")
+_LETTER = re.compile(r"[sS][^sS]*")
 
 # deepest parenthesis nesting accepted; parsing, validation and evaluation each recurse once per level
 _MAX_NESTING = 500
@@ -122,25 +123,26 @@ def _integer(text: str, m: re.Match) -> tuple[int, re.Match]:
 
 def _parse_terms(text: str, m: re.Match, depth: int) -> tuple[tuple, re.Match]:
     """The terms from the token of m on, and the match of the ')' or the end that stops them."""
-    terms, shared = [], {}  # shared: one term per distinct letter text of a run
+    terms, shared = [], {}  # shared: each distinct letter text, and each distinct term, to its one term object
     while True:
         token = m[1]
         if token == "" or token == ")":
             if token == ")" and depth == 0:
                 raise _error(text, "unbalanced ')'", m)
             return tuple(terms), m
-        if (token == "s" or token == "S") and (run := _RUN.match(text, m.start(1))):
+        if token == "s" or token == "S":
+            if not (run := _RUN.match(text, m.start(1))):  # a malformed letter, read only to diagnose it: its
+                _integer(text, _expect(text, _integer(text, _TOKEN.match(text, m.end()))[1], "^"))  # index or exponent
             letters = _LETTER.findall(text, m.start(1), run.end())
-            for letter in set(letters).difference(shared):  # int() takes no '\x1c'..'\x1f', lstrip() does
-                shared[letter] = (("gen", int(letter[1:].lstrip()), 1 if letter[0] == "s" else -1), 1)
+            for letter in set(letters).difference(shared):  # int() takes no '\x1c'..'\x1f', strip() does
+                index, _, exponent = letter[1:].partition("^")
+                term = (("gen", int(index.strip()), 1 if letter[0] == "s" else -1), int(exponent.strip() or 1))
+                shared[letter] = shared.setdefault(term, term)
             terms += map(shared.__getitem__, letters)
             m = _TOKEN.match(text, run.end())
             continue
         after = _TOKEN.match(text, m.end())
-        if token == "s" or token == "S":
-            k, m = _integer(text, after)
-            atom = ("gen", k, 1 if token == "s" else -1)
-        elif token in _COORDINATE_ATOMS:
+        if token in _COORDINATE_ATOMS:
             m = _expect(text, after, "[")
             key = []
             for close in [","] * (_COORDINATE_ATOMS[token].arity - 1) + ["]"]:
@@ -190,7 +192,8 @@ def parse(text: str, n: int) -> Expression:
 
     Raises ExpressionError (with byte offset) on bad syntax; the Expression
     raises DomainError on out-of-range indices or a strand count that is not an
-    int of at least 1.
+    int of at least 1.  An int past CPython's 4300-digit limit raises int()'s
+    ValueError unless the caller lifts the limit, as cli.main does.
     """
     terms, _ = _parse_terms(text, _TOKEN.match(text), 0)
     return Expression(n, terms)

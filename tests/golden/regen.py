@@ -8,8 +8,9 @@ tests/test_cli.py (with its --pretty form where there is one), one request
 per distinct diagnostic, the north star's largest sizes, integer options
 that are not ASCII integers, expressions that mix every kind of atom,
 element JSON that is not canonical next to its canonical form, runs of
-generator letters broken by an exponent, a bad index or a stray integer, and
-holonomy's empty and --pretty blocks.
+generator letters broken by an exponent, a bad index or a stray integer,
+holonomy's empty and --pretty blocks, a long word that writes its inverse
+letters with a caret, and the malformed exponents of one letter.
 IDENTITIES are group laws, each two chains of requests whose last stdout
 bytes must be equal; tests/test_golden.py replays them and the corpus.
 Run from the repository root:
@@ -273,6 +274,17 @@ HOLONOMY_FORMS = [
      " s15", "--pretty"],
 ]
 
+# a word written as the paper writes sigma_i^-1, 12000 letters at n = 32 (one argument holds at most 128 KiB),
+# and a letter's malformed exponents: none, a lone sign, a second '^' and one that is not an integer
+_caret = random.Random(5)
+CARET_LETTERS = [
+    ["collect", "--n", "32", " ".join(f"s{_caret.randint(1, 31)}{_caret.choice(('', '^-1'))}" for _ in range(12000))],
+    ["collect", "--n", "5", "s3^"],
+    ["collect", "--n", "5", "s3^-"],
+    ["collect", "--n", "5", "s3^2^3"],
+    ["collect", "--n", "5", "s3 ^ x"],
+]
+
 
 def _largest() -> list[list[str]]:
     """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness and a cycle type at 23, pow and
@@ -336,6 +348,9 @@ IDENTITIES = [
     ("collect-of-halves", [["collect", "--n", "32", " ".join(_LONG)]],
      [["collect", "--n", "32", " ".join(_LONG[:1000])], ["collect", "--n", "32", " ".join(_LONG[1000:])],
       ["mul", "--n", "32", 0, 1]]),
+    # the same long word with each inverse letter S<k> written s<k>^-1, as the paper writes sigma_k^-1
+    ("caret-vs-sS", [["collect", "--n", "32", " ".join(f"s{x[1:]}^-1" if x[0] == "S" else x for x in _LONG)]],
+     [["collect", "--n", "32", " ".join(_LONG)]]),
     # a cycle type is one product Theta * D; with fixed points before, between and after its blocks, the element of
     # type 1,5,1,7,1,7 has order 35, so its 35th power is the identity
     ("torsion-order",
@@ -369,7 +384,7 @@ def requests() -> list[list[str]]:
     """Every request once, in the order of first appearance."""
     out = []
     for argv in (_readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS
-                 + ELEMENT_JSON + GENERATOR_RUNS + HOLONOMY_FORMS):
+                 + ELEMENT_JSON + GENERATOR_RUNS + HOLONOMY_FORMS + CARET_LETTERS):
         if argv not in out:
             out.append(argv)
     return out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -164,9 +165,29 @@ def test_long_words_parse_to_their_collected_letters():
 
 def test_a_long_word_shares_one_term_per_distinct_letter():
     rng = random.Random(44)
-    terms = parse(" ".join(f"{rng.choice('sS')}{rng.randint(1, 31)}" for _ in range(20000)), 32).terms
-    assert len(terms) == 20000
-    assert len({id(term) for term in terms}) <= 2 * 31
+    word = [(rng.randint(1, 31), rng.choice((1, -1))) for _ in range(20000)]
+    for inverse in ("S{}", "s{}^-1"):  # the s/S form and the caret form
+        terms = parse(" ".join(f"s{k}" if eps == 1 else inverse.format(k) for k, eps in word), 32).terms
+        assert len(terms) == 20000
+        assert len({id(term) for term in terms}) <= 2 * 31
+
+
+@pytest.mark.parametrize("text", [f"s1^{'7' * 5000}", f"s{'7' * 5000}"], ids=["exponent", "index"])
+def test_an_int_past_the_digit_limit_is_int_s_value_error_unless_the_caller_lifts_the_limit(text):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        with pytest.raises(ValueError, match="Exceeds the limit") as caught:
+            parse(text, 3)
+        assert type(caught.value) is ValueError
+        sys.set_int_max_str_digits(0)  # as cli.main does
+        if "^" in text:
+            assert parse(text, 3).terms == ((("gen", 1, 1), int("7" * 5000)),)
+        else:
+            with pytest.raises(DomainError, match="out of range for n=3"):
+                parse(text, 3)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text, freezes", [

@@ -1,13 +1,14 @@
-"""Every module-level import in a braidnil module is used there, and every module-level private name is read
-somewhere in the package.  Outside core only expr and presentations use the working state, and only listed
-functions build values unchecked.  The package exports its names lazily, and a cold CLI start loads only the
-modules that its subcommand runs."""
+"""Every module-level import in a braidnil module is used there, every module-level private name is read
+somewhere in the package, and every public name is read there or named in README.  Outside core only expr and
+presentations use the working state, and only listed functions build values unchecked.  The package exports its
+names lazily, and a cold CLI start loads only the modules that its subcommand runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,13 +47,24 @@ def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The module-level private names (def, class or assignment) that no module of sources reads.
+def read_names(sources: dict[str, str]) -> set[str]:
+    """The names that the modules of sources read: each name loaded, taken as an attribute or imported from another
+    module.  A definition is not a read."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
 
-    A name is read where it is loaded, taken as an attribute or imported from
-    another module; its own definition is not a read.
-    """
-    defined, read = [], set()
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (def, class or assignment) that no module of sources reads."""
+    defined = []
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
@@ -65,13 +77,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [(module, name, node.lineno) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+    read = read_names(sources)
     return [f"{module}: {name} (line {line})" for module, name, line in defined if name not in read]
 
 
@@ -86,6 +92,25 @@ def test_the_check_finds_an_unread_private_name():
 
 def test_package_has_no_unread_private_names():
     assert unread_private_names({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def unexplained_public_names(names: list[str], sources: dict[str, str], readme: str) -> list[str]:
+    """The names that no module of sources reads and that readme does not name as a word."""
+    read = read_names(sources)
+    return [name for name in names if name not in read and not re.search(rf"\b{name}\b", readme)]
+
+
+def test_the_check_finds_a_public_name_that_is_neither_read_nor_documented():
+    sources = {"a.py": "def used():\n    pass\ndef documented():\n    pass\ndef dead():\n    used()\n"}
+    readme = "`documented()` is named here; `dead_end` and `undead` are other words."
+    assert unexplained_public_names(["used", "documented", "dead"], sources, readme) == ["dead"]
+
+
+def test_each_public_name_is_read_in_the_package_or_named_in_the_readme():
+    # a public function that the package never runs is kept only as documented API
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert unexplained_public_names(braidnil.__all__, sources, readme) == []
 
 
 # the group law's working state (image, nbr, comm) and its frame protocol, owned by core

@@ -50,9 +50,11 @@ ADVERSARIAL = (list("sSAa[](),^+- ") + list("0123456789") + ["\u00b2", "\u0663"]
                + ["\u3000", "\u00a0", "\u0085", "\u001c", "\u200b", "\ufeff", "\ud800", "\x00"])
 # whole tokens, drawn as often as single characters so that some texts parse, the openings that an int follows,
 # drawn as often as the digits that are not ASCII, and the edges of a run of letters: a letter whose digits an
-# exponent may follow ('s12' '^3'), whitespace before '^' and signed indices
+# exponent may follow ('s12' '^3'), whitespace before '^', signed indices, and a letter's exponent whole, spaced,
+# missing, a lone sign or followed by a second '^'
 PIECES = ["s1", "S2", "s 3", "A[1,2]", "a[1, 2,3]", "A[3,3]", "^-1", "^+12", "(", ")", " ", "\u3000", "\u0085",
-          "s", "^", "A[", "a[1,", "\u00b2", "\u0663", "s12", "^3", " ^2", "s+1", "S-2"]
+          "s", "^", "A[", "a[1,", "\u00b2", "\u0663", "s12", "^3", " ^2", "s+1", "S-2",
+          "s3^-1", "s3 ^ 2", "s3^", "s3^-", "s3^2^3", "s12^3^"]
 
 
 def flat_terms(terms: tuple) -> list:
