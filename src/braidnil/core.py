@@ -66,9 +66,9 @@ and no g^-1.  An expression runs the same steps on one state from the origin:
 letter's level-2 correction at each other strand is e*(e' - 1), e and e' that
 strand's exponents with the letter's two strands, so a letter scans only the
 rows whose e can be nonzero: one strand's row, or on a deposit that row above
-the letter and the other row below it.  It costs at most the degree of its
-two strands, a merged factor the degree of its two indices: it scans the row
-of its first index above the second, then the row of the second.
+the letter and the other below it.  It costs at most its strands' degrees; an
+absorbed letter whose row is empty scans nothing, so on a sparse state it costs
+only its slot bookkeeping.  A merged A[i,j] scans i's row above j, then j's.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
 then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
@@ -534,12 +534,12 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     `one` the row of lab[k] for eps = +1, of lab[k+1] for eps = -1, and `two`
     the other.  An absorbed letter has e on one at every slot x; a deposit has
     e on one at the slots x > k+1 and e on two at the slots x < k, where the
-    rows trade places.  So a letter scans one row, or on a deposit one row
-    above k+1 and the other below k, with one lookup per entry, and costs at
-    most the degree of its two strands.  The index of slot x's value in the
-    one-line image swaps with lab, so it is at[lab[x]], with `at` fixed: at[l]
-    is the index, in the starting image, of the value at label l's starting
-    slot.  nbr and comm are consumed and returned under the starting labels,
+    rows trade places.  So an absorbed letter scans one, nothing if one is
+    empty, and a deposit one row above k+1 and the other below k, with one
+    lookup per entry: a letter costs at most the degree of its two strands, and
+    on a sparse state only its slot bookkeeping.  The index of slot x's value
+    in the one-line image swaps with lab, so it is at[lab[x]] for the fixed
+    `at`.  nbr and comm are consumed and returned under the starting labels,
     with the new image and the frame pos, or None for no letters.
     """
     if not letters:
@@ -559,7 +559,7 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
             deposit, one, two = at[la] < at[lb], nb, na
         lab[k], lab[k + 1] = lb, la
         pos[la], pos[lb] = k + 1, k
-        if na or nb:
+        if (na or nb) if deposit else one:  # an absorbed letter reads only `one`
             # d = e * (e' - 1), e on `row` and e' on `other`, at the slots of row outside lo..hi
             scans = ((one, two, 0, k + 1), (two, one, k, n)) if deposit else ((one, two, k, k + 1),)
             # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): v placed around the sorted pair p < q

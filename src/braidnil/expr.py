@@ -134,10 +134,14 @@ def _parse_terms(text: str, m: re.Match, depth: int) -> tuple[tuple, re.Match]:
             if not (run := _RUN.match(text, m.start(1))):  # a malformed letter, read only to diagnose it: its
                 _integer(text, _expect(text, _integer(text, _TOKEN.match(text, m.end()))[1], "^"))  # index or exponent
             letters = _LETTER.findall(text, m.start(1), run.end())
-            for letter in set(letters).difference(shared):  # int() takes no '\x1c'..'\x1f', strip() does
-                index, _, exponent = letter[1:].partition("^")
-                term = (("gen", int(index.strip()), 1 if letter[0] == "s" else -1), int(exponent.strip() or 1))
-                shared[letter] = shared.setdefault(term, term)
+            try:
+                for letter in set(letters).difference(shared):  # int() takes no '\x1c'..'\x1f', strip() does
+                    index, _, exponent = letter[1:].partition("^")
+                    term = (("gen", int(index.strip()), 1 if letter[0] == "s" else -1), int(exponent.strip() or 1))
+                    shared[letter] = shared.setdefault(term, term)
+            except ValueError:  # a literal past int()'s digit limit: re-read in text order, to name the first one
+                [int(x.strip() or 1) for letter in letters for x in letter[1:].partition("^")[::2]]
+                raise
             terms += map(shared.__getitem__, letters)
             m = _TOKEN.match(text, run.end())
             continue
@@ -192,8 +196,8 @@ def parse(text: str, n: int) -> Expression:
 
     Raises ExpressionError (with byte offset) on bad syntax; the Expression
     raises DomainError on out-of-range indices or a strand count that is not an
-    int of at least 1.  An int past CPython's 4300-digit limit raises int()'s
-    ValueError unless the caller lifts the limit, as cli.main does.
+    int of at least 1.  The first int in the text past CPython's 4300-digit limit
+    raises int()'s ValueError unless the caller lifts the limit, as cli.main does.
     """
     terms, _ = _parse_terms(text, _TOKEN.match(text), 0)
     return Expression(n, terms)

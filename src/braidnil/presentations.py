@@ -43,6 +43,7 @@ from .core import (
     _fold_framed,
     _freeze,
     _origin,
+    _trusted,
     collect,
     comm_gen_word,
     commutator_word,
@@ -94,7 +95,7 @@ def _run(suite: str, n: int, relations: Iterable[Relation]) -> RelationReport:
     for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
         if prefix is not last:
             last, (image, nbr, comm) = prefix, _fold(*_origin(n), prefix.letters)
-        lhs = _fold_framed(image, [dict(row) for row in nbr], dict(comm), rest.letters)
+        lhs = _fold_framed(image, list(map(dict, nbr)), dict(comm), rest.letters)
         # an identity relation passes iff its folded state is empty: no level-2 entry, no move, no pure entry
         if not rhs.letters and not lhs[2] and lhs[0] == unmoved and not any(lhs[1]):
             continue
@@ -130,12 +131,16 @@ def _pure_relations(n: int) -> Iterator[Relation]:
     _, A, a = _generators(n)
     Ai, ai = {p: w.inverse() for p, w in A.items()}, {t: w.inverse() for t, w in a.items()}
     one = BraidWord(n, ())
-    # [x, y] = x * (y x^-1 y^-1): the prefix x is shared by a run of relations
+
+    # [x, y] = x * (y x^-1 y^-1): the prefix x is shared by a run of relations, the rest is one concatenation
+    def rest(y: BraidWord, xi: BraidWord, yi: BraidWord) -> BraidWord:
+        return _trusted(BraidWord, n=n, letters=y.letters + xi.letters + yi.letters)
+
     for t, u in combinations(a, 2):
-        yield f"central[a{t},a{u}]", a[t], a[u] * ai[t] * ai[u], one
+        yield f"central[a{t},a{u}]", a[t], rest(a[u], ai[t], ai[u]), one
     for t in a:
         for p in A:
-            yield f"central[a{t},A{p}]", a[t], A[p] * ai[t] * Ai[p], one
+            yield f"central[a{t},A{p}]", a[t], rest(A[p], ai[t], Ai[p]), one
     for p in A:
         for q in A:
             shared = set(p) & set(q)
@@ -143,15 +148,11 @@ def _pure_relations(n: int) -> Iterator[Relation]:
                 rhs = one
             else:
                 s = shared.pop()
-                u = p[0] + p[1] - s
-                v = q[0] + q[1] - s
+                u, v = p[0] + p[1] - s, q[0] + q[1] - s
                 t = tuple(sorted((s, u, v)))
-                if s == t[1]:
-                    sign = 1 if u < v else -1
-                else:
-                    sign = 1 if u > v else -1
-                rhs = a[t] if sign == 1 else ai[t]
-            yield f"pair-table[A{p},A{q}]", A[p], A[q] * Ai[p] * Ai[q], rhs
+                # the sign is + iff u < v when s is the middle index, iff u > v otherwise (u != v)
+                rhs = a[t] if (u < v) == (s == t[1]) else ai[t]
+            yield f"pair-table[A{p},A{q}]", A[p], rest(A[q], Ai[p], Ai[q]), rhs
 
 
 def braid_presentation(n: int) -> RelationReport:

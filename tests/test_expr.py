@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +191,34 @@ def test_an_int_past_the_digit_limit_is_int_s_value_error_unless_the_caller_lift
                 parse(text, 3)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_of_two_ints_past_the_digit_limit_in_one_run_the_first_in_the_text_is_named_under_every_hash_seed():
+    # the run converts its distinct letters in set order, which PYTHONHASHSEED decides; a failed conversion
+    # re-reads them in text order
+    child = ("import sys\nfrom braidnil.expr import parse\nsys.set_int_max_str_digits(4300)\n"
+             "try:\n    parse('s1^' + '7' * 5000 + ' s2^' + '7' * 6000, 3)\nexcept ValueError as e:\n    print(e)\n")
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONPATH=str(Path(expr.__file__).parents[1]), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "Exceeds the limit" in proc.stdout and "value has 5000 digits" in proc.stdout, (seed, proc.stdout)
+
+
+def test_a_failed_letter_conversion_is_raised_even_if_the_text_order_re_read_passes(monkeypatch):
+    # the re-read only picks which literal's error is raised; were it to find none, the first error still propagates
+    calls = []
+
+    def flaky(text, *base):
+        calls.append(text)
+        if len(calls) == 1:
+            raise ValueError("the first conversion")
+        return int(text, *base)
+
+    monkeypatch.setattr(expr, "int", flaky, raising=False)
+    with pytest.raises(ValueError, match="the first conversion"):
+        parse("s1^5", 3)
+    assert calls == ["1", "1", "5"]
 
 
 @pytest.mark.parametrize("text, freezes", [

@@ -221,12 +221,16 @@ def test_reduced_word_cache_is_bounded():
 
 
 class CountedRow(dict):
-    """A strand row that counts, across all rows, the entries its .items() yields and its lookups: .get calls and
-    `in` tests."""
+    """A strand row that counts, across all rows, the entries its .items() yields, its lookups (.get calls and `in`
+    tests) and the scans it starts: .items() calls."""
 
-    tally = [0, 0]
+    tally = [0, 0, 0]
 
     def items(self):
+        self.tally[2] += 1
+        return self._entries()
+
+    def _entries(self):
         for item in super().items():
             self.tally[0] += 1
             yield item
@@ -243,7 +247,7 @@ class CountedRow(dict):
 class CountedComm(CountedRow):
     """A level-2 dict that counts as CountedRow does, apart from the rows."""
 
-    tally = [0, 0]
+    tally = [0, 0, 0]
 
 
 @st.composite
@@ -258,23 +262,43 @@ def dense_adjacencies_and_letters(draw):
     return n, image, adjacency(n, pure), tuple(draw(letters(n, 60)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(dense_adjacencies_and_letters())
+@st.composite
+def sparse_adjacencies_and_letters(draw):
+    """A permutation and a strand adjacency with 0 to 3 pure entries, exponents in {-2, -1, 1, 2}, at n <= 12, and a
+    random word to fold into them."""
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    image = list(range(1, n + 1))
+    rng.shuffle(image)
+    chosen = rng.sample(list(pairs(n)), min(draw(st.integers(0, 3)), n * (n - 1) // 2))
+    pure = {p: rng.choice((-2, -1, 1, 2)) for p in chosen}
+    return n, image, adjacency(n, pure), tuple(draw(letters(n, 40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dense_adjacencies_and_letters(), sparse_adjacencies_and_letters()))
 def test_a_letter_scans_at_most_the_rows_of_its_two_strands(case):
-    # an absorbed letter iterates the row of lab[k] for eps = +1, of lab[k+1] for eps = -1; a deposit both rows, and
-    # one more lookup for A[k,k+1]; each scanned entry takes at most one lookup in the other row
+    # an absorbed letter iterates the row `one`, of lab[k] for eps = +1, of lab[k+1] for eps = -1, and starts no scan
+    # when that row is empty, even if the other is not; a deposit iterates both rows, and one more lookup for A[k,k+1];
+    # each scanned entry takes at most one lookup in the other row, so on two empty rows a letter reads no entry and
+    # makes no lookup but a deposit's own
     n, start, adj, word = case
     image, nbr, comm = list(start), [CountedRow(row) for row in adj], {}
     lab, pos = list(range(n + 1)), list(range(n + 1))
     for k, eps in word:
         deposit = (eps == 1) != (image.index(k) < image.index(k + 1))
         deg_a, deg_b = len(nbr[lab[k]]), len(nbr[lab[k + 1]])
-        CountedRow.tally[:] = [0, 0]
+        CountedRow.tally[:] = [0, 0, 0]
         image, nbr, comm, pos = _fold_framed(image, nbr, comm, ((k, eps),), (list(lab), list(pos)))
         lab = sorted(range(n + 1), key=pos.__getitem__)
-        entries, gets = CountedRow.tally
+        entries, gets, scans = CountedRow.tally
         assert entries <= (deg_a + deg_b if deposit else deg_a if eps == 1 else deg_b)
         assert gets <= entries + deposit
+        assert scans <= (2 if deposit else 1)
+        if not deposit and not (deg_a if eps == 1 else deg_b):
+            assert scans == 0
+        if not deg_a and not deg_b:
+            assert (entries, gets, scans) == (0, int(deposit), 0)
     whole = _fold_framed(list(start), [dict(row) for row in adj], {}, word)
     assert _freeze(n, image, nbr, comm, pos) == _freeze(n, *whole)
 
@@ -300,9 +324,9 @@ def test_a_merged_factor_scans_at_most_the_rows_of_its_two_indices(case):
     nbr, comm = [CountedRow(row) for row in adjacency(n, pure)], {}
     for i, j, e in block:
         deg_i, deg_j = len(nbr[i]), len(nbr[j])
-        CountedRow.tally[:] = [0, 0]
+        CountedRow.tally[:] = [0, 0, 0]
         _merge_pure_block(nbr, comm, [(i, j, e)])
-        entries, lookups = CountedRow.tally
+        entries, lookups, _ = CountedRow.tally
         assert entries <= deg_i + deg_j
         assert lookups <= entries + 1
     expected_pure, expected_comm = dict(pure), {}
@@ -320,9 +344,9 @@ def test_the_rename_reads_each_starting_entry_once_and_the_letters_fold_its_copy
     rng = random.Random(seed)
     comm = CountedComm({t: rng.choice((-2, -1, 1, 2)) for t in triples(n) if rng.random() < 0.3})
     start = [dict(row) for row in adj], dict(comm)
-    CountedRow.tally[:], CountedComm.tally[:] = [0, 0], [0, 0]
+    CountedRow.tally[:], CountedComm.tally[:] = [0, 0, 0], [0, 0, 0]
     state = _fold(list(image), nbr, comm, word)
-    assert CountedRow.tally == [sum(map(len, adj)) if word else 0, 0]
-    assert CountedComm.tally == [len(comm) if word else 0, 0]
+    assert CountedRow.tally == ([sum(map(len, adj)), 0, n + 1] if word else [0, 0, 0])
+    assert CountedComm.tally == ([len(comm), 0, 1] if word else [0, 0, 0])
     assert ([dict(row) for row in nbr], dict(comm)) == start
     assert _freeze(n, *state) == _freeze(n, *_fold_framed(list(image), *copy.deepcopy(start), word))

@@ -147,6 +147,7 @@ TRUSTED_CALLERS = {
     "core.py": {"BraidWord.__mul__", "BraidWord.__pow__", "BraidWord.inverse", "_Coordinates.from_map", "_freeze",
                 "element_from_dict"},
     "invariants.py": {"holonomy_matrix"},
+    "presentations.py": {"_pure_relations.rest"},
 }
 
 
