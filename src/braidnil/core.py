@@ -66,9 +66,13 @@ and no g^-1.  An expression runs the same steps on one state from the origin:
 letter's level-2 correction at each other strand is e*(e' - 1), e and e' that
 strand's exponents with the letter's two strands, so a letter scans only the
 rows whose e can be nonzero: one strand's row, or on a deposit that row above
-the letter and the other below it.  It costs at most its strands' degrees; an
-absorbed letter whose row is empty scans nothing, so on a sparse state it costs
-only its slot bookkeeping.  A merged A[i,j] scans i's row above j, then j's.
+the letter and the other below it, never an empty row.  It costs at most its
+strands' degrees, so on a sparse state only its slot bookkeeping.  A fold of
+more than T = n*C(n,2) letters sums each d per (ordered crossing pair, strand)
+and places each sum once at the end; a shorter one, as every section, pn3/bn3
+rest at n >= 5 and full twist word is, revisits too few keys for that to pay,
+so it places each d as it meets it.  A merged A[i,j] scans i's row above j,
+then j's.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
 and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
 then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
@@ -534,21 +538,29 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     `one` the row of lab[k] for eps = +1, of lab[k+1] for eps = -1, and `two`
     the other.  An absorbed letter has e on one at every slot x; a deposit has
     e on one at the slots x > k+1 and e on two at the slots x < k, where the
-    rows trade places.  So an absorbed letter scans one, nothing if one is
-    empty, and a deposit one row above k+1 and the other below k, with one
-    lookup per entry: a letter costs at most the degree of its two strands, and
-    on a sparse state only its slot bookkeeping.  The index of slot x's value
-    in the one-line image swaps with lab, so it is at[lab[x]] for the fixed
-    `at`.  nbr and comm are consumed and returned under the starting labels,
-    with the new image and the frame pos, or None for no letters.
+    rows trade places.  So an absorbed letter scans one, and a deposit one row
+    above k+1 and the other below k, never an empty row, with one lookup per
+    entry: a letter costs at most the degree of its two strands, and on a
+    sparse state only its slot bookkeeping.  A fold of more than T = n*C(n,2)
+    letters, n crossings per strand pair on average, adds each d to a sum at
+    the int (la*m + lb)*m + v, m = n + 1, and places each nonzero sum once at
+    sort(v, lb, la) after the last letter: at most n(n-1)(n-2) lookups in comm.
+    A shorter fold revisits too few of those keys for the sums to pay, so it
+    places each d as it meets it.  The index of slot x's value in the one-line
+    image swaps with lab, so it is at[lab[x]] for the fixed `at`.  nbr and comm
+    are consumed and returned under the starting labels, with the new image and
+    the frame pos, or None for no letters.
     """
     if not letters:
         return image, nbr, comm, None
     n = len(image)
-    lab, pos = frame or (list(range(n + 1)), list(range(n + 1)))  # 1-based slots and labels; index 0 unused
-    at = [0] * (n + 1)  # at[l]: the index, in the starting image, of the value at label l's starting slot
+    m = n + 1
+    lab, pos = frame or (list(range(m)), list(range(m)))  # 1-based slots and labels; index 0 unused
+    at = [0] * m  # at[l]: the index, in the starting image, of the value at label l's starting slot
     for i, v in enumerate(image):
         at[lab[v]] = i
+    # past T letters each d goes to a sum, placed after the last letter
+    sums = [0] * m ** 3 if len(letters) > n * n * (n - 1) // 2 else []
     for k, eps in letters:
         la, lb = lab[k], lab[k + 1]
         na, nb = nbr[la], nbr[lb]
@@ -561,34 +573,53 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
         pos[la], pos[lb] = k + 1, k
         if (na or nb) if deposit else one:  # an absorbed letter reads only `one`
             # d = e * (e' - 1), e on `row` and e' on `other`, at the slots of row outside lo..hi
-            scans = ((one, two, 0, k + 1), (two, one, k, n)) if deposit else ((one, two, k, k + 1),)
-            # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): v placed around the sorted pair p < q
-            p, q, s = (lb, la, 1) if lb < la else (la, lb, -1)
-            for row, other, lo, hi in scans:
-                for v, e in row.items():
-                    if lo <= pos[v] <= hi:
-                        continue
-                    d = e * (other.get(v, 0) - 1)
-                    if d:
-                        if v < p:
-                            t = (v, p, q)
-                        elif v < q:
-                            t, d = (p, v, q), -d
-                        else:
-                            t = (p, q, v)
-                        c = comm.get(t, 0) + s * d
-                        if c:
-                            comm[t] = c
-                        else:
-                            del comm[t]
+            if not deposit:
+                scans = ((one, two, k, k + 1),)
+            elif one and two:
+                scans = ((one, two, 0, k + 1), (two, one, k, n))
+            else:  # scan only a row that holds entries
+                scans = ((one, two, 0, k + 1),) if one else ((two, one, k, n),)
+            if sums:
+                base = (la * m + lb) * m
+                for row, other, lo, hi in scans:
+                    for v, e in row.items():
+                        if not lo <= pos[v] <= hi and (d := e * (other.get(v, 0) - 1)):
+                            sums[base + v] += d
+            else:
+                # sort(x, k, k+1) holds labels (v, lb, la) or (lb, la, v): v placed around the sorted pair p < q
+                p, q, s = (lb, la, 1) if lb < la else (la, lb, -1)
+                for row, other, lo, hi in scans:
+                    for v, e in row.items():
+                        if lo <= pos[v] <= hi:
+                            continue
+                        d = e * (other.get(v, 0) - 1)
+                        if d:
+                            if v < p:
+                                t = (v, p, q)
+                            elif v < q:
+                                t, d = (p, v, q), -d
+                            else:
+                                t = (p, q, v)
+                            c = comm.get(t, 0) + s * d
+                            if c:
+                                comm[t] = c
+                            else:
+                                del comm[t]
         if deposit:
             e = na.get(lb, 0) + eps
             if e:
                 na[lb] = nb[la] = e
             else:
                 del na[lb], nb[la]
+    for key, d in enumerate(sums):  # (la*m + lb)*m + v goes to sort(v, lb, la), as a letter places it
+        if d:
+            t, sign = _sort3(key % m, key // m % m, key // (m * m))
+            if c := comm.get(t, 0) + sign * d:
+                comm[t] = c
+            else:
+                del comm[t]
     out_image = [0] * n
-    for v in range(1, n + 1):
+    for v in range(1, m):
         out_image[at[lab[v]]] = v
     return out_image, nbr, comm, pos
 

@@ -10,7 +10,8 @@ that are not ASCII integers, expressions that mix every kind of atom,
 element JSON that is not canonical next to its canonical form, runs of
 generator letters broken by an exponent, a bad index or a stray integer,
 holonomy's empty and --pretty blocks, a long word that writes its inverse
-letters with a caret, and the malformed exponents of one letter.
+letters with a caret, the malformed exponents of one letter, and s/S words
+at n = 8 and 12 longer than n*C(n,2) letters, which the fold sums per pair.
 IDENTITIES are group laws, each two chains of requests whose last stdout
 bytes must be equal; tests/test_golden.py replays them and the corpus.
 Run from the repository root:
@@ -286,6 +287,20 @@ CARET_LETTERS = [
 ]
 
 
+def _long_word(seed: int, n: int, length: int) -> list[str]:
+    """A seeded word of s<k> and S<k> letters, as its list of letters."""
+    rng = random.Random(seed)
+    return [rng.choice("sS") + str(rng.randint(1, n - 1)) for _ in range(length)]
+
+
+# words longer than the fold's bound n*C(n,2), 224 letters at n = 8 and 792 at n = 12, past which it places each
+# level-2 correction once per (crossing pair, strand)
+LONG_WORDS = [
+    ["collect", "--n", "8", " ".join(_long_word(8, 8, 3000))],
+    ["collect", "--n", "12", " ".join(_long_word(12, 12, 4000))],
+]
+
+
 def _largest() -> list[list[str]]:
     """The north star's largest sizes: holonomy at 28, pn3 and bn3 at 9, a witness and a cycle type at 23, pow and
     order at 32, and the benchmark's fulltwist at 16."""
@@ -315,6 +330,8 @@ def _largest() -> list[list[str]]:
 # the benchmark's fold audit: a 2000-letter word of both signs at n = 32
 _rng = random.Random(1)
 _LONG = [_rng.choice("sS") + str(_rng.randint(1, 31)) for _ in range(2000)]
+# a word past the bound at n = 8 whose halves are within it
+_LONG8 = _long_word(400, 8, 400)
 
 # (name, left, right): two chains of requests whose final stdout bytes must be equal, every step exiting 0 with an
 # empty stderr.  An argv item is a string, an int i for step i's stdout on the same side without its newline, or
@@ -348,6 +365,10 @@ IDENTITIES = [
     ("collect-of-halves", [["collect", "--n", "32", " ".join(_LONG)]],
      [["collect", "--n", "32", " ".join(_LONG[:1000])], ["collect", "--n", "32", " ".join(_LONG[1000:])],
       ["mul", "--n", "32", 0, 1]]),
+    # the same at n = 8, where the word's fold sums its corrections per pair and each half's places them one by one
+    ("collect-of-halves-n8", [["collect", "--n", "8", " ".join(_LONG8)]],
+     [["collect", "--n", "8", " ".join(_LONG8[:200])], ["collect", "--n", "8", " ".join(_LONG8[200:])],
+      ["mul", "--n", "8", 0, 1]]),
     # the same long word with each inverse letter S<k> written s<k>^-1, as the paper writes sigma_k^-1
     ("caret-vs-sS", [["collect", "--n", "32", " ".join(f"s{x[1:]}^-1" if x[0] == "S" else x for x in _LONG)]],
      [["collect", "--n", "32", " ".join(_LONG)]]),
@@ -384,7 +405,7 @@ def requests() -> list[list[str]]:
     """Every request once, in the order of first appearance."""
     out = []
     for argv in (_readme_lines() + _valid_requests() + DIAGNOSTICS + _largest() + NON_ASCII_INTEGERS + MIXED_EXPRESSIONS
-                 + ELEMENT_JSON + GENERATOR_RUNS + HOLONOMY_FORMS + CARET_LETTERS):
+                 + ELEMENT_JSON + GENERATOR_RUNS + HOLONOMY_FORMS + CARET_LETTERS + LONG_WORDS):
         if argv not in out:
             out.append(argv)
     return out

@@ -22,6 +22,7 @@ from braidnil.core import (
     _lex_reduced_word,
     _merge_pure_block,
     _origin,
+    _sort3,
     _thaw,
     collect,
     conj,
@@ -38,6 +39,15 @@ from conftest import (adjacency, counted, eager_fold, elements, generator_action
 
 def letters(n: int, max_size: int):
     return st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from((1, -1))), max_size=max_size)
+
+
+def bound(n: int) -> int:
+    """T = n*C(n,2): a fold of more letters sums its level-2 corrections per (la, lb, v) and places each sum once."""
+    return n * n * (n - 1) // 2
+
+
+def long_word(rng: random.Random, n: int, length: int) -> tuple:
+    return tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(length))
 
 
 @st.composite
@@ -64,8 +74,8 @@ def test_fold_equals_eager_fold(case):
 
 
 @st.composite
-def dense_states_and_letters(draw):
-    """A state with an exponent in {-2, -1, 1, 2} on most pairs, and a random word to fold into it.
+def dense_states(draw):
+    """A state with an exponent in {-2, -1, 1, 2} on most pairs, at n = 3..9.
 
     A letter's level-2 correction at a strand is e*(e' - 1), e and e' that strand's exponents with the
     letter's two strands; on these states e' = 1 is common, which collected short words rarely give.
@@ -75,8 +85,14 @@ def dense_states_and_letters(draw):
     keys = list(pairs(n))
     exponents = draw(st.lists(st.sampled_from((0, -2, -1, 1, 2)), min_size=len(keys), max_size=len(keys)))
     comm = draw(st.dictionaries(st.sampled_from(list(triples(n))), st.integers(-3, 3), max_size=12))
-    state = NilElement(n, Permutation(image), PurePart.from_map(n, zip(keys, exponents)), CommPart.from_map(n, comm))
-    return state, tuple(draw(letters(n, 40)))
+    return NilElement(n, Permutation(image), PurePart.from_map(n, zip(keys, exponents)), CommPart.from_map(n, comm))
+
+
+@st.composite
+def dense_states_and_letters(draw):
+    """A dense state and a random word to fold into it."""
+    state = draw(dense_states())
+    return state, tuple(draw(letters(state.n, 40)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,10 +212,11 @@ def test_single_letters_of_both_signs_and_both_section_cases():
 
 
 def test_collect_is_a_homomorphism_on_long_words():
+    # at n = 8 and 12 the word is longer than the bound and its halves are not, so the two sides take the two paths
     rng = random.Random(17)
-    for n in (24, 32):
-        u, v = (BraidWord(n, tuple((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(1000)))
-                for _ in range(2))
+    for n, half in ((8, 200), (12, 700), (24, 1000), (32, 1000)):
+        assert (half < bound(n) < 2 * half) == (n <= 12)
+        u, v = BraidWord(n, long_word(rng, n, half)), BraidWord(n, long_word(rng, n, half))
         assert mul(collect(u), collect(v)) == collect(u * v)
 
 
@@ -279,9 +296,9 @@ def sparse_adjacencies_and_letters(draw):
 @given(st.one_of(dense_adjacencies_and_letters(), sparse_adjacencies_and_letters()))
 def test_a_letter_scans_at_most_the_rows_of_its_two_strands(case):
     # an absorbed letter iterates the row `one`, of lab[k] for eps = +1, of lab[k+1] for eps = -1, and starts no scan
-    # when that row is empty, even if the other is not; a deposit iterates both rows, and one more lookup for A[k,k+1];
-    # each scanned entry takes at most one lookup in the other row, so on two empty rows a letter reads no entry and
-    # makes no lookup but a deposit's own
+    # when that row is empty, even if the other is not; a deposit iterates both rows, starting no scan of an empty
+    # one, and one more lookup for A[k,k+1]; each scanned entry takes at most one lookup in the other row, so on two
+    # empty rows a letter reads no entry and makes no lookup but a deposit's own
     n, start, adj, word = case
     image, nbr, comm = list(start), [CountedRow(row) for row in adj], {}
     lab, pos = list(range(n + 1)), list(range(n + 1))
@@ -294,7 +311,7 @@ def test_a_letter_scans_at_most_the_rows_of_its_two_strands(case):
         entries, gets, scans = CountedRow.tally
         assert entries <= (deg_a + deg_b if deposit else deg_a if eps == 1 else deg_b)
         assert gets <= entries + deposit
-        assert scans <= (2 if deposit else 1)
+        assert scans <= ((deg_a > 0) + (deg_b > 0) if deposit else 1)
         if not deposit and not (deg_a if eps == 1 else deg_b):
             assert scans == 0
         if not deg_a and not deg_b:
@@ -350,3 +367,81 @@ def test_the_rename_reads_each_starting_entry_once_and_the_letters_fold_its_copy
     assert CountedComm.tally == ([len(comm), 0, 1] if word else [0, 0, 0])
     assert ([dict(row) for row in nbr], dict(comm)) == start
     assert _freeze(n, *state) == _freeze(n, *_fold_framed(list(image), *copy.deepcopy(start), word))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_states(), st.sampled_from((0, 1, 2)), st.integers(0, 2**32))
+def test_a_fold_of_t_t_plus_1_or_3t_letters_equals_the_eager_fold_from_every_frame(state, which, seed):
+    # T letters are placed one correction at a time, T + 1 and 3T through the per-pair sums; from the identity frame,
+    # from the labels the letters carry to slot order (_fold), and from a random frame that holds the same state
+    n, rng = state.n, random.Random(seed)
+    word = long_word(rng, n, (bound(n), bound(n) + 1, 3 * bound(n))[which])
+    expected = eager(state, word)
+    assert _freeze(n, *_fold(*_thaw(state), word)) == expected
+    assert _freeze(n, *_fold_framed(*_thaw(state), word)) == expected
+    image, nbr, comm = _thaw(state)
+    lab = [0, *rng.sample(range(1, n + 1), n)]  # the starting label at each slot
+    pos = sorted(range(n + 1), key=lab.__getitem__)
+    framed_nbr = [{} for _ in range(n + 1)]
+    for u, row in enumerate(nbr):
+        for v, e in row.items():
+            framed_nbr[lab[u]][lab[v]] = e
+    framed_comm = {}
+    for (u, v, w), c in comm.items():
+        t, sign = _sort3(lab[u], lab[v], lab[w])
+        framed_comm[t] = sign * c
+    assert _freeze(n, image, framed_nbr, framed_comm, pos) == state
+    assert _freeze(n, *_fold_framed(image, framed_nbr, framed_comm, word, (lab, pos))) == expected
+
+
+def dense_start(rng: random.Random, n: int):
+    """A strand adjacency with an exponent in {-2, -1, 1, 2} on 60% of the pairs, and level-2 entries on 30% of the
+    triples."""
+    pure = {p: rng.choice((-2, -1, 1, 2)) for p in pairs(n) if rng.random() < 0.6}
+    return adjacency(n, pure), {t: rng.choice((-2, -1, 1, 2)) for t in triples(n) if rng.random() < 0.3}
+
+
+def nonzero_corrections(n: int, nbr, comm, word) -> int:
+    """The letters' nonzero level-2 corrections d = e*(e' - 1), counted one letter at a time on the slot-keyed state
+    that _fold leaves: an absorbed letter's at every other strand of the row `one`, a deposit's at the strands of
+    `one` above k+1 and of `two` below k."""
+    image, count = list(range(1, n + 1)), 0
+    for k, eps in word:
+        one, two = (nbr[k], nbr[k + 1]) if eps == 1 else (nbr[k + 1], nbr[k])
+        if (eps == 1) != (image.index(k) < image.index(k + 1)):  # a deposit
+            scanned = [(one, two, v) for v in one if v > k + 1] + [(two, one, v) for v in two if v < k]
+        else:
+            scanned = [(one, two, v) for v in one if v not in (k, k + 1)]
+        count += sum(1 for row, other, v in scanned if row[v] * (other.get(v, 0) - 1))
+        image, nbr, comm = _fold(image, nbr, comm, ((k, eps),))
+    return count
+
+
+@pytest.mark.parametrize("n", (3, 6, 8))
+def test_a_fold_of_t_letters_looks_up_each_nonzero_correction_as_it_meets_it(n):
+    rng = random.Random(n)
+    nbr, start = dense_start(rng, n)
+    word = long_word(rng, n, bound(n))
+    expected = nonzero_corrections(n, copy.deepcopy(nbr), dict(start), word)
+    assert expected > n * (n - 1) * (n - 2)  # more than a gathered fold could make
+    CountedComm.tally[:] = [0, 0, 0]
+    folded = _fold_framed(list(range(1, n + 1)), copy.deepcopy(nbr), CountedComm(start), word)
+    assert CountedComm.tally[1] == expected
+    assert _freeze(n, *folded) == _freeze(n, *_fold(list(range(1, n + 1)), nbr, dict(start), word))
+
+
+@pytest.mark.parametrize("n, length", ((3, 10), (3, 400), (5, 51), (8, 225), (8, 5000), (12, 793), (12, 3000)))
+def test_a_fold_past_t_letters_looks_up_each_level2_slot_at_most_once(n, length):
+    # whatever its length: one lookup per (ordered crossing pair, strand) at most, n(n-1)(n-2), 336 at n = 8
+    rng = random.Random(n * length)
+    nbr, start = dense_start(rng, n)
+    word = long_word(rng, n, length)
+    assert length > bound(n)
+    CountedComm.tally[:] = [0, 0, 0]
+    folded = _fold_framed(list(range(1, n + 1)), copy.deepcopy(nbr), CountedComm(start), word)
+    assert CountedComm.tally[1] <= n * (n - 1) * (n - 2)
+    # the oracle: folds of at most T letters, each placing its corrections as it meets them
+    state = list(range(1, n + 1)), nbr, dict(start)
+    for i in range(0, length, bound(n)):
+        state = _fold(*state, word[i:i + bound(n)])
+    assert _freeze(n, *folded) == _freeze(n, *state)
