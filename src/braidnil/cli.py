@@ -1,13 +1,13 @@
-"""
-Command-line front end.
+"""Command-line front end.
 
-Every subcommand prints one canonical JSON document on stdout (key-sorted,
-compact), or an aligned text rendering with --pretty where that makes sense;
-diagnostics go to stderr.  Element arguments are expression strings (see
-expr.py) unless they start with '{', in which case they are read as element
-JSON.  Exit codes: 0 success, 1 verification failure, 2 expression syntax
-error, 3 domain error (bad indices, violated preconditions, malformed JSON),
-running out of memory or a reader that closed stdout.
+respond(argv, out, err) runs one request and returns its exit code: the
+answer goes to out as one canonical JSON document (key-sorted, compact), or
+an aligned text rendering with --pretty where that makes sense, diagnostics
+to err.  main is respond on sys.stdout and sys.stderr plus the closed-stdout
+handler.  Element arguments are expression strings (see expr.py) unless they
+start with '{', then element JSON.  Exit codes: 0 success, 1 verification
+failure, 2 expression syntax error, 3 domain error (bad indices, violated
+preconditions, malformed JSON), running out of memory or a closed stdout.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 from .core import (
     DomainError,
@@ -77,8 +78,8 @@ def _element_arg(text: str, n: int) -> NilElement:
     return collect(x) if kind == "word" else x
 
 
-def _print(doc) -> None:
-    sys.stdout.write(dumps_canonical(doc) + "\n")
+def _print(out, doc) -> None:
+    out.write(dumps_canonical(doc) + "\n")
 
 
 def _render_element(e: NilElement) -> str:
@@ -113,14 +114,14 @@ def _write_block(write, rows, signs, width: int, offset: int, zero: str, sep: st
         write(gap[start:step * width + len(row_close)])
 
 
-def _write_holonomy(h, pretty: bool) -> None:
+def _write_holonomy(out, h, pretty: bool) -> None:
     """Write the blocks of the HolonomyMatrix h row by row from their signed permutations, never as dense matrices.
 
     The JSON blocks come first, then the other keys from dumps_canonical,
     since block1 and block2 sort before them; --pretty writes the
     block-diagonal matrix, then the determinant.
     """
-    write = sys.stdout.write
+    write = out.write
     p, t = len(h.pair_basis), len(h.triple_basis)
     blocks = ((h.pair_rows, (1,) * p, 0), (h.triple_rows, h.triple_signs, p))
     if pretty:
@@ -135,44 +136,44 @@ def _write_holonomy(h, pretty: bool) -> None:
     write("]," + rest[1:] + "\n")
 
 
-def _run_collect(args) -> None:
+def _run_collect(args, out, err) -> None:
     e = _element_arg(args.expr, args.n)
     if args.pretty:
-        print(_render_element(e))
+        out.write(_render_element(e) + "\n")
     else:
-        _print(element_to_dict(e))
+        _print(out, element_to_dict(e))
 
 
-def _run_mul(args) -> None:
-    _print(element_to_dict(mul(_element_arg(args.left, args.n), _element_arg(args.right, args.n))))
+def _run_mul(args, out, err) -> None:
+    _print(out, element_to_dict(mul(_element_arg(args.left, args.n), _element_arg(args.right, args.n))))
 
 
-def _run_inv(args) -> None:
-    _print(element_to_dict(inv(_element_arg(args.expr, args.n))))
+def _run_inv(args, out, err) -> None:
+    _print(out, element_to_dict(inv(_element_arg(args.expr, args.n))))
 
 
-def _run_pow(args) -> None:
-    _print(element_to_dict(power(_element_arg(args.expr, args.n), args.exponent)))
+def _run_pow(args, out, err) -> None:
+    _print(out, element_to_dict(power(_element_arg(args.expr, args.n), args.exponent)))
 
 
-def _run_conj(args) -> None:
-    _print(element_to_dict(conj(_element_arg(args.g, args.n), _element_arg(args.x, args.n))))
+def _run_conj(args, out, err) -> None:
+    _print(out, element_to_dict(conj(_element_arg(args.g, args.n), _element_arg(args.x, args.n))))
 
 
-def _run_order(args) -> None:
+def _run_order(args, out, err) -> None:
     q = order(_element_arg(args.expr, args.n))
-    _print({"n": args.n, "order": q if q is not None else "infinite"})
+    _print(out, {"n": args.n, "order": q if q is not None else "infinite"})
 
 
-def _run_delta(args) -> None:
+def _run_delta(args, out, err) -> None:
     from . import torsion
-    _print(element_to_dict(torsion.delta(args.r, args.k, args.n)))
+    _print(out, element_to_dict(torsion.delta(args.r, args.k, args.n)))
 
 
-def _run_delta_pow(args) -> None:
+def _run_delta_pow(args, out, err) -> None:
     from . import torsion
     basis, comm, constants = torsion.delta_power_coefficients(args.n)
-    _print({
+    _print(out, {
         "n": args.n,
         "comm": [[i, j, k, c] for i, j, k, c in comm.entries],
         "orbit_constants": constants,
@@ -180,15 +181,15 @@ def _run_delta_pow(args) -> None:
     })
 
 
-def _run_orbits(args) -> None:
+def _run_orbits(args, out, err) -> None:
     from .orbits import orbit_partition
     basis = orbit_partition(args.n)
     if args.pretty:
         for i, orbit in enumerate(basis.orbits):
             chain = " -> ".join("a[%d,%d,%d]" % t for t, _ in orbit)
-            print(f"orbit {i} (length {len(orbit)}): {chain}")
+            out.write(f"orbit {i} (length {len(orbit)}): {chain}\n")
     else:
-        _print({
+        _print(out, {
             "n": args.n,
             "orbits": [
                 {
@@ -201,7 +202,7 @@ def _run_orbits(args) -> None:
         })
 
 
-def _run_ranks(args) -> None:
+def _run_ranks(args, out, err) -> None:
     from . import invariants
     if args.q is not None and args.qmax is not None:
         raise DomainError("--qmax is not used with --q")
@@ -209,29 +210,29 @@ def _run_ranks(args) -> None:
     if qmax < 1:  # an empty level range would never check --n
         raise DomainError(f"need n >= 2 and qmax >= 1, got n={args.n}, qmax={qmax}")
     qs = [args.q] if args.q is not None else range(1, qmax + 1)
-    _print({"n": args.n, "ranks": [{"q": q, "rank": invariants.lcs_rank(args.n, q)} for q in qs]})
+    _print(out, {"n": args.n, "ranks": [{"q": q, "rank": invariants.lcs_rank(args.n, q)} for q in qs]})
 
 
-def _run_table(args) -> None:
+def _run_table(args, out, err) -> None:
     from . import invariants
     t = invariants.dimension_table(args.nmax, args.kmax)
     if args.pretty:
-        print(t.render_text())
+        out.write(t.render_text() + "\n")
     else:
-        _print({"rows": t.to_rows()})
+        _print(out, {"rows": t.to_rows()})
 
 
-def _run_torsion(args) -> None:
+def _run_torsion(args, out, err) -> None:
     from . import torsion
     if args.spectrum:
-        _print({"n": args.n, "spectrum": torsion.torsion_spectrum(args.n)})
+        _print(out, {"n": args.n, "spectrum": torsion.torsion_spectrum(args.n)})
     elif args.cycle_type is not None:
         try:
             parts = [_ascii_int(x) for x in args.cycle_type.split(",") if x.strip()]
         except ValueError as exc:
             raise DomainError(f"bad cycle type: {exc}") from exc
         e = torsion.element_with_cycle_type(args.n, parts)
-        _print({"n": args.n, "parts": parts, "order": order(e), "element": element_to_dict(e)})
+        _print(out, {"n": args.n, "parts": parts, "order": order(e), "element": element_to_dict(e)})
     else:
         data = _json_arg(args.residues, "residue")
         json_keys(data, "residue", ("n", "residues"))
@@ -243,10 +244,10 @@ def _run_torsion(args) -> None:
             raise DomainError(f"bad residue JSON: {exc}") from exc
         e = torsion.finite_order_element(args.n, rows)
         q = order(e)
-        _print({"n": args.n, "order": q if q is not None else "infinite", "element": element_to_dict(e)})
+        _print(out, {"n": args.n, "order": q if q is not None else "infinite", "element": element_to_dict(e)})
 
 
-def _run_conjugacy(args) -> None:
+def _run_conjugacy(args, out, err) -> None:
     from . import torsion
     a = _element_arg(args.left, args.n)
     b = _element_arg(args.right, args.n)
@@ -262,13 +263,13 @@ def _run_conjugacy(args) -> None:
         "proven_range": args.n >= 5,
     }
     if args.n < 5:
-        print("note: conjugacy criterion is outside its proven range for n < 5", file=sys.stderr)
+        err.write("note: conjugacy criterion is outside its proven range for n < 5\n")
     if g is not None:
         doc["witness"] = element_to_dict(g)
-    _print(doc)
+    _print(out, doc)
 
 
-def _run_holonomy(args) -> None:
+def _run_holonomy(args, out, err) -> None:
     from . import invariants
     e = _element_arg(args.expr, args.n)
     pair_basis = None
@@ -276,10 +277,10 @@ def _run_holonomy(args) -> None:
         if args.n != 3:
             raise DomainError("--paper-basis is only defined for n=3")
         pair_basis = ((1, 3), (2, 3), (1, 2))
-    _write_holonomy(invariants.holonomy_matrix(e, pair_basis=pair_basis), args.pretty)
+    _write_holonomy(out, invariants.holonomy_matrix(e, pair_basis=pair_basis), args.pretty)
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, out, err) -> int:
     from . import presentations
     if args.suite == "b3":
         if args.n is not None:
@@ -294,7 +295,7 @@ def _run_verify(args) -> int:
         suite = {"pn3": presentations.pure_presentation, "bn3": presentations.braid_presentation,
                  "fulltwist": presentations.full_twist}[args.suite]
         reports = [suite(args.n)]
-    _print({"reports": [r.to_dict() for r in reports]})
+    _print(out, {"reports": [r.to_dict() for r in reports]})
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -302,8 +303,8 @@ _N = ("--n", {"type": _int_option, "required": True, "help": "strand count"})
 _PRETTY = ("--pretty", {"action": "store_true"})
 
 # name -> (help, arguments, run) for each subcommand, in --help order; an argument is (name, add_argument
-# options), and a list of them is a required mutually exclusive group; run(args) writes the answer and
-# returns the exit code, None for 0
+# options), and a list of them is a required mutually exclusive group; run(args, out, err) writes the answer on
+# out and any note on err, and returns the exit code, None for 0
 _COMMANDS = {
     "collect": ("normal form of an expression", (_N, ("expr", {}), _PRETTY), _run_collect),
     "mul": ("product of two elements", (_N, ("left", {}), ("right", {})), _run_mul),
@@ -378,37 +379,46 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def respond(argv, out, err) -> int:
     # integers are exact at any size: lift the str<->int digit limit (CPython >= 3.10.7) while the CLI reads and prints
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        argv = sys.argv[1:] if argv is None else argv
         # a request that names its subcommand first needs only that subparser; anything else gets them all
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
-        code = args.run(args) or 0
-        sys.stdout.flush()  # a reader that closed stdout is reported below, not at interpreter exit
-        return code
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):  # where argparse prints --help and its errors
+                args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse's exit after --help or an error
+            return exc.code
+        return args.run(args, out, err) or 0
     except ExpressionError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        err.write(f"parse error: {exc}\n")
         return 2
     except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        err.write(f"domain error: {exc}\n")
         return 3
     except MemoryError as exc:
         exc.__traceback__ = None  # frees the frames that hold the memory, so the line can be written
-        print("resource error: out of memory", file=sys.stderr)
-        return 3
-    except BrokenPipeError:
-        # the reader closed stdout: what is still buffered goes to devnull, so the flush at exit cannot fail again
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print("resource error: stdout closed", file=sys.stderr)
+        err.write("resource error: out of memory\n")
         return 3
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+def main(argv=None) -> int:
+    try:
+        code = respond(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
+        sys.stdout.flush()  # a reader that closed stdout is reported below, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so the flush at exit cannot fail again
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        sys.stderr.write("resource error: stdout closed\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ holonomy's empty and --pretty blocks, a long word that writes its inverse
 letters with a caret, the malformed exponents of one letter, and s/S words
 at n = 8 and 12 longer than n*C(n,2) letters, which the fold sums per pair.
 IDENTITIES are group laws, each two chains of requests whose last stdout
-bytes must be equal; tests/test_golden.py replays them and the corpus.
+bytes must be equal; tests/test_golden.py replays them and the corpus.  A
+replay in this process is one call of braidnil.cli.respond with buffers of
+its own, stdout a UTF-8 text wrapper over bytes.
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py             # write every record; the header names HEAD
@@ -46,10 +48,9 @@ import re
 import shlex
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from braidnil.cli import main
+from braidnil.cli import respond
 from braidnil.core import dumps_canonical
 
 HERE = Path(__file__).resolve().parent
@@ -58,14 +59,10 @@ ROOT = HERE.parent.parent
 
 
 def replay(argv: list[str]) -> tuple[int, bytes, str]:
-    """main(argv) in this process: its exit code, its stdout bytes and its stderr text."""
+    """respond(argv) in this process: its exit code, its stdout bytes and its stderr text."""
     out, err = io.BytesIO(), io.StringIO()
     stdout = io.TextIOWrapper(out, encoding="utf-8", newline="\n")
-    with redirect_stdout(stdout), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse's own errors and --help
-            code = exc.code
+    code = respond(list(argv), stdout, err)
     stdout.flush()
     return code, out.getvalue(), err.getvalue()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import braidnil
 from braidnil import invariants, orbits, presentations, torsion
-from braidnil.cli import _COMMANDS, _int_option, build_parser, main
+from braidnil.cli import _COMMANDS, _int_option, build_parser, main, respond
 from braidnil.core import (
     DomainError,
     Permutation,
@@ -52,98 +53,98 @@ from braidnil.torsion import (
 from conftest import counted, dense_holonomy, holonomy_json, holonomy_pretty, peak_in_child, random_word
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run(*argv):
+    """respond(argv) with its own buffers: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    return respond(list(argv), out, err), out.getvalue(), err.getvalue()
 
 
-def test_collect_outputs_canonical_json(capsys):
-    code, out, _ = run(capsys, "collect", "--n", "5", "(s4 s3 s2^-1 s1^-1)^5")
+def test_collect_outputs_canonical_json():
+    code, out, _ = run("collect", "--n", "5", "(s4 s3 s2^-1 s1^-1)^5")
     assert code == 0
     assert out == ('{"comm":[[1,2,4,-1],[1,3,4,-1],[1,3,5,-1],[2,3,5,-1],[2,4,5,-1]],'
                    '"n":5,"perm":[1,2,3,4,5],"pure":[]}\n')
 
 
-def test_identical_invocations_are_byte_identical(capsys):
-    first = run(capsys, "table", "--nmax", "6", "--kmax", "5")
-    second = run(capsys, "table", "--nmax", "6", "--kmax", "5")
+def test_identical_invocations_are_byte_identical():
+    first = run("table", "--nmax", "6", "--kmax", "5")
+    second = run("table", "--nmax", "6", "--kmax", "5")
     assert first == second
 
 
-def test_order_subcommand(capsys):
-    code, out, _ = run(capsys, "order", "--n", "5", "a[1,2,4] (s4 s3 s2^-1 s1^-1)")
+def test_order_subcommand():
+    code, out, _ = run("order", "--n", "5", "a[1,2,4] (s4 s3 s2^-1 s1^-1)")
     assert code == 0 and json.loads(out) == {"n": 5, "order": 5}
-    code, out, _ = run(capsys, "order", "--n", "5", "s1")
+    code, out, _ = run("order", "--n", "5", "s1")
     assert code == 0 and json.loads(out) == {"n": 5, "order": "infinite"}
 
 
-def test_table_grid_values(capsys):
-    code, out, _ = run(capsys, "table", "--nmax", "6", "--kmax", "5")
+def test_table_grid_values():
+    code, out, _ = run("table", "--nmax", "6", "--kmax", "5")
     rows = {(r["n"], r["k"]): r["dim"] for r in json.loads(out)["rows"]}
     assert code == 0
     assert [rows[(n, 5)] for n in (3, 4, 5, 6)] == [9, 41, 131, 336]
 
 
-def test_element_json_round_trip_through_cli(capsys):
-    code, out, _ = run(capsys, "collect", "--n", "5", "A[1,2]^2 a[1,3,5]^-1 s1")
+def test_element_json_round_trip_through_cli():
+    code, out, _ = run("collect", "--n", "5", "A[1,2]^2 a[1,3,5]^-1 s1")
     assert code == 0
-    code2, out2, _ = run(capsys, "collect", "--n", "5", out.strip())
+    code2, out2, _ = run("collect", "--n", "5", out.strip())
     assert code2 == 0 and out2 == out
 
 
-def test_word_json_input(capsys):
+def test_word_json_input():
     word = json.dumps({"n": 5, "word": [[4, 1], [3, 1], [2, -1], [1, -1]]})
-    code, out, _ = run(capsys, "pow", "--n", "5", word, "5")
+    code, out, _ = run("pow", "--n", "5", word, "5")
     assert code == 0
     assert json.loads(out)["comm"] == [[1, 2, 4, -1], [1, 3, 4, -1], [1, 3, 5, -1],
                                        [2, 3, 5, -1], [2, 4, 5, -1]]
 
 
-def test_mul_inv_pow_conj(capsys):
-    code, out, _ = run(capsys, "mul", "--n", "3", "s1", "s1")
+def test_mul_inv_pow_conj():
+    code, out, _ = run("mul", "--n", "3", "s1", "s1")
     assert json.loads(out)["pure"] == [[1, 2, 1]]
-    code, out, _ = run(capsys, "inv", "--n", "3", "s1 s2")
+    code, out, _ = run("inv", "--n", "3", "s1 s2")
     e = element_from_dict(json.loads(out))
-    code, out, _ = run(capsys, "pow", "--n", "3", "s1 s2", "-1")
+    code, out, _ = run("pow", "--n", "3", "s1 s2", "-1")
     assert element_from_dict(json.loads(out)) == e
-    code, out, _ = run(capsys, "conj", "--n", "3", "s1", "A[1,3]")
+    code, out, _ = run("conj", "--n", "3", "s1", "A[1,3]")
     got = element_from_dict(json.loads(out))
     assert got == element_from_dict({"n": 3, "perm": [1, 2, 3], "pure": [[2, 3, 1]], "comm": []})
 
 
-def test_delta_and_delta_pow(capsys):
-    code, out, _ = run(capsys, "delta", "--n", "5", "--k", "5")
+def test_delta_and_delta_pow():
+    code, out, _ = run("delta", "--n", "5", "--k", "5")
     assert element_from_dict(json.loads(out)) == delta(0, 5, 5)
-    code, out, _ = run(capsys, "delta-pow", "--n", "5")
+    code, out, _ = run("delta-pow", "--n", "5")
     doc = json.loads(out)
     assert doc["orbit_constants"] == [0, -1]
     assert doc["orbit_representatives"] == [[1, 2, 3], [1, 2, 4]]
 
 
-def test_orbits_and_ranks(capsys):
-    code, out, _ = run(capsys, "orbits", "--n", "6")
+def test_orbits_and_ranks():
+    code, out, _ = run("orbits", "--n", "6")
     doc = json.loads(out)
     assert [o["length"] for o in doc["orbits"]] == [6, 6, 6, 2]
-    code, out, _ = run(capsys, "ranks", "--n", "5", "--qmax", "3")
+    code, out, _ = run("ranks", "--n", "5", "--qmax", "3")
     assert json.loads(out)["ranks"] == [{"q": 1, "rank": 10}, {"q": 2, "rank": 10}, {"q": 3, "rank": 30}]
-    code, out, _ = run(capsys, "ranks", "--n", "5", "--q", "2")
+    code, out, _ = run("ranks", "--n", "5", "--q", "2")
     assert json.loads(out)["ranks"] == [{"q": 2, "rank": 10}]
 
 
-def test_torsion_subcommands(capsys):
-    code, out, _ = run(capsys, "torsion", "--n", "12", "--spectrum")
+def test_torsion_subcommands():
+    code, out, _ = run("torsion", "--n", "12", "--spectrum")
     assert json.loads(out)["spectrum"] == [5, 7, 11, 35]
-    code, out, _ = run(capsys, "torsion", "--n", "12", "--cycle-type", "5,7")
+    code, out, _ = run("torsion", "--n", "12", "--cycle-type", "5,7")
     assert json.loads(out)["order"] == 35
     residues = json.dumps({"n": 5, "residues": [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]})
-    code, out, _ = run(capsys, "torsion", "--n", "5", "--residues", residues)
+    code, out, _ = run("torsion", "--n", "5", "--residues", residues)
     assert json.loads(out)["order"] == 5
 
 
 @pytest.mark.parametrize("parts", ["", ","])
-def test_an_empty_cycle_type_is_the_identity(capsys, parts):
-    code, out, err = run(capsys, "torsion", "--n", "5", "--cycle-type", parts)
+def test_an_empty_cycle_type_is_the_identity(parts):
+    code, out, err = run("torsion", "--n", "5", "--cycle-type", parts)
     assert (code, err) == (0, "")
     assert out == '{"element":{"comm":[],"n":5,"perm":[1,2,3,4,5],"pure":[]},"n":5,"order":1,"parts":[]}\n'
 
@@ -153,32 +154,32 @@ def test_an_empty_cycle_type_is_the_identity(capsys, parts):
     pytest.param('{"n":5}', "bad residue JSON: 'residues'", id="missing-key"),
     pytest.param('{"n":5,"residues":7}', "bad residue JSON: 'int' object is not iterable", id="not-a-list"),
 ])
-def test_bad_residue_json_exits_3(capsys, residues, stderr):
-    code, out, err = run(capsys, "torsion", "--n", "5", "--residues", residues)
+def test_bad_residue_json_exits_3(residues, stderr):
+    code, out, err = run("torsion", "--n", "5", "--residues", residues)
     assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
 
 
-def test_torsion_spectrum_at_80_strands_is_fast(capsys):
+def test_torsion_spectrum_at_80_strands_is_fast():
     start = time.perf_counter()
-    code, out, _ = run(capsys, "torsion", "--n", "80", "--spectrum")
+    code, out, _ = run("torsion", "--n", "80", "--spectrum")
     assert time.perf_counter() - start < 1.0
     spectrum = json.loads(out)["spectrum"]
     assert code == 0 and len(spectrum) == 634 and spectrum[:4] == [5, 7, 11, 13]
 
 
-def test_torsion_spectrum_past_its_bound_exits_3_at_once(capsys):
+def test_torsion_spectrum_past_its_bound_exits_3_at_once():
     start = time.perf_counter()
-    code, out, err = run(capsys, "torsion", "--n", str(SPECTRUM_MAX_N + 1), "--spectrum")
+    code, out, err = run("torsion", "--n", str(SPECTRUM_MAX_N + 1), "--spectrum")
     assert time.perf_counter() - start < 0.2
     assert code == 3 and out == "" and f"n <= {SPECTRUM_MAX_N}" in err
 
 
-def test_conjugacy_cli(capsys):
+def test_conjugacy_cli():
     a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
     b = f"s2 ({a}) s2^-1"
-    code, out, _ = run(capsys, "conjugacy", "decide", "--n", "5", a, b)
+    code, out, _ = run("conjugacy", "decide", "--n", "5", a, b)
     assert code == 0 and json.loads(out)["conjugate"] is True
-    code, out, _ = run(capsys, "conjugacy", "witness", "--n", "5", a, b)
+    code, out, _ = run("conjugacy", "witness", "--n", "5", a, b)
     doc = json.loads(out)
     assert code == 0 and "witness" in doc
     g = element_from_dict(doc["witness"])
@@ -187,21 +188,21 @@ def test_conjugacy_cli(capsys):
     assert conj(g, parse(a, 5).element()) == parse(b, 5).element()
 
 
-def test_small_n_conjugacy_is_flagged(capsys):
-    code, out, err = run(capsys, "conjugacy", "decide", "--n", "3", "", "")
+def test_small_n_conjugacy_is_flagged():
+    code, out, err = run("conjugacy", "decide", "--n", "3", "", "")
     assert code == 0
     assert json.loads(out)["proven_range"] is False
     assert "proven range" in err
 
 
-def test_witness_of_different_cycle_types_exits_3(capsys):
+def test_witness_of_different_cycle_types_exits_3():
     a, b = (dumps_canonical(element_to_dict(element_with_cycle_type(10, parts))) for parts in ([5], [5, 5]))
-    code, out, err = run(capsys, "conjugacy", "witness", "--n", "10", a, b)
+    code, out, err = run("conjugacy", "witness", "--n", "10", a, b)
     assert (code, out, err) == (3, "", "domain error: witness requires conjugate inputs (equal cycle types)\n")
 
 
-def test_witness_of_infinite_order_inputs_exits_3(capsys):
-    code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", "s1", "s1")
+def test_witness_of_infinite_order_inputs_exits_3():
+    code, out, err = run("conjugacy", "witness", "--n", "5", "s1", "s1")
     assert (code, out, err) == (3, "", "domain error: conjugacy decision requires finite-order inputs\n")
 
 
@@ -215,13 +216,13 @@ _ORDER_FIVE = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
     pytest.param("s1", _ORDER_FIVE, id="infinite-then-finite-other-cycle-type"),
     pytest.param(_ORDER_FIVE, "s1", id="finite-then-infinite-other-cycle-type"),
 ])
-def test_an_infinite_order_witness_input_exits_3_as_the_decision(capsys, left, right):
-    code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", left, right)
+def test_an_infinite_order_witness_input_exits_3_as_the_decision(left, right):
+    code, out, err = run("conjugacy", "witness", "--n", "5", left, right)
     assert (code, out, err) == (3, "", "domain error: conjugacy decision requires finite-order inputs\n")
 
 
-def test_small_n_witness_is_flagged(capsys):
-    code, out, err = run(capsys, "conjugacy", "witness", "--n", "3", "", "")
+def test_small_n_witness_is_flagged():
+    code, out, err = run("conjugacy", "witness", "--n", "3", "", "")
     assert code == 0
     assert err == "note: conjugacy criterion is outside its proven range for n < 5\n"
     assert out == ('{"conjugate":true,"cycle_types":[[1,1,1],[1,1,1]],"n":3,"proven_range":false,'
@@ -250,10 +251,10 @@ def test_small_n_witness_is_flagged(capsys):
     pytest.param(torsion, "mul", lambda x, y: x, "witness final check failed: conj(g, a) differs from b",
                  id="final-check"),
 ])
-def test_a_failed_witness_stage_exits_3_naming_it(capsys, monkeypatch, module, name, fake, stage):
+def test_a_failed_witness_stage_exits_3_naming_it(monkeypatch, module, name, fake, stage):
     monkeypatch.setattr(module, name, fake)
     a = "a[1,2,4] (s4 s3 s2^-1 s1^-1)"
-    code, out, err = run(capsys, "conjugacy", "witness", "--n", "5", a, f"A[1,2] s2 ({a}) s2^-1 A[1,2]^-1")
+    code, out, err = run("conjugacy", "witness", "--n", "5", a, f"A[1,2] s2 ({a}) s2^-1 A[1,2]^-1")
     assert (code, out, err) == (3, "", f"domain error: {stage}\n")
 
 
@@ -285,34 +286,34 @@ def _two_sign_flips(perm, cls):
                  lambda: delta_power_coefficients(7), ["delta-pow", "--n", "7"],
                  "orbit 0 coefficients [1, 0, 0, 0, 0, 0, 0] are not constant", id="delta-power-constant"),
 ])
-def test_a_self_check_raises_in_the_library_and_exits_3_in_the_cli(capsys, monkeypatch, module, name, fake, call,
-                                                                   argv, message):
+def test_a_self_check_raises_in_the_library_and_exits_3_in_the_cli(monkeypatch, module, name, fake, call, argv,
+                                                                   message):
     monkeypatch.setattr(module, name, fake)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
-    assert run(capsys, *argv) == (3, "", f"domain error: {message}\n")
+    assert run(*argv) == (3, "", f"domain error: {message}\n")
 
 
-def test_a_witness_request_decides_conjugacy_once(capsys, monkeypatch):
+def test_a_witness_request_decides_conjugacy_once(monkeypatch):
     # a verified witness needs one order; a failed stage needs the other to name the failure
     calls = counted(monkeypatch, braidnil.torsion, "order")
-    code, out, _ = run(capsys, "conjugacy", "witness", "--n", "5", _ORDER_FIVE, f"s2 ({_ORDER_FIVE}) s2^-1")
+    code, out, _ = run("conjugacy", "witness", "--n", "5", _ORDER_FIVE, f"s2 ({_ORDER_FIVE}) s2^-1")
     assert code == 0 and "witness" in json.loads(out)
     assert calls[0] == 1
-    code, _, _ = run(capsys, "conjugacy", "witness", "--n", "5", _ORDER_FIVE, f"A[1,2] {_ORDER_FIVE}")
+    code, _, _ = run("conjugacy", "witness", "--n", "5", _ORDER_FIVE, f"A[1,2] {_ORDER_FIVE}")
     assert code == 3
     assert calls[0] == 1 + 2
 
 
-def test_delta_pow_builds_one_orbit_basis(capsys, monkeypatch):
+def test_delta_pow_builds_one_orbit_basis(monkeypatch):
     calls = counted(monkeypatch, braidnil.orbits, "orbit_basis_of")
-    code, out, _ = run(capsys, "delta-pow", "--n", "7")
+    code, out, _ = run("delta-pow", "--n", "7")
     assert code == 0 and len(json.loads(out)["orbit_representatives"]) == 5
     assert calls[0] == 1
 
 
-def test_holonomy_paper_basis(capsys):
-    code, out, _ = run(capsys, "holonomy", "--n", "3", "s1", "--paper-basis")
+def test_holonomy_paper_basis():
+    code, out, _ = run("holonomy", "--n", "3", "s1", "--paper-basis")
     doc = json.loads(out)
     assert doc["block1"] == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     assert doc["block2"] == [[-1]]
@@ -320,27 +321,27 @@ def test_holonomy_paper_basis(capsys):
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_holonomy_output_equals_the_dense_oracle(capsys, n):
+def test_holonomy_output_equals_the_dense_oracle(n):
     # both blocks are empty at n = 1, and the triple block at n = 2
     rng = random.Random(n)
     for _ in range(3):
         g = collect(random_word(rng, n))
         doc = dense_holonomy(g)
         arg = json.dumps(element_to_dict(g))
-        assert run(capsys, "holonomy", "--n", str(n), arg) == (0, holonomy_json(doc), "")
-        assert run(capsys, "holonomy", "--n", str(n), arg, "--pretty") == (0, holonomy_pretty(doc), "")
+        assert run("holonomy", "--n", str(n), arg) == (0, holonomy_json(doc), "")
+        assert run("holonomy", "--n", str(n), arg, "--pretty") == (0, holonomy_pretty(doc), "")
 
 
-def test_holonomy_paper_basis_equals_the_dense_oracle(capsys):
+def test_holonomy_paper_basis_equals_the_dense_oracle():
     paper_pairs = ((1, 3), (2, 3), (1, 2))
     for expr in ("", "s1", "s2 s1", "s1 s2 s1^-1", "A[1,2] s2"):
         doc = dense_holonomy(braidnil.parse(expr, 3).element(), pair_basis=paper_pairs)
-        assert run(capsys, "holonomy", "--n", "3", expr, "--paper-basis") == (0, holonomy_json(doc), "")
-        assert run(capsys, "holonomy", "--n", "3", expr, "--paper-basis", "--pretty") == (0, holonomy_pretty(doc), "")
+        assert run("holonomy", "--n", "3", expr, "--paper-basis") == (0, holonomy_json(doc), "")
+        assert run("holonomy", "--n", "3", expr, "--paper-basis", "--pretty") == (0, holonomy_pretty(doc), "")
 
 
-def test_paper_basis_off_three_strands_exits_3(capsys):
-    code, out, err = run(capsys, "holonomy", "--n", "4", "s1", "--paper-basis")
+def test_paper_basis_off_three_strands_exits_3():
+    code, out, err = run("holonomy", "--n", "4", "s1", "--paper-basis")
     assert (code, out, err) == (3, "", "domain error: --paper-basis is only defined for n=3\n")
 
 
@@ -354,20 +355,17 @@ class _Pieces:
         self.pieces.append(text)
         return len(text)
 
-    def flush(self) -> None:
-        pass
-
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["json", "pretty"])
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
-def test_a_holonomy_row_is_two_writes_of_at_most_one_template(monkeypatch, n, pretty):
+def test_a_holonomy_row_is_two_writes_of_at_most_one_template(n, pretty):
     # a row is one slice of its block's template, which runs from one row's nonzero cell to the next row's, and
     # one entry; a writer that encodes cell by cell writes more pieces, and one that builds a block writes longer ones
     g = collect(random_word(random.Random(n), n))
     doc = dense_holonomy(g)
     stdout = _Pieces()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["holonomy", "--n", str(n), json.dumps(element_to_dict(g))] + ["--pretty"] * pretty) == 0
+    argv = ["holonomy", "--n", str(n), json.dumps(element_to_dict(g))] + ["--pretty"] * pretty
+    assert respond(argv, stdout, io.StringIO()) == 0
     pieces = stdout.pieces
     assert "".join(pieces) == (holonomy_pretty if pretty else holonomy_json)(doc)
     p, t = len(doc["block1"]), len(doc["block2"])
@@ -387,32 +385,32 @@ def test_holonomy_memory_stays_bounded(pretty):
     assert hwm_kb < 64 * 1024
 
 
-def test_verify_suites_exit_zero(capsys):
+def test_verify_suites_exit_zero():
     for args in (("verify", "--suite", "pn3", "--n", "4"),
                  ("verify", "--suite", "bn3", "--n", "4"),
                  ("verify", "--suite", "b3"),
                  ("verify", "--suite", "fulltwist", "--n", "5")):
-        code, out, _ = run(capsys, *args)
+        code, out, _ = run(*args)
         assert code == 0
         assert all(r["passed"] for r in json.loads(out)["reports"])
 
 
-def test_verify_failure_exits_one(capsys, monkeypatch):
+def test_verify_failure_exits_one(monkeypatch):
     bad = presentations.RelationReport("pn3", 3, 1, (("fake", identity(3), comm_gen(3, (1, 2, 3))),))
     monkeypatch.setattr(presentations, "pure_presentation", lambda n: bad)
-    code, out, _ = run(capsys, "verify", "--suite", "pn3", "--n", "3")
+    code, out, _ = run("verify", "--suite", "pn3", "--n", "3")
     assert code == 1
     assert json.loads(out)["reports"][0]["failed"] == 1
 
 
 @pytest.mark.parametrize("suite", ["pn3", "bn3", "fulltwist"])
-def test_verify_without_n_exits_3(capsys, suite):
-    code, out, err = run(capsys, "verify", "--suite", suite)
+def test_verify_without_n_exits_3(suite):
+    code, out, err = run("verify", "--suite", suite)
     assert (code, out, err) == (3, "", f"domain error: --n is required for suite {suite}\n")
 
 
-def test_collect_pretty(capsys):
-    code, out, err = run(capsys, "collect", "--n", "3", "--pretty", "s1 A[1,3] a[1,2,3]")
+def test_collect_pretty():
+    code, out, err = run("collect", "--n", "3", "--pretty", "s1 A[1,3] a[1,2,3]")
     assert (code, out, err) == (0, "perm=[2, 1, 3] A[1,3]^1 a[1,2,3]^1\n", "")
 
 
@@ -421,8 +419,8 @@ def test_collect_pretty(capsys):
     pytest.param("collect", '{{"n":{n},"word":[]}}', id="word"),
     pytest.param("order", '{{"n":{n},"perm":[]}}', id="element"),
 ])
-def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
-    code, out, err = run(capsys, command, "--n", n, arg.format(n=n))
+def test_json_on_fewer_than_one_strand_exits_3(n, command, arg):
+    code, out, err = run(command, "--n", n, arg.format(n=n))
     assert (code, out, err) == (3, "", "domain error: strand count must be at least 1\n")
 
 
@@ -461,8 +459,8 @@ def test_json_on_fewer_than_one_strand_exits_3(capsys, n, command, arg):
     pytest.param(["torsion", "--n", "12", "--cycle-type", "5,1_1"],
                  "bad cycle type: invalid literal for int() with base 10: '1_1'", id="cycle-type-underscore"),
 ])
-def test_a_domain_error_prints_its_one_line(capsys, argv, stderr):
-    code, out, err = run(capsys, *argv)
+def test_a_domain_error_prints_its_one_line(argv, stderr):
+    code, out, err = run(*argv)
     assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
 
 
@@ -473,12 +471,10 @@ def test_a_domain_error_prints_its_one_line(capsys, argv, stderr):
     pytest.param(["delta", "--n", "7", "--k", "٥"], "--k", "٥", id="arabic-indic-k"),
     pytest.param(["table", "--nmax", "4", "--kmax", "³"], "--kmax", "³", id="superscript-kmax"),
 ])
-def test_an_integer_option_is_an_ascii_integer(capsys, argv, option, text):
+def test_an_integer_option_is_an_ascii_integer(argv, option, text):
     # int() alone takes other scripts' digits and underscores; the CLI rejects them in argparse's words for int
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    err = capsys.readouterr().err
-    assert exc.value.code == 2 and err.endswith(f": error: argument {option}: invalid int value: '{text}'\n")
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "") and err.endswith(f": error: argument {option}: invalid int value: '{text}'\n")
 
 
 @pytest.mark.parametrize("argv, same", [
@@ -487,8 +483,8 @@ def test_an_integer_option_is_an_ascii_integer(capsys, argv, option, text):
     pytest.param(["torsion", "--n", "12", "--cycle-type", " 5 , +7"], ["torsion", "--n", "12", "--cycle-type", "5,7"],
                  id="padded-cycle-type"),
 ])
-def test_an_integer_may_keep_its_sign_and_surrounding_whitespace(capsys, argv, same):
-    assert run(capsys, *argv) == run(capsys, *same)
+def test_an_integer_may_keep_its_sign_and_surrounding_whitespace(argv, same):
+    assert run(*argv) == run(*same)
 
 
 @pytest.mark.parametrize("text, value", [("\x1c3", 3), ("3\x1f", 3), ("\x1d-3 ", -3)])
@@ -499,8 +495,8 @@ def test_an_integer_option_takes_every_space_that_its_pattern_takes(text, value)
         assert _int_option(space + text + space) == value
 
 
-def test_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "collect", "--n", "5", "s4^")
+def test_parse_error_exit_code():
+    code, _, err = run("collect", "--n", "5", "s4^")
     assert code == 2 and "parse error" in err
 
 
@@ -508,17 +504,17 @@ def test_parse_error_exit_code(capsys):
     ("A[1,1]", "invalid pair (1, 1) for n=3"),
     ("a[1,1,2]", "invalid triple (1, 1, 2) for n=3"),
 ])
-def test_a_bad_key_is_named_in_one_format_at_both_levels(capsys, expression, stderr):
-    code, out, err = run(capsys, "collect", "--n", "3", expression)
+def test_a_bad_key_is_named_in_one_format_at_both_levels(expression, stderr):
+    code, out, err = run("collect", "--n", "3", expression)
     assert (code, out, err) == (3, "", f"domain error: {stderr}\n")
 
 
-def test_domain_error_exit_code(capsys):
-    code, _, err = run(capsys, "collect", "--n", "5", "s9")
+def test_domain_error_exit_code():
+    code, _, err = run("collect", "--n", "5", "s9")
     assert code == 3 and "domain error" in err
-    code, _, err = run(capsys, "delta", "--n", "6", "--k", "4")
+    code, _, err = run("delta", "--n", "6", "--k", "4")
     assert code == 3
-    code, _, err = run(capsys, "mul", "--n", "4", '{"n":3,"perm":[1,2,3],"pure":[],"comm":[]}', "s1")
+    code, _, err = run("mul", "--n", "4", '{"n":3,"perm":[1,2,3],"pure":[],"comm":[]}', "s1")
     assert code == 3
 
 
@@ -531,15 +527,15 @@ def test_domain_error_exit_code(capsys):
     pytest.param(["torsion", "--n", "5", "--residues", '{"n":5,"residues":[["x"]]}'], id="string-in-residues"),
     pytest.param(["torsion", "--n", "5", "--cycle-type", "x"], id="string-in-cycle-type"),
 ])
-def test_non_integer_input_is_a_domain_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_non_integer_input_is_a_domain_error(argv):
+    code, out, err = run(*argv)
     assert code == 3 and out == "" and "domain error" in err
 
 
-def test_deep_nesting_is_a_parse_error(capsys):
-    code, out, err = run(capsys, "collect", "--n", "3", "(" * 3000 + "s1" + ")" * 3000)
+def test_deep_nesting_is_a_parse_error():
+    code, out, err = run("collect", "--n", "3", "(" * 3000 + "s1" + ")" * 3000)
     assert code == 2 and out == "" and "parse error" in err and "Traceback" not in err
-    code, out, err = run(capsys, "collect", "--n", "3", "(" * (_MAX_NESTING + 1) + "s1" + ")" * (_MAX_NESTING + 1))
+    code, out, err = run("collect", "--n", "3", "(" * (_MAX_NESTING + 1) + "s1" + ")" * (_MAX_NESTING + 1))
     assert code == 2 and "nested deeper" in err
 
 
@@ -548,28 +544,28 @@ def test_deep_nesting_is_a_parse_error(capsys):
     pytest.param(["collect", "--n", "3"], '{{"a":{}}}', "element", id="element"),
     pytest.param(["torsion", "--n", "5", "--residues"], '{{"residues":{}}}', "residue", id="residues"),
 ])
-def test_deeply_nested_json_is_a_domain_error(capsys, depth, argv, wrap, what):
-    code, out, err = run(capsys, *argv, wrap.format("[" * depth + "]" * depth))
+def test_deeply_nested_json_is_a_domain_error(depth, argv, wrap, what):
+    code, out, err = run(*argv, wrap.format("[" * depth + "]" * depth))
     assert code == 3 and out == "" and err.startswith("domain error: ") and "Traceback" not in err
     if depth > 1000:  # past every interpreter's recursion limit, so the decoder itself gives up
         assert err.startswith(f"domain error: bad {what} JSON: ")
 
 
-def test_nesting_at_the_cap_still_parses(capsys):
-    expected = run(capsys, "collect", "--n", "3", "s1")
-    assert run(capsys, "collect", "--n", "3", "(" * _MAX_NESTING + "s1" + ")" * _MAX_NESTING) == expected
+def test_nesting_at_the_cap_still_parses():
+    expected = run("collect", "--n", "3", "s1")
+    assert run("collect", "--n", "3", "(" * _MAX_NESTING + "s1" + ")" * _MAX_NESTING) == expected
 
 
 @pytest.mark.parametrize("text", ["s²", "s1^²", "s٣"])
-def test_non_ascii_digits_are_parse_errors(capsys, text):
-    code, out, err = run(capsys, "collect", "--n", "4", text)
+def test_non_ascii_digits_are_parse_errors(text):
+    code, out, err = run("collect", "--n", "4", text)
     assert code == 2 and out == "" and "parse error" in err
 
 
 @pytest.mark.parametrize("text, offset", [("s1\u3000s2 ü", 8), ("s1 \udcff", 3), ("(s1\u3000", 6)])
-def test_parse_errors_give_utf8_byte_offsets(capsys, text, offset):
+def test_parse_errors_give_utf8_byte_offsets(text, offset):
     # U+DCFF is how Python decodes the undecodable command-line byte 0xff
-    code, out, err = run(capsys, "collect", "--n", "3", text)
+    code, out, err = run("collect", "--n", "3", text)
     assert code == 2 and out == "" and f"(at byte {offset})" in err
 
 
@@ -602,12 +598,12 @@ NINES = "9" * 2200  # a small enough exponent whose answer has a level-2 coeffic
                  lambda: element_to_dict(power(mul(pure_gen(3, 1, 2), pure_gen(3, 2, 3)), int(NINES))),
                  id="printed-answer"),
 ])
-def test_integers_past_the_digit_limit(capsys, argv, expected):
+def test_integers_past_the_digit_limit(argv, expected):
     limit = sys.get_int_max_str_digits()
     assert limit != 0
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(*argv)
     assert (code, err) == (0, "")
-    assert sys.get_int_max_str_digits() == limit  # main puts the caller's limit back
+    assert sys.get_int_max_str_digits() == limit  # respond puts the caller's limit back
     assert lifted_digit_limit(lambda: json.loads(out) == expected())
 
 
@@ -640,15 +636,11 @@ _EXPRESSION_TEXT = st.one_of(_WELL_FORMED, st.lists(st.one_of(_WELL_FORMED, _JUN
 @settings(max_examples=120, deadline=None)
 @given(command=st.sampled_from(["collect", "order"]), n=st.integers(1, 7), text=_EXPRESSION_TEXT)
 def test_cli_fuzz_exits_with_an_answer_or_a_diagnostic(command, n, text):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main([command, "--n", str(n), text])
-        except SystemExit as exc:  # argparse rejects an expression that reads as an option, e.g. "-s1"
-            code = exc.code
+    # argparse rejects an expression that reads as an option, e.g. "-s1", with exit 2
+    code, out, err = run(command, "--n", str(n), text)
     assert code in (0, 2, 3)
-    assert code == 0 or out.getvalue() == ""
-    assert "Traceback" not in err.getvalue()
+    assert code == 0 or out == ""
+    assert "Traceback" not in err
 
 
 # one valid request per subcommand, after its name: each one runs to exit 0
@@ -686,12 +678,15 @@ def test_one_subcommand_parser_matches_the_full_parser(name):
     if name == "torsion":
         argvs.append(["torsion", "--n", "5", "--spectrum", "--cycle-type", "5"])
     for argv in argvs:
-        assert parse_outcome(build_parser(name), argv) == parse_outcome(build_parser(), argv), argv
+        outcome = parse_outcome(build_parser(), argv)
+        assert parse_outcome(build_parser(name), argv) == outcome, argv
+        if isinstance(outcome[0], int):  # --help or a usage error: respond returns argparse's exit code and text
+            assert run(*argv) == outcome, argv
 
 
 @pytest.mark.parametrize("name", list(_VALID))
-def test_each_subcommand_runs_from_its_table_entry(capsys, name):
-    code, out, err = run(capsys, name, *_VALID[name])
+def test_each_subcommand_runs_from_its_table_entry(name):
+    code, out, err = run(name, *_VALID[name])
     assert (code, err) == (0, "")
     assert out.count("\n") == 1 and out == dumps_canonical(json.loads(out)) + "\n"
 
@@ -699,22 +694,58 @@ def test_each_subcommand_runs_from_its_table_entry(capsys, name):
 @pytest.mark.parametrize("name, command", [
     ("mul", "mul"), ("inv", "inv"), ("power", "pow"), ("conj", "conj"), ("order", "order"),
 ])
-def test_a_run_calls_the_engine_through_the_cli_namespace(capsys, monkeypatch, name, command):
+def test_a_run_calls_the_engine_through_the_cli_namespace(monkeypatch, name, command):
     # the call trace replaces engine functions in every module that binds them; a run must look its one up when called
     calls = counted(monkeypatch, braidnil.cli, name)
-    assert run(capsys, command, *_VALID[command])[0] == 0
+    assert run(command, *_VALID[command])[0] == 0
     assert calls[0] == 1
 
 
-def test_main_builds_only_the_subparser_it_runs(capsys, monkeypatch):
+def test_main_builds_only_the_subparser_it_runs(monkeypatch):
     calls = counted(monkeypatch, argparse._SubParsersAction, "add_parser")
-    assert run(capsys, "collect", "--n", "5", "s1")[0] == 0
+    assert run("collect", "--n", "5", "s1")[0] == 0
     assert calls[0] == 1
     # an unknown name gets the full parser, with argparse's own name for the subcommand argument
-    with pytest.raises(SystemExit):
-        main(["bogus"])
+    code, out, err = run("bogus")
+    assert (code, out) == (2, "")
     assert calls[0] == 1 + len(_VALID)
-    assert "error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert "error: argument command: invalid choice: 'bogus'" in err
+
+
+def test_main_writes_through_the_streams_it_finds_when_called(monkeypatch):
+    # a caller that swaps sys.stdout and sys.stderr around main, as a benchmark or a tracer does, gets it all
+    for argv in (["collect", "--n", "5", "s1"], ["collect", "--n", "5", "s9"], ["bogus"], ["collect", "--help"]):
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        code = main(argv)
+        monkeypatch.undo()
+        assert (code, out.getvalue(), err.getvalue()) == run(*argv), argv
+
+
+def test_only_main_names_the_process_streams():
+    # every other function writes through the out and err that respond hands it, so a caller's buffers get it all
+    tree = ast.parse(Path(braidnil.cli.__file__).read_text(encoding="utf-8"))
+    main_def = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main_def)}
+    found = [
+        node.lineno for node in ast.walk(tree) if id(node) not in in_main and (
+            isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print")
+    ]
+    assert found == []
+
+
+def test_running_out_of_memory_in_a_run_exits_3_with_one_line(monkeypatch):
+    # the in-process form of the capped child below: the handler's line, and the caller's digit limit put back
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(torsion, "delta_power_coefficients", exhausted)
+    limit = sys.get_int_max_str_digits()
+    assert run("delta-pow", "--n", "5") == (3, "", "resource error: out of memory\n")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_running_out_of_memory_exits_3():

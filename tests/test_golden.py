@@ -1,4 +1,4 @@
-"""The golden CLI corpus, tests/golden/cli.jsonl: every request replayed in-process through main gives its
+"""The golden CLI corpus, tests/golden/cli.jsonl: every request replayed in-process through respond gives its
 recorded exit code, stdout sha256 and stderr, and both sides of every identity in tests/golden/regen.py give the
 same stdout bytes.  regen.py writes the corpus and says when to."""
 

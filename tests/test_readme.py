@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from braidnil import conj
-from braidnil.cli import main
+from braidnil.cli import respond
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -55,11 +56,12 @@ CLI_LINES = [line for line in code_block("## Command line").splitlines() if line
 
 
 @pytest.mark.parametrize("line", CLI_LINES)
-def test_command_line_example_exits_zero_with_its_annotated_output(capsys, line):
+def test_command_line_example_exits_zero_with_its_annotated_output(line):
     argv = shlex.split(line, comments=True)
     assert argv[0] == "braidnil"
-    assert main(argv[1:]) == 0
-    out = capsys.readouterr().out
+    stdout = io.StringIO()
+    assert respond(argv[1:], stdout, io.StringIO()) == 0
+    out = stdout.getvalue()
     note = re.search(r"#\s*->\s*(.+)$", line)
     if note:
         assert json.loads(out)[ANNOTATED_KEY[argv[1]]] == json.loads(note.group(1))
