@@ -1,18 +1,20 @@
 """Command-line front end.
 
-respond(argv, out, err) runs one request and returns its exit code: the
-answer goes to out as one canonical JSON document (key-sorted, compact), or
-an aligned text rendering with --pretty where that makes sense, diagnostics
-to err.  main is respond on sys.stdout and sys.stderr plus the closed-stdout
+respond(argv, out, err) runs one request and returns its exit code: the answer
+goes to out as one canonical JSON document (key-sorted, compact), or an
+aligned text rendering with --pretty where that makes sense, diagnostics to
+err.  main is respond on sys.stdout and sys.stderr plus the unwritable-stream
 handler.  Element arguments are expression strings (see expr.py) unless they
 start with '{', then element JSON.  Exit codes: 0 success, 1 verification
 failure, 2 expression syntax error, 3 domain error (bad indices, violated
-preconditions, malformed JSON), running out of memory or a closed stdout.
+preconditions, malformed JSON), running out of memory or an unwritable stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import os
 import re
@@ -379,6 +381,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # each parser is built once per process: a parse leaves no state on it
+
+
 def respond(argv, out, err) -> int:
     # integers are exact at any size: lift the str<->int digit limit (CPython >= 3.10.7) while the CLI reads and prints
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
@@ -386,7 +391,7 @@ def respond(argv, out, err) -> int:
         sys.set_int_max_str_digits(0)
     try:
         # a request that names its subcommand first needs only that subparser; anything else gets them all
-        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         try:
             with redirect_stdout(out), redirect_stderr(err):  # where argparse prints --help and its errors
                 args = parser.parse_args(argv)
@@ -409,16 +414,25 @@ def respond(argv, out, err) -> int:
 
 
 def main(argv=None) -> int:
+    err = io.StringIO()  # diagnostics reach sys.stderr last, so a stderr that cannot take them keeps the exit code
     try:
-        code = respond(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
-        sys.stdout.flush()  # a reader that closed stdout is reported below, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout: what is still buffered goes to devnull, so the flush at exit cannot fail again
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        sys.stderr.write("resource error: stdout closed\n")
-        return 3
+        if sys.stdout is None:  # started with stdout closed: no work
+            raise BrokenPipeError
+        code = respond(sys.argv[1:] if argv is None else argv, sys.stdout, err)
+        sys.stdout.flush()  # a stdout that cannot take the answer is reported below, not at interpreter exit
+    except OSError as exc:  # stdout's, since nothing else in a request writes to a file
+        code = 3
+        line = "stdout closed" if isinstance(exc, BrokenPipeError) else f"cannot write stdout: {exc.strerror or exc}"
+        err.write(f"resource error: {line}\n")
+    for stream, text in ((sys.stdout, ""), (sys.stderr, err.getvalue())):  # a failed stdout fails its flush again
+        try:
+            stream.write(text)
+            stream.flush()
+        except (AttributeError, OSError):  # closed or full: the exit code alone tells, and what the stream still
+            if stream is not None:  # buffers goes to devnull, so the flush at interpreter exit cannot fail again
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), stream.fileno())
+    return code
 
 
 if __name__ == "__main__":

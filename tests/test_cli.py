@@ -702,14 +702,49 @@ def test_a_run_calls_the_engine_through_the_cli_namespace(monkeypatch, name, com
 
 
 def test_main_builds_only_the_subparser_it_runs(monkeypatch):
+    # each parser is built on first use and then kept for the process
+    braidnil.cli._parser.cache_clear()
     calls = counted(monkeypatch, argparse._SubParsersAction, "add_parser")
     assert run("collect", "--n", "5", "s1")[0] == 0
+    assert calls[0] == 1
+    assert run("collect", "--n", "5", "s2")[0] == 0
     assert calls[0] == 1
     # an unknown name gets the full parser, with argparse's own name for the subcommand argument
     code, out, err = run("bogus")
     assert (code, out) == (2, "")
     assert calls[0] == 1 + len(_VALID)
     assert "error: argument command: invalid choice: 'bogus'" in err
+    assert run("bogus") == (code, out, err)
+    assert calls[0] == 1 + len(_VALID)
+
+
+def interleaved_requests() -> list[list[str]]:
+    """Each subcommand's valid request, its --help, an extra argument, the bare name and a non-integer strand
+    option, then requests that get the full parser."""
+    argvs = []
+    for name, rest in _VALID.items():
+        n_flag = "--nmax" if name == "table" else "--n"
+        argvs += [[name, *rest], [name, "--help"], [name, *rest, "extra"], [name], [name, n_flag, "x"]]
+    return argvs + [["bogus"], ["--help"], []]
+
+
+def test_a_kept_parser_answers_as_a_fresh_one_in_any_order(monkeypatch):
+    # a parse may leave no state on the parser that the next request gets; help and usage are wrapped to the width
+    # when they are printed, not when the parser was built
+    argvs = interleaved_requests()
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(braidnil.cli, "_parser", build_parser)
+    fresh = {tuple(argv): run(*argv) for argv in argvs}
+    monkeypatch.undo()
+    braidnil.cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "12")
+    for argv in argvs:
+        run(*argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    for seed in range(3):
+        random.Random(seed).shuffle(argvs)
+        for argv in argvs:
+            assert run(*argv) == fresh[tuple(argv)], argv
 
 
 def test_main_writes_through_the_streams_it_finds_when_called(monkeypatch):
@@ -791,3 +826,81 @@ def test_a_closed_stdout_exits_3_with_one_line(argv, keep):
     with proc:
         err = proc.stderr.read()
     assert (proc.returncode, err) == (3, b"resource error: stdout closed\n")
+
+
+_FULL = "/dev/full"  # a device whose every write fails with ENOSPC
+_NO_SPACE = b"resource error: cannot write stdout: No space left on device\n"
+
+
+def child_with_streams(argv, stdout, stderr, unbuffered=False):
+    """`python -X dev -W error -m braidnil.cli argv` with each of stdout and stderr "pipe", "full" (on _FULL) or
+    "closed", as the shell's `>&-` leaves it; the exit code, stdout and stderr, a stream that is not a pipe read as b"".
+    """
+    full = "full" in (stdout, stderr)
+    if full and not os.path.exists(_FULL):
+        pytest.skip(f"no {_FULL}")
+    env = dict(os.environ, PYTHONPATH=str(Path(braidnil.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    closed = [fd for fd, how in ((1, stdout), (2, stderr)) if how == "closed"]
+    with open(_FULL if full else os.devnull, "wb") as sink:  # a closed stream is opened on the sink, then closed
+        streams = [subprocess.PIPE if how == "pipe" else sink for how in (stdout, stderr)]
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "braidnil.cli", *argv],
+                              stdout=streams[0], stderr=streams[1], env=env, timeout=120,
+                              preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed else None)
+    return proc.returncode, proc.stdout or b"", proc.stderr or b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["collect", "--n", "3", "s1"], id="collect"),  # buffered, it fails at main's flush
+    pytest.param(["holonomy", "--n", "12", "s1"], id="holonomy"),  # a 109 kB document fails while it is written
+])
+def test_a_full_stdout_exits_3_with_one_line(argv, unbuffered):
+    assert child_with_streams(argv, "full", "pipe", unbuffered) == (3, b"", _NO_SPACE)
+
+
+def test_help_on_a_full_stdout_exits_3_with_one_line():
+    # argparse drops its own write error; the text it leaves in stdout's buffer fails at main's flush
+    assert child_with_streams(["collect", "--help"], "full", "pipe") == (3, b"", _NO_SPACE)
+
+
+@pytest.mark.parametrize("argv", [["collect", "--n", "3", "s1"], ["collect", "--help"]], ids=["collect", "help"])
+def test_a_stdout_closed_at_start_exits_3_with_one_line(argv):
+    assert child_with_streams(argv, "closed", "pipe") == (3, b"", b"resource error: stdout closed\n")
+
+
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["collect", "--n", "3", "s1 )"], 2, id="parse-error"),
+    pytest.param(["collect", "--n", "3", "s9"], 3, id="domain-error"),
+    pytest.param(["bogus"], 2, id="usage-error"),
+])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(argv, code, stderr):
+    assert child_with_streams(argv, "pipe", stderr)[0] == code
+
+
+def test_a_full_stdout_and_a_closed_stderr_exit_3():
+    assert child_with_streams(["collect", "--n", "3", "s1"], "full", "closed") == (3, b"", b"")
+
+
+def test_main_reports_a_stream_it_cannot_write_in_process(monkeypatch):
+    # the child cases above on this process's streams: a stdout of None, and a stdout or stderr on _FULL, whose
+    # descriptor main points at devnull once it has failed
+    if not os.path.exists(_FULL):
+        pytest.skip(f"no {_FULL}")
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["collect", "--n", "3", "s1"]) == 3
+    with open(_FULL, "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(["collect", "--help"]) == 3
+        full.flush()  # the descriptor is devnull's now: what the failed flush left in the buffer goes there
+    assert err.getvalue() == "resource error: stdout closed\n" + _NO_SPACE.decode()
+    with open(_FULL, "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", full)
+        assert main(["collect", "--n", "3", "s9"]) == 3
+        full.flush()  # likewise for stderr

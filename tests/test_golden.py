@@ -4,6 +4,8 @@ same stdout bytes.  regen.py writes the corpus and says when to."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from braidnil.cli import _COMMANDS
@@ -16,6 +18,15 @@ HEADER, RECORDS = read_corpus()
 def test_a_golden_request_replays_its_recorded_outcome(monkeypatch, record):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal's width
     assert hashed(replay(record["argv"])) == recorded(record)
+
+
+def test_requests_in_one_process_answer_as_alone_in_any_order(monkeypatch):
+    # the reduced-word cache and the kept parsers live as long as the process: no request may leave the next one a
+    # different answer, whatever ran before it
+    monkeypatch.setenv("COLUMNS", "80")
+    shuffled = random.Random("golden-order").sample(RECORDS, len(RECORDS))
+    for record in shuffled + RECORDS[::-1]:
+        assert hashed(replay(record["argv"])) == recorded(record), record["argv"]
 
 
 def test_the_corpus_names_its_commit_covers_every_subcommand_and_stays_small():

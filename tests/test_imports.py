@@ -1,7 +1,8 @@
 """Every module-level import in a braidnil module is used there, every module-level private name is read
 somewhere in the package, and every public name is read there or named in README.  Outside core only expr and
 presentations use the working state, and only listed functions build values unchecked.  The package exports its
-names lazily, and a cold CLI start loads only the modules that its subcommand runs."""
+names lazily, a cold CLI start loads only the modules that its subcommand runs, and no module computes with
+floats."""
 
 from __future__ import annotations
 
@@ -111,6 +112,31 @@ def test_each_public_name_is_read_in_the_package_or_named_in_the_readme():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
     assert unexplained_public_names(braidnil.__all__, sources, readme) == []
+
+
+def float_uses(source: str) -> list[str]:
+    """The true divisions (`/` and `/=`), float or imaginary literals and `float(...)` calls in source, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "division"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float call"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_the_check_finds_each_float_use():
+    source = "q = a // b\nr = a / b\nr /= 2\nr //= 2\nx = 1.5 + 2j\ny = float(q)\nz = 1e3\nw = 10**3\n"
+    assert float_uses(source) == ["division (line 2)", "division (line 3)", "float literal (line 5)",
+                                  "float literal (line 5)", "float call (line 6)", "float literal (line 7)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_computes_with_integers_only(module):
+    # exactness is never traded away: every coordinate, exponent and order is an int
+    assert float_uses((PACKAGE / module).read_text()) == []
 
 
 # the group law's working state (image, nbr, comm) and its frame protocol, owned by core
