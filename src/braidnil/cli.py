@@ -392,10 +392,12 @@ def respond(argv, out, err) -> int:
     try:
         # a request that names its subcommand first needs only that subparser; anything else gets them all
         parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        printed = io.StringIO()  # argparse drops an error writing --help, so its text reaches out by this write
         try:
-            with redirect_stdout(out), redirect_stderr(err):  # where argparse prints --help and its errors
+            with redirect_stdout(printed), redirect_stderr(err):  # where argparse prints --help and its errors
                 args = parser.parse_args(argv)
         except SystemExit as exc:  # argparse's exit after --help or an error
+            out.write(printed.getvalue())
             return exc.code
         return args.run(args, out, err) or 0
     except ExpressionError as exc:

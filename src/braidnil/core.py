@@ -56,7 +56,8 @@ starting strand labels and returns the frame that places them.  Where a merge
 or a fold follows, `_fold` first renames the state to the labels that the
 letters carry to slot order, so the loop ends on the identity frame; a fold
 that ends a product hands its frame to `_freeze`.  collect folds a word.
-`_times` multiplies a state by b: it folds through b's section, merges b's
+`_times` multiplies a state by b, read as three fields (image, pure rows in lex
+order, level-2 rows in any order): it folds through b's section, merges b's
 pure block, adds b's level 2.  `_times_inverse` multiplies by b^-1 without
 building it: it subtracts b's level 2, merges b's pure factors reversed and
 negated, folds through the inverse section.  mul is `_times` on a thawed, inv
@@ -68,15 +69,18 @@ strand's exponents with the letter's two strands, so a letter scans only the
 rows whose e can be nonzero: one strand's row, or on a deposit that row above
 the letter and the other below it, never an empty row.  It costs at most its
 strands' degrees, so on a sparse state only its slot bookkeeping.  A fold of
-more than T = n*C(n,2) letters sums each d per (ordered crossing pair, strand)
-and places each sum once at the end; a shorter one, as every section, pn3/bn3
-rest at n >= 5 and full twist word is, revisits too few keys for that to pay,
-so it places each d as it meets it.  A merged A[i,j] scans i's row above j,
-then j's.
+more than T = n*C(n,2) letters, and more than 50 (T at n = 5), sums each d per
+(ordered crossing pair, strand) and places each sum once at the end; a shorter
+one, as every section, pn3/bn3 rest at n >= 5, full twist word and b3 relation
+is, revisits too few keys for that to pay, so it places each d as it meets it.
+A merged A[i,j] scans i's row above j, then j's.
 power writes m = s*q + r with q the order of the permutation and 0 <= r < q,
-and returns a^r * (a^q)^s: a^r and a^q by squaring, each `_times` on one state,
-then, since a^q is pure, the class-2 power law (id, v, w)^s = (id, s*v, s*w +
-C(s,2)*B(v)), where B(v) is the level-2 part of merging v onto itself.
+and returns a^r * (a^q)^s.  Its squares stay working states, each one product
+of the one before with that one's fields; a^r and a^q are `_times` chains on
+one state over them, a^q continuing from a^r when that takes fewer products.
+Since a^q is pure, the class-2 power law gives (id, v, w)^s = (id, s*v, s*w +
+C(s,2)*B(v)), where B(v) is the level-2 part of merging v onto itself.  Only
+the result is frozen.
 """
 
 from __future__ import annotations
@@ -542,14 +546,16 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     above k+1 and the other below k, never an empty row, with one lookup per
     entry: a letter costs at most the degree of its two strands, and on a
     sparse state only its slot bookkeeping.  A fold of more than T = n*C(n,2)
-    letters, n crossings per strand pair on average, adds each d to a sum at
-    the int (la*m + lb)*m + v, m = n + 1, and places each nonzero sum once at
-    sort(v, lb, la) after the last letter: at most n(n-1)(n-2) lookups in comm.
-    A shorter fold revisits too few of those keys for the sums to pay, so it
-    places each d as it meets it.  The index of slot x's value in the one-line
-    image swaps with lab, so it is at[lab[x]] for the fixed `at`.  nbr and comm
-    are consumed and returned under the starting labels, with the new image and
-    the frame pos, or None for no letters.
+    letters, n crossings per strand pair on average, and more than 50, adds
+    each d to a sum at the int (la*m + lb)*m + v, m = n + 1, and places each
+    nonzero sum once at sort(v, lb, la) after the last letter: at most
+    n(n-1)(n-2) lookups in comm.  A shorter fold revisits too few of those keys
+    for the sums to pay, so it places each d as it meets it.  The floor of 50,
+    T at n = 5, keeps the short words at n = 3 and 4 (T = 9, 24) from paying
+    for the (n+1)^3 sums and their scan.  The index of slot x's value in the
+    one-line image swaps with lab, so it is at[lab[x]] for the fixed `at`.
+    nbr and comm are consumed and returned under the starting labels, with the
+    new image and the frame pos, or None for no letters.
     """
     if not letters:
         return image, nbr, comm, None
@@ -559,8 +565,8 @@ def _fold_framed(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple,
     at = [0] * m  # at[l]: the index, in the starting image, of the value at label l's starting slot
     for i, v in enumerate(image):
         at[lab[v]] = i
-    # past T letters each d goes to a sum, placed after the last letter
-    sums = [0] * m ** 3 if len(letters) > n * n * (n - 1) // 2 else []
+    # past T letters, and past 50 (T at n = 5), each d goes to a sum, placed after the last letter
+    sums = [0] * m ** 3 if len(letters) > max(n * n * (n - 1) // 2, 50) else []
     for k, eps in letters:
         la, lb = lab[k], lab[k + 1]
         na, nb = nbr[la], nbr[lb]
@@ -749,13 +755,16 @@ def _add_level2(comm: dict[Triple, int], entries: Iterable[tuple[int, int, int, 
             del comm[t]
 
 
-def _times(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b: NilElement) -> State:
-    """Multiply the state on the right by b: fold b's section, merge b's pure block, add b's level 2."""
-    if len(image) != b.n:
+def _times(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], b_image: tuple[int, ...],
+           b_pure: Sequence[tuple[int, int, int]], b_comm: Iterable[tuple[int, int, int, int]]) -> State:
+    """Multiply the state on the right by b, read as its image, its pure rows in lex order and its level-2 rows in
+    any order: fold b's section, merge b's pure block, add b's level 2.  A section with letters folds into fresh
+    dicts, so the state is left as it was unless b's permutation is the identity; then it is merged into."""
+    if len(image) != len(b_image):
         raise DomainError("cannot multiply elements on different strand counts")
-    image, nbr, comm = _fold(image, nbr, comm, [(k, 1) for k in _lex_reduced_word(b.perm.image)])
-    _merge_pure_block(nbr, comm, b.pure.entries)
-    _add_level2(comm, b.comm.entries, 1)
+    image, nbr, comm = _fold(image, nbr, comm, [(k, 1) for k in _lex_reduced_word(b_image)])
+    _merge_pure_block(nbr, comm, b_pure)
+    _add_level2(comm, b_comm, 1)
     return image, nbr, comm
 
 
@@ -769,7 +778,7 @@ def _times_inverse(image: list[int], nbr: list[dict[int, int]], comm: dict[Tripl
 
 def mul(a: NilElement, b: NilElement) -> NilElement:
     """Group multiplication of normal forms."""
-    return _freeze(a.n, *_times(*_thaw(a), b))
+    return _freeze(a.n, *_times(*_thaw(a), b.perm.image, b.pure.entries, b.comm.entries))
 
 
 def inv(a: NilElement) -> NilElement:
@@ -777,16 +786,24 @@ def inv(a: NilElement) -> NilElement:
     return _freeze(a.n, *_times_inverse(*_origin(a.n), a))
 
 
+def _fields(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int]) -> tuple:
+    """A state as `_times` reads a right factor: its image, its pure rows in lex order, its level-2 rows unsorted."""
+    return tuple(image), _pure_rows(nbr), [t + (c,) for t, c in comm.items()]
+
+
 def power(a: NilElement, m: int) -> NilElement:
     """a^m as a^r * (a^q)^s, where q is the order of a's permutation and m = s*q + r, 0 <= r < q.
 
-    a^r and a^q come from one table of frozen squares, each chained on one
-    working state.  a^q is pure, and in class 2 its powers have a closed form
-    (Hall-Petresco): (id, v, w)^s = (id, s*v, s*w + C(s,2)*B(v)), with B(v)
-    the level-2 part of merging v onto itself.  So a power costs O(log q)
-    products, one merge, and a freeze per square and per result: (a^q)^s,
-    then a^r * (a^q)^s.  For s = 1 a^q is computed in full, so order()
-    computes the real power.  Negative powers go through inv.
+    The squares a^(2^i) are working states, each the one before times that
+    one's fields, never frozen.  a^r is the lowest square it uses times the
+    others; a^q is a^r times the squares of q - r when that takes fewer
+    products, else built as a^r is.  Below q no square's permutation is the
+    identity, so `_times` leaves a stored square as it was.  a^q is pure, and
+    in class 2 its powers have a closed form (Hall-Petresco): (id, v, w)^s =
+    (id, s*v, s*w + C(s,2)*B(v)), with B(v) the level-2 part of merging v onto
+    itself.  So a power costs O(log q) products, one merge, and one freeze,
+    of its result.  For s = 1 a^q is computed in full, so order() computes
+    the real power.  Negative powers go through inv.
     """
     _check_int("exponent", m)
     if m < 0:
@@ -794,33 +811,36 @@ def power(a: NilElement, m: int) -> NilElement:
     n = a.n
     q = a.perm.order()
     s, r = divmod(m, q)
-    squares = [a]  # squares[i] = a^(2^i), frozen: _times reads its right factor's normal form
+    states, fields = [_thaw(a)], [(a.perm.image, a.pure.entries, a.comm.entries)]  # of a^(2^i)
     for _ in range((q if s else r).bit_length() - 1):
-        squares.append(mul(squares[-1], squares[-1]))
+        states.append(_times(*states[-1], *fields[-1]))
+        fields.append(_fields(*states[-1]))
 
-    def from_squares(e: int) -> State:
-        low = (e & -e).bit_length() - 1
-        state = _thaw(squares[low])
-        for i in range(low + 1, e.bit_length()):
+    def chain(state: State, e: int) -> State:  # state times a^(2^i) for each set bit i of e
+        for i in range(e.bit_length()):
             if e >> i & 1:
-                state = _times(*state, squares[i])
+                state = _times(*state, *fields[i])
         return state
 
+    ar = chain(states[(r & -r).bit_length() - 1], r & (r - 1)) if r else None
     if not s:
-        return _freeze(n, *from_squares(r)) if r else identity(n)
-    image, nbr, w = from_squares(q)
+        return _freeze(n, *ar) if r else identity(n)
+    if r and (q - r).bit_count() < q.bit_count() - 1:
+        image, nbr, w = chain(ar, q - r)
+    else:
+        image, nbr, w = chain(states[(q & -q).bit_length() - 1], q & (q - 1))
     if s > 1:
         b: dict[Triple, int] = {}
         _merge_pure_block(nbr, b, _pure_rows(nbr))  # v merged onto itself: nbr holds 2v, b holds B(v)
         w = {t: c for t in w.keys() | b.keys() if (c := s * w.get(t, 0) + s * (s - 1) // 2 * b.get(t, 0))}
         nbr = [{x: e * s // 2 for x, e in row.items()} for row in nbr]
-    aq = _freeze(n, image, nbr, w)
-    return _freeze(n, *_times(*from_squares(r), aq)) if r else aq
+    # a^q's permutation is the identity, so the product merges into a^r's state, used here for the last time
+    return _freeze(n, *_times(*ar, *_fields(image, nbr, w))) if r else _freeze(n, image, nbr, w)
 
 
 def conj(g: NilElement, x: NilElement) -> NilElement:
     """Conjugation g x g^-1, as one pass over g's state; a left action: conj(g, conj(h, x)) = conj(mul(g, h), x)."""
-    return _freeze(g.n, *_times_inverse(*_times(*_thaw(g), x), g))
+    return _freeze(g.n, *_times_inverse(*_times(*_thaw(g), x.perm.image, x.pure.entries, x.comm.entries), g))
 
 
 def order(a: NilElement):

@@ -83,7 +83,8 @@ def _eval_terms(terms: tuple, n: int) -> NilElement:
             base = comm_gen(n, atom[1])
         else:
             base = _eval_terms(atom[1], n)
-        state, letters = _times(*_fold(*state, letters), power(base, exponent)), []
+        b = power(base, exponent)
+        state, letters = _times(*_fold(*state, letters), b.perm.image, b.pure.entries, b.comm.entries), []
     return _freeze(n, *_fold_framed(*state, letters))
 
 

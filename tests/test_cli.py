@@ -861,9 +861,11 @@ def test_a_full_stdout_exits_3_with_one_line(argv, unbuffered):
     assert child_with_streams(argv, "full", "pipe", unbuffered) == (3, b"", _NO_SPACE)
 
 
-def test_help_on_a_full_stdout_exits_3_with_one_line():
-    # argparse drops its own write error; the text it leaves in stdout's buffer fails at main's flush
-    assert child_with_streams(["collect", "--help"], "full", "pipe") == (3, b"", _NO_SPACE)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_on_a_full_stdout_exits_3_with_one_line(unbuffered):
+    # argparse would drop its own write error, so it prints into a buffer that respond writes to stdout: unbuffered,
+    # that write fails; buffered, the text it leaves in stdout's buffer fails at main's flush
+    assert child_with_streams(["collect", "--help"], "full", "pipe", unbuffered) == (3, b"", _NO_SPACE)
 
 
 @pytest.mark.parametrize("argv", [["collect", "--n", "3", "s1"], ["collect", "--help"]], ids=["collect", "help"])

@@ -42,7 +42,8 @@ def letters(n: int, max_size: int):
 
 
 def bound(n: int) -> int:
-    """T = n*C(n,2): a fold of more letters sums its level-2 corrections per (la, lb, v) and places each sum once."""
+    """T = n*C(n,2): a fold of more letters, and of more than 50, sums its level-2 corrections per (la, lb, v) and
+    places each sum once."""
     return n * n * (n - 1) // 2
 
 
@@ -428,6 +429,22 @@ def test_a_fold_of_t_letters_looks_up_each_nonzero_correction_as_it_meets_it(n):
     folded = _fold_framed(list(range(1, n + 1)), copy.deepcopy(nbr), CountedComm(start), word)
     assert CountedComm.tally[1] == expected
     assert _freeze(n, *folded) == _freeze(n, *_fold(list(range(1, n + 1)), nbr, dict(start), word))
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_a_fold_at_n_3_or_4_places_each_correction_up_to_50_letters(n):
+    # the floor of 50 letters is T at n = 5: below it the (n+1)^3 sums cost more than a short word's corrections
+    rng = random.Random(50 + n)
+    nbr, start = dense_start(rng, n)
+    word = long_word(rng, n, 51)
+    expected = nonzero_corrections(n, copy.deepcopy(nbr), dict(start), word[:50])
+    assert expected > n * (n - 1) * (n - 2)  # more than a gathered fold could make
+    CountedComm.tally[:] = [0, 0, 0]
+    _fold_framed(list(range(1, n + 1)), copy.deepcopy(nbr), CountedComm(start), word[:50])
+    assert CountedComm.tally[1] == expected
+    CountedComm.tally[:] = [0, 0, 0]
+    _fold_framed(list(range(1, n + 1)), copy.deepcopy(nbr), CountedComm(start), word)
+    assert CountedComm.tally[1] <= n * (n - 1) * (n - 2)
 
 
 @pytest.mark.parametrize("n, length", ((3, 10), (3, 400), (5, 51), (8, 225), (8, 5000), (12, 793), (12, 3000)))

@@ -15,6 +15,7 @@ from braidnil.core import (
     Permutation,
     PurePart,
     collect,
+    element_to_dict,
     identity,
     inv,
     mul,
@@ -40,32 +41,49 @@ def test_power_equals_squaring_near_multiples_of_the_permutation_order(a, s, res
 # permutation orders 7 (a 7-cycle at n = 7) and 28 (cycle type (7, 4) at n = 11), with pure and level-2 parts
 SEVEN = parse("s1 s2^-1 s3 s4 s5^-1 s6 A[1,4]^2 A[3,7]^-1 a[2,4,6]", 7).element()
 TWENTY_EIGHT = parse("s1 s2^-1 s3 s4^-1 s5 s6 s7^2 s8 s9^-1 s10 A[1,11]^2 a[3,7,11]", 11).element()
+# and orders 1, 2, 4 and 8, where a^q is a square, with the identity permutation, so `_times` merges by it in place
+BY_ORDER = {
+    7: SEVEN,
+    28: TWENTY_EIGHT,
+    1: parse("A[1,3]^2 A[2,4]^-1 A[1,2] A[2,3]^3 a[1,2,4]", 4).element(),
+    2: parse("s1 s3^-1 A[1,4]^2 A[2,3]^-1 a[1,3,4]^2", 5).element(),
+    4: parse("s1 s2^-1 s3 A[1,4]^2 A[2,5]^-1 a[2,3,4]", 5).element(),
+    8: parse("s1 s2^-1 s3 s4 s5^-1 s6 s7 A[2,8]^-1 A[1,5]^3 a[1,4,8]", 8).element(),
+}
 
 
-@pytest.mark.parametrize("a", [SEVEN, TWENTY_EIGHT], ids=["q7", "q28"])
-def test_power_equals_squaring_at_every_residue(a):
+@pytest.mark.parametrize("q", BY_ORDER, ids=lambda q: f"q{q}")
+def test_power_equals_squaring_at_every_residue(q):
     # every r, so a chain over a multi-bit r meets each branch of the power law: s = 0, 1, s >= 2 and negative
-    q = a.perm.order()
-    assert q in (7, 28)
+    a = BY_ORDER[q]
+    assert a.perm.order() == q
+    earlier = power(a, 2 * q + 1)
+    a_before, earlier_before = element_to_dict(a), element_to_dict(earlier)
     for s in (0, 1, 2, 5, -3):
         for r in range(q):
             assert power(a, s * q + r) == square_power(a, s * q + r), (s, r)
+            # neither the base nor an earlier result shares a dict with a later call's working states
+            assert (element_to_dict(a), element_to_dict(earlier)) == (a_before, earlier_before), (s, r)
+    assert earlier == square_power(a, 2 * q + 1)
 
 
-@pytest.mark.parametrize("m, freezes", [
-    (11, 4),  # s = 0: three squares, a^11
-    (28, 5),  # s = 1: four squares, a^28
-    (67, 6),  # s = 2, r = 11: four squares, (a^28)^2, a^11 (a^28)^2
-    (167, 6),  # s = 5, r = 27
-    (-89, 7),  # inv(a), then s = 3, r = 5
-    (0, 0),
+@pytest.mark.parametrize("m, freezes, products", [
+    (11, 1, 3 + 2),  # s = 0, r = 11: three squarings, a^r
+    (28, 1, 4 + 2),  # s = 1, r = 0: four squarings, a^28 from a^4
+    (67, 1, 4 + 2 + 2 + 1),  # s = 2, r = 11: a^28 from a^4, since from a^11 it takes as many (17 = 10001b)
+    (167, 1, 4 + 3 + 1 + 1),  # s = 5, r = 27: a^28 is a^27 times a
+    (-89, 2, 4 + 1 + 2 + 1),  # inv(a), then s = 3, r = 5: a^28 from a^4, since from a^5 it takes four (23 = 10111b)
+    (0, 0, 0),
 ])
-def test_power_freezes_once_per_square_and_once_per_result(monkeypatch, m, freezes):
-    # max(0, bit_length - 1) + [s >= 1] + [r != 0] + [m < 0], bit_length that of q if s >= 1, else of r
+def test_power_freezes_once_and_chains_its_products(monkeypatch, m, freezes, products):
+    # freezes: [m != 0] + [m < 0], for the result and inv; products: bit_length(top) - 1 squarings, top = q if s >= 1
+    # else r, then popcount(r) - 1 for a^r, then for s >= 1 the fewer of popcount(q) - 1 and popcount(q - r) for a^q,
+    # and one product a^r (a^q)^s when r > 0
     expected = power(TWENTY_EIGHT, m)
-    calls = counted(monkeypatch, core, "_freeze")
+    freezes_made = counted(monkeypatch, core, "_freeze")
+    products_made = counted(monkeypatch, core, "_times")
     assert power(TWENTY_EIGHT, m) == expected
-    assert calls[0] == freezes
+    assert (freezes_made[0], products_made[0]) == (freezes, products)
 
 
 @settings(max_examples=30, deadline=None)
