@@ -50,12 +50,13 @@ The group law is the letter fold `_fold` and the closed-form pure-block merge
 `_merge_pure_block`.  Both work on one level-1 state, the strand adjacency
 nbr: nbr[u][v] = nbr[v][u] is the exponent on A[u,v], never zero, and row 0
 stays empty; the level-2 dict holds no zero either, since every writer deletes
-a sum that cancels.  `_thaw` builds it from a normal form, `_freeze` sorts it back
-into entries.  The letter loop `_fold_framed` keeps the state under its
-starting strand labels and returns the frame that places them.  Where a merge
-or a fold follows, `_fold` first renames the state to the labels that the
-letters carry to slot order, so the loop ends on the identity frame; a fold
-that ends a product hands its frame to `_freeze`.  collect folds a word.
+a sum that cancels.  `_thaw` builds it from a normal form; `_rows` sorts it
+back into the canonical rows, which `_freeze` wraps as the normal form and a
+verify suite compares as they are.  The letter loop `_fold_framed` keeps the
+state under its starting strand labels and returns the frame that places them.
+Where a merge or a fold follows, `_fold` first renames the state to the labels
+that the letters carry to slot order, so the loop ends on the identity frame; a
+fold that ends a product hands its frame to `_freeze`.  collect folds a word.
 `_times` multiplies a state by b, read as three fields (image, pure rows in lex
 order, level-2 rows in any order): it folds through b's section, merges b's
 pure block, adds b's level 2.  `_times_inverse` multiplies by b^-1 without
@@ -655,16 +656,19 @@ def _fold(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], 
 
 def _pure_rows(nbr: list[dict[int, int]]) -> tuple[tuple[int, int, int], ...]:
     """The pure rows (u, v, e), u < v, of a strand adjacency, in lex order."""
-    return tuple(sorted([(u, v, e) for u, row in enumerate(nbr) for v, e in row.items() if u < v]))
+    return tuple(sorted([(u, v, e) for u, row in enumerate(nbr) if row for v, e in row.items() if u < v]))
 
 
-def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
-            pos: list[int] | None = None) -> NilElement:
-    """The normal form: a level is one sort of flat rows, keys mapped through the frame pos if given, zeros dropped."""
+Rows = tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[tuple[int, int, int, int], ...]]
+
+
+def _rows(image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int], pos: list[int] | None = None) -> Rows:
+    """A state's normal form as canonical rows (image, pure rows, level-2 rows): a level is one sort of flat rows,
+    keys mapped through the frame pos if given, zeros dropped.  Two states are equal iff their rows are."""
     if pos is None:
         pure, comm_rows = _pure_rows(nbr), [(i, j, k, c) for (i, j, k), c in comm.items() if c]
     else:
-        pure = tuple(sorted([(a, b, e) for u, row in enumerate(nbr) for a in (pos[u],)
+        pure = tuple(sorted([(a, b, e) for u, row in enumerate(nbr) if row for a in (pos[u],)
                              for v, e in row.items() if a < (b := pos[v])]))
         comm_rows = []
         for (u, v, w), c in comm.items():
@@ -678,9 +682,20 @@ def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Trip
                         u, v, c = v, u, -c
                 comm_rows.append((u, v, w, c))
     comm_rows.sort()
-    return _trusted(NilElement, n=n, perm=_trusted(Permutation, image=tuple(image)),
-                    pure=_trusted(PurePart, n=n, entries=pure),
-                    comm=_trusted(CommPart, n=n, entries=tuple(comm_rows)))
+    return tuple(image), pure, tuple(comm_rows)
+
+
+def _normal_form(n: int, image: tuple[int, ...], pure: tuple[tuple[int, int, int], ...],
+                 comm: tuple[tuple[int, int, int, int], ...]) -> NilElement:
+    """The normal form whose fields are the canonical rows of `_rows`."""
+    return _trusted(NilElement, n=n, perm=_trusted(Permutation, image=image),
+                    pure=_trusted(PurePart, n=n, entries=pure), comm=_trusted(CommPart, n=n, entries=comm))
+
+
+def _freeze(n: int, image: list[int], nbr: list[dict[int, int]], comm: dict[Triple, int],
+            pos: list[int] | None = None) -> NilElement:
+    """The normal form of a state: `_normal_form` of its `_rows`."""
+    return _normal_form(n, *_rows(image, nbr, comm, pos))
 
 
 def _thaw(a: NilElement) -> State:

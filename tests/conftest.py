@@ -74,7 +74,7 @@ from braidnil.core import (
 )
 from braidnil.expr import _MAX_NESTING, ExpressionError, _validate
 from braidnil.orbits import OrbitBasis, coefficients_by_orbit, part_from_orbits, signed_orbits
-from braidnil.presentations import RelationReport
+from braidnil.presentations import RelationReport, _spell
 
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
@@ -745,12 +745,12 @@ def two_product_conj(g: NilElement, x: NilElement) -> NilElement:
 
 
 def whole_word_report(suite: str, n: int, relations) -> RelationReport:
-    """A suite's report with each relation's lhs, prefix * rest, and rhs collected whole and compared."""
+    """A suite's report with each relation's lhs, prefix + rest, and rhs collected whole as words and compared."""
     failures, total = [], 0
     for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
-        le, re = collect(prefix * rest), collect(rhs)
+        le, re = collect(BraidWord(n, prefix + rest)), collect(BraidWord(n, rhs))
         if le != re:
-            failures.append((rid, le, re))
+            failures.append((_spell(rid), le, re))
     return RelationReport(suite, n, total, tuple(failures))
 
 
@@ -764,13 +764,13 @@ def run_before(suite: str, n: int, relations) -> RelationReport:
     failures, total, last, rhs_forms = [], 0, None, {}
     for total, (rid, prefix, rest, rhs) in enumerate(relations, 1):
         if prefix is not last:
-            last, (image, nbr, comm) = prefix, _fold(*_origin(n), prefix.letters)
-        le = _freeze(n, *_fold_framed(image, [dict(row) for row in nbr], dict(comm), rest.letters))
-        re = rhs_forms.get(rhs.letters)
+            last, (image, nbr, comm) = prefix, _fold(*_origin(n), prefix)
+        le = _freeze(n, *_fold_framed(image, [dict(row) for row in nbr], dict(comm), rest))
+        re = rhs_forms.get(rhs)
         if re is None:
-            re = rhs_forms[rhs.letters] = collect(rhs)
+            re = rhs_forms[rhs] = collect(BraidWord(n, rhs))
         if le != re:
-            failures.append((rid, le, re))
+            failures.append((_spell(rid), le, re))
     return RelationReport(suite, n, total, tuple(failures))
 
 

@@ -140,7 +140,8 @@ def test_module_computes_with_integers_only(module):
 
 
 # the group law's working state (image, nbr, comm) and its frame protocol, owned by core
-WORKING_STATE = {"_fold", "_fold_framed", "_freeze", "_thaw", "_times", "_times_inverse", "_origin", "_merge_pure_block"}
+WORKING_STATE = {"_fold", "_fold_framed", "_freeze", "_rows", "_thaw", "_times", "_times_inverse", "_origin",
+                 "_merge_pure_block"}
 
 
 def working_state_names(source: str) -> set[str]:
@@ -170,10 +171,9 @@ def test_outside_core_only_expr_and_presentations_use_the_working_state():
 # valid by construction (normal forms of the group law, sums of from_map, words of checked words, holonomy row
 # permutations), or, in element_from_dict, JSON rows that passed the canonical column check
 TRUSTED_CALLERS = {
-    "core.py": {"BraidWord.__mul__", "BraidWord.__pow__", "BraidWord.inverse", "_Coordinates.from_map", "_freeze",
-                "element_from_dict"},
+    "core.py": {"BraidWord.__mul__", "BraidWord.__pow__", "BraidWord.inverse", "_Coordinates.from_map",
+                "_normal_form", "element_from_dict"},
     "invariants.py": {"holonomy_matrix"},
-    "presentations.py": {"_pure_relations.rest"},
 }
 
 
